@@ -7,6 +7,7 @@ experiment.  All emitted JSON prints floats with 17 significant digits
 (non-finite values become null) so repeated runs are byte-identical.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -107,7 +108,7 @@ def noise_from_config(doc, path="$.noise"):
 
 
 def _checks_from_config(doc, model, path="$.checks"):
-    default_s = 2.0 if isinstance(model, BekkArch) else 1.0
+    default_s = model.analytic_envelope_s
     if doc is None:
         return {"s": default_s, "envelope": "analytic"}
     _require_keys(doc, path, (), optional=("s", "envelope"))
@@ -303,25 +304,13 @@ def json_dumps(obj, sort_keys=False):
     return render(obj, 0)
 
 
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+
+
 def _escape_string(text):
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    out = (_ESCAPES.get(ch) or (f"\\u{ord(ch):04x}" if ord(ch) < 0x20 else ch)
+           for ch in text)
+    return '"' + "".join(out) + '"'
 
 
 def config_hash(doc):
@@ -359,14 +348,7 @@ def write_text_atomic(path, text):
 
 
 def moment_to_dict(moment):
-    return {
-        "value": moment.value,
-        "std_error": moment.std_error,
-        "method": moment.method,
-        "s": moment.s,
-        "sample_count": moment.sample_count,
-        "grid_size": moment.grid_size,
-    }
+    return dataclasses.asdict(moment)
 
 
 def envelope_to_dict(envelope):
@@ -400,16 +382,7 @@ def report_to_dict(report):
 
 
 def snapshot_stats_to_dict(stats):
-    return {
-        "time": stats.time,
-        "count": stats.count,
-        "mean": list(stats.mean),
-        "second_moment": list(stats.second_moment),
-        "norm_mean": stats.norm_mean,
-        "norm_q10": stats.norm_q10,
-        "norm_q50": stats.norm_q50,
-        "norm_q90": stats.norm_q90,
-    }
+    return dataclasses.asdict(stats)
 
 
 def summary_to_dict(summary):

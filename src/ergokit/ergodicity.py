@@ -21,6 +21,7 @@ from .models import (
     REGION_EVERYWHERE_SINGULAR,
     REGION_ON_L,
     ThresholdAffine2D,
+    bekk_b_eigenvalues,
     bekk_line_normal,
     eval_f,
     eval_g,
@@ -31,7 +32,7 @@ from .norms import (
     frobenius_norm,
     matrix_col_sum_norm,
     operator_norm,
-    symmetric_eigh,
+    s_norms,
     vector_s_norm,
 )
 
@@ -208,9 +209,7 @@ def _sample_shell(rng, dim, s, m_ball, radius, n_samples):
     while filled < n_samples:
         k = max(n_samples - filled, 1024)
         cand = rng.uniform(-half, half, (k, dim))
-        norms = np.sum(np.abs(cand) ** s, axis=1)
-        if s >= 1.0:
-            norms = norms ** (1.0 / s)
+        norms = s_norms(cand, s, axis=1)
         accepted = cand[(norms > m_ball) & (norms <= radius)]
         take = min(accepted.shape[0], n_samples - filled)
         out[filled:filled + take] = accepted[:take]
@@ -347,11 +346,7 @@ def empirical_drift_check(model, noise_spec, x, s, n_mc, seed):
     fx = eval_f(model, x)
     gx = eval_g(model, x)
     nxt = fx[None, :] + draws @ gx.T
-    a = np.abs(nxt) ** s
-    norms = np.sum(a, axis=1)
-    if s >= 1.0:
-        norms = norms ** (1.0 / s)
-    v1 = 1.0 + norms
+    v1 = 1.0 + s_norms(nxt, s, axis=1)
     v0 = 1.0 + vector_s_norm(x, s)
     value = float(np.mean(v1)) / v0
     stderr = float(np.std(v1, ddof=1) / math.sqrt(n_mc)) / v0
@@ -364,6 +359,18 @@ def _verdict(structural, gamma, envelope):
     if envelope.source == SOURCE_SHELL:
         return VERDICT_INCONCLUSIVE
     return VERDICT_MET
+
+
+def _report(structural, gamma, moment, envelope, extra_notes):
+    verdict = _verdict(structural, gamma, envelope)
+    return ErgodicityReport(
+        structural=structural,
+        gamma=gamma,
+        noise_moment=moment,
+        envelope=envelope,
+        verdict=verdict,
+        notes=_compose_notes(envelope, moment, gamma, verdict, extra_notes),
+    )
 
 
 _SUFFICIENT_ONLY_NOTE = (
@@ -407,15 +414,7 @@ def check_threshold_model(model, noise_spec=None, envelope=None, moment=None,
         moment = abs_moment(noise_spec, envelope.s, method="quadrature")
     gamma = drift_gamma(envelope, moment)
     structural = (check_coefexpol(model), _check_d_main_nonsingular(model))
-    verdict = _verdict(structural, gamma, envelope)
-    return ErgodicityReport(
-        structural=structural,
-        gamma=gamma,
-        noise_moment=moment,
-        envelope=envelope,
-        verdict=verdict,
-        notes=_compose_notes(envelope, moment, gamma, verdict, extra_notes),
-    )
+    return _report(structural, gamma, moment, envelope, extra_notes)
 
 
 def check_bekk_model(model, noise_spec=None, envelope=None, moment=None,
@@ -455,8 +454,7 @@ def check_bekk_model(model, noise_spec=None, envelope=None, moment=None,
     # The default envelope has b_g = |||A|||_F, so this equals
     # bekk_gamma(b_f, A, moment); a user envelope substitutes its own bound.
     gamma = drift_gamma(envelope, moment)
-    b = np.asarray(model.b_mat)
-    w, _ = symmetric_eigh(b)
+    w, _ = bekk_b_eigenvalues(model.b_mat)
     checks = [
         CheckResult(
             name="b_psd", passed=True, witnesses=(("min_eigenvalue", float(np.min(w))),)
@@ -487,13 +485,4 @@ def check_bekk_model(model, noise_spec=None, envelope=None, moment=None,
                 ),
             )
         )
-    structural = tuple(checks)
-    verdict = _verdict(structural, gamma, envelope)
-    return ErgodicityReport(
-        structural=structural,
-        gamma=gamma,
-        noise_moment=moment,
-        envelope=envelope,
-        verdict=verdict,
-        notes=_compose_notes(envelope, moment, gamma, verdict, extra_notes),
-    )
+    return _report(tuple(checks), gamma, moment, envelope, extra_notes)

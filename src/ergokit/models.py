@@ -9,6 +9,7 @@ every evaluation operation is pure.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -18,6 +19,9 @@ from .norms import frobenius_norm, psd_sqrt, symmetric_eigh
 # Relative threshold below which det(B) is treated as zero when choosing the
 # closed-form determinant path.
 _DET_B_REL_TOL = 1e-12
+
+# Relative tolerance of the symmetry and PSD checks on BEKK b_mat.
+_B_REL_TOL = 1e-10
 
 # Region labels for ThresholdAffine2D.
 REGION_C = "C"
@@ -47,9 +51,46 @@ def _as_2x2(values, name):
     return rows
 
 
+class _ModelSpec:
+    """Base of every model family.
+
+    Each family supplies eval_f, eval_g and kernel(); kernel() returns the
+    family's step as a closure (x, u) -> next state over tuples of floats, the
+    one implementation that both `step` and the path loop in `simulate` run.
+    """
+
+    def g_determinant(self, x):
+        raise ValueError("g_determinant supports ThresholdAffine2D and BekkArch only")
+
+    def classify_region(self, x):
+        raise ValueError("classify_region supports ThresholdAffine2D and BekkArch only")
+
+
+def _array_kernel(f, g):
+    """Step closure computing f(x) + g(x) @ u in array arithmetic."""
+
+    def step(x, u):
+        x = np.array(x)
+        return tuple((f(x) + g(x) @ np.array(u)).tolist())
+
+    return step
+
+
+def _callable_value(fn, x, shape, name, finite=True):
+    out = np.asarray(fn(x), dtype=float)
+    if out.shape != shape or (finite and not np.all(np.isfinite(out))):
+        raise ValueError(f"model {name} produced a non-finite or misshaped value at x={x!r}")
+    return out
+
+
 @dataclass(frozen=True)
-class GenericModel:
-    """Model given by arbitrary callables f: R^n -> R^n and g: R^n -> R^(n x n)."""
+class GenericModel(_ModelSpec):
+    """Model given by arbitrary callables f: R^n -> R^n and g: R^n -> R^(n x n).
+
+    eval_f and eval_g reject non-finite values; inside the path loop a
+    non-finite f or g instead yields a non-finite state, which censors the
+    path like any other divergence.  Misshaped values raise everywhere.
+    """
 
     dim: int
     f: Callable
@@ -59,9 +100,21 @@ class GenericModel:
         if not 1 <= self.dim <= 8:
             raise ValueError(f"dim must be in 1..8, got {self.dim}")
 
+    def eval_f(self, x):
+        return _callable_value(self.f, x, (self.dim,), "f")
+
+    def eval_g(self, x):
+        return _callable_value(self.g, x, (self.dim, self.dim), "g")
+
+    def kernel(self):
+        return _array_kernel(
+            partial(_callable_value, self.f, shape=(self.dim,), name="f", finite=False),
+            partial(_callable_value, self.g, shape=(self.dim,) * 2, name="g", finite=False),
+        )
+
 
 @dataclass(frozen=True)
-class ThresholdAffine2D:
+class ThresholdAffine2D(_ModelSpec):
     """Bivariate threshold model with affine mean and switching volatility.
 
     The mean is a + b_mat @ x.  The volatility matrix keeps only its first
@@ -78,6 +131,10 @@ class ThresholdAffine2D:
     d_c: tuple
     d_const: tuple
 
+    dim = 2
+    # Exponent s at which threshold_envelope bounds the drift.
+    analytic_envelope_s = 1.0
+
     def __post_init__(self):
         object.__setattr__(self, "a", _as_pair(self.a, "a"))
         object.__setattr__(self, "b_mat", _as_2x2(self.b_mat, "b_mat"))
@@ -85,9 +142,57 @@ class ThresholdAffine2D:
         object.__setattr__(self, "d_c", _as_pair(self.d_c, "d_c"))
         object.__setattr__(self, "d_const", _as_pair(self.d_const, "d_const"))
 
-    @property
-    def dim(self):
-        return 2
+    def _terms(self):
+        """Closure (x1, x2) -> (f1, f2, g11, g12, g21, g22): the family's
+        arithmetic, with g in row-major order."""
+        a1, a2 = self.a
+        ((b11, b12), (b21, b22)) = self.b_mat
+        ((d11, d12), (d21, d22)) = self.d_main
+        d31, d32 = self.d_c
+        d41, d42 = self.d_const
+
+        def terms(x1, x2):
+            f1 = a1 + b11 * x1 + b12 * x2
+            f2 = a2 + b21 * x1 + b22 * x2
+            if _in_c(x1, x2):
+                return f1, f2, d31 * x1 + d41, 0.0, d32 * x2 + d42, 0.0
+            return f1, f2, d11 * x1 + d41, d12 * x2, d21 * x1 + d42, d22 * x2
+
+        return terms
+
+    def _terms_at(self, x):
+        return self._terms()(float(x[0]), float(x[1]))
+
+    def eval_f(self, x):
+        return np.array(self._terms_at(x)[:2])
+
+    def eval_g(self, x):
+        _, _, g11, g12, g21, g22 = self._terms_at(x)
+        return np.array([[g11, g12], [g21, g22]])
+
+    def kernel(self):
+        terms = self._terms()
+
+        def step(x, u):
+            f1, f2, g11, g12, g21, g22 = terms(*x)
+            u1, u2 = u
+            return (f1 + g11 * u1 + g12 * u2, f2 + g21 * u1 + g22 * u2)
+
+        return step
+
+    def g_determinant(self, x):
+        _, _, g11, g12, g21, g22 = self._terms_at(x)
+        return g11 * g22 - g12 * g21
+
+    def classify_region(self, x):
+        x1, x2 = float(x[0]), float(x[1])
+        if _in_c(x1, x2):
+            return REGION_C
+        if x1 == 0.0 and x2 > 0.0:
+            return REGION_D1
+        if x1 > 0.0 and x2 == 0.0:
+            return REGION_D2
+        return REGION_COMPLEMENT
 
 
 @dataclass(frozen=True)
@@ -108,8 +213,21 @@ class AffineMap:
         return np.array([o1 + m11 * x1 + m12 * x2, o2 + m21 * x1 + m22 * x2])
 
 
+def bekk_b_eigenvalues(b_mat):
+    """(eigenvalues, 1 + ||b_mat||_F) of a BEKK b_mat; raises unless it is
+    symmetric positive semidefinite within 1e-10 of that scale."""
+    b = np.asarray(b_mat, dtype=float)
+    scale = 1.0 + frobenius_norm(b)
+    if frobenius_norm(b - b.T) > _B_REL_TOL * scale:
+        raise ValueError("b_mat must be symmetric")
+    w, _ = symmetric_eigh(b)
+    if float(np.min(w)) < -_B_REL_TOL * scale:
+        raise ValueError("b_mat must be positive semidefinite")
+    return w, scale
+
+
 @dataclass(frozen=True)
-class BekkArch:
+class BekkArch(_ModelSpec):
     """Two-dimensional BEKK-ARCH(1) model with autoregressive term f.
 
     The volatility matrix is the PSD square root of
@@ -121,20 +239,53 @@ class BekkArch:
     a_mat: tuple
     b_mat: tuple
 
+    dim = 2
+    # Exponent s at which the Frobenius envelope of check_bekk_model holds.
+    analytic_envelope_s = 2.0
+
     def __post_init__(self):
         object.__setattr__(self, "a_mat", _as_2x2(self.a_mat, "a_mat"))
         object.__setattr__(self, "b_mat", _as_2x2(self.b_mat, "b_mat"))
-        b = np.asarray(self.b_mat)
-        scale = 1.0 + frobenius_norm(b)
-        if frobenius_norm(b - b.T) > 1e-10 * scale:
-            raise ValueError("b_mat must be symmetric")
-        w, _ = symmetric_eigh(b)
-        if float(np.min(w)) < -1e-10 * scale:
-            raise ValueError("b_mat must be positive semidefinite")
+        bekk_b_eigenvalues(self.b_mat)
 
-    @property
-    def dim(self):
-        return 2
+    def eval_f(self, x):
+        return np.asarray(self.f(x), dtype=float)
+
+    def eval_g(self, x):
+        v = AffineMap(self.a_mat, (0.0, 0.0))(x)
+        return psd_sqrt(np.asarray(self.b_mat) + np.outer(v, v))
+
+    def kernel(self):
+        return _array_kernel(self.eval_f, self.eval_g)
+
+    def g_determinant(self, x):
+        """det(b_mat + (Ax)(Ax)^T), by the rank-one closed form when det(b_mat)
+        vanishes within tolerance and by the direct 2x2 determinant otherwise;
+        the two paths agree where both apply."""
+        ((b11, b12), (b21, b22)) = self.b_mat
+        det_b = b11 * b22 - b12 * b21
+        ((a11, a12), (a21, a22)) = self.a_mat
+        x1, x2 = float(x[0]), float(x[1])
+        v1 = a11 * x1 + a12 * x2
+        v2 = a21 * x1 + a22 * x2
+        norm_sq = b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22
+        if abs(det_b) <= _DET_B_REL_TOL * (1.0 + norm_sq):
+            return b11 * v2 * v2 + b22 * v1 * v1 - 2.0 * b12 * v1 * v2
+        m11 = b11 + v1 * v1
+        m12 = b12 + v1 * v2
+        m21 = b21 + v2 * v1
+        m22 = b22 + v2 * v2
+        return m11 * m22 - m12 * m21
+
+    def classify_region(self, x):
+        kind, normal = bekk_line_normal(self.a_mat, self.b_mat)
+        if kind != REGION_ON_L:
+            return kind
+        x1, x2 = float(x[0]), float(x[1])
+        c1, c2 = normal
+        lhs = abs(c1 * x1 + c2 * x2)
+        bound = 1e-9 * math.hypot(c1, c2) * math.hypot(x1, x2)
+        return REGION_ON_L if lhs <= bound else REGION_OFF_L
 
 
 def _in_c(x1, x2):
@@ -142,58 +293,23 @@ def _in_c(x1, x2):
     return x1 <= 0.0 and x2 <= 0.0
 
 
-def _threshold_g_entries(model, x1, x2):
-    """Row-major entries (g11, g12, g21, g22) of the threshold volatility."""
-    d41, d42 = model.d_const
-    if _in_c(x1, x2):
-        d31, d32 = model.d_c
-        return d31 * x1 + d41, 0.0, d32 * x2 + d42, 0.0
-    ((d11, d12), (d21, d22)) = model.d_main
-    return d11 * x1 + d41, d12 * x2, d21 * x1 + d42, d22 * x2
-
-
 def eval_f(model, x):
     """Mean map f(x) as a length-dim array."""
-    if isinstance(model, ThresholdAffine2D):
-        a1, a2 = model.a
-        ((b11, b12), (b21, b22)) = model.b_mat
-        x1, x2 = float(x[0]), float(x[1])
-        return np.array([a1 + b11 * x1 + b12 * x2, a2 + b21 * x1 + b22 * x2])
-    if isinstance(model, BekkArch):
-        out = np.asarray(model.f(x), dtype=float)
-        return out
-    if isinstance(model, GenericModel):
-        out = np.asarray(model.f(x), dtype=float)
-        if out.shape != (model.dim,) or not np.all(np.isfinite(out)):
-            raise ValueError(f"model f produced a non-finite or misshaped value at x={x!r}")
-        return out
-    raise ValueError(f"unknown model spec {model!r}")
+    return model.eval_f(x)
 
 
 def eval_g(model, x):
     """Volatility matrix g(x) as a dim x dim array."""
-    if isinstance(model, ThresholdAffine2D):
-        g11, g12, g21, g22 = _threshold_g_entries(model, float(x[0]), float(x[1]))
-        return np.array([[g11, g12], [g21, g22]])
-    if isinstance(model, BekkArch):
-        v = AffineMap(model.a_mat, (0.0, 0.0))(x)
-        b = np.asarray(model.b_mat)
-        return psd_sqrt(b + np.outer(v, v))
-    if isinstance(model, GenericModel):
-        out = np.asarray(model.g(x), dtype=float)
-        if out.shape != (model.dim, model.dim) or not np.all(np.isfinite(out)):
-            raise ValueError(f"model g produced a non-finite or misshaped value at x={x!r}")
-        return out
-    raise ValueError(f"unknown model spec {model!r}")
+    return model.eval_g(x)
 
 
 def step(model, x, u):
-    """One transition: f(x) + g(x) @ u."""
+    """One transition: f(x) + g(x) @ u, by the family's kernel."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape != u.shape:
         raise ValueError("state and control dimensions differ")
-    return eval_f(model, x) + eval_g(model, x) @ u
+    return np.array(model.kernel()(tuple(x.tolist()), u.tolist()))
 
 
 def iterate(model, x0, controls):
@@ -204,38 +320,9 @@ def iterate(model, x0, controls):
     return x
 
 
-def _bekk_det_closed_form(b_mat, v1, v2):
-    ((b11, b12), (_, b22)) = b_mat
-    return b11 * v2 * v2 + b22 * v1 * v1 - 2.0 * b12 * v1 * v2
-
-
 def g_determinant(model, x):
-    """Determinant of the model's volatility structure at x.
-
-    For BekkArch this is det(b_mat + (Ax)(Ax)^T), computed by the rank-one
-    closed form when det(b_mat) vanishes within tolerance and by the direct
-    2x2 determinant otherwise; the two paths agree where both apply.  For
-    ThresholdAffine2D it is the determinant of g(x) itself.
-    """
-    if isinstance(model, ThresholdAffine2D):
-        g11, g12, g21, g22 = _threshold_g_entries(model, float(x[0]), float(x[1]))
-        return g11 * g22 - g12 * g21
-    if isinstance(model, BekkArch):
-        ((b11, b12), (b21, b22)) = model.b_mat
-        det_b = b11 * b22 - b12 * b21
-        ((a11, a12), (a21, a22)) = model.a_mat
-        x1, x2 = float(x[0]), float(x[1])
-        v1 = a11 * x1 + a12 * x2
-        v2 = a21 * x1 + a22 * x2
-        norm_sq = b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22
-        if abs(det_b) <= _DET_B_REL_TOL * (1.0 + norm_sq):
-            return _bekk_det_closed_form(model.b_mat, v1, v2)
-        m11 = b11 + v1 * v1
-        m12 = b12 + v1 * v2
-        m21 = b21 + v2 * v1
-        m22 = b22 + v2 * v2
-        return m11 * m22 - m12 * m21
-    raise ValueError("g_determinant supports ThresholdAffine2D and BekkArch only")
+    """det g(x) for ThresholdAffine2D, det(b_mat + (Ax)(Ax)^T) for BekkArch."""
+    return model.g_determinant(x)
 
 
 def bekk_line_normal(a_mat, b_mat):
@@ -255,14 +342,9 @@ def bekk_line_normal(a_mat, b_mat):
     """
     b = np.asarray(b_mat, dtype=float)
     a = np.asarray(a_mat, dtype=float)
-    scale = 1.0 + frobenius_norm(b)
-    if frobenius_norm(b - b.T) > 1e-10 * scale:
-        raise ValueError("b_mat must be symmetric")
-    w, _ = symmetric_eigh(b)
+    w, scale = bekk_b_eigenvalues(b)
     w_min, w_max = float(np.min(w)), float(np.max(w))
-    tol_eig = 1e-10 * scale
-    if w_min < -tol_eig:
-        raise ValueError("b_mat must be positive semidefinite")
+    tol_eig = _B_REL_TOL * scale
     if w_min > tol_eig:
         return REGION_EVERYWHERE_REGULAR, None
     if w_max <= tol_eig:
@@ -290,21 +372,4 @@ def classify_region(model, x):
     does not depend on x, else "on_L" / "off_L" with a scale-invariant
     membership test (so positive rescaling never changes the tag).
     """
-    x1, x2 = float(x[0]), float(x[1])
-    if isinstance(model, ThresholdAffine2D):
-        if _in_c(x1, x2):
-            return REGION_C
-        if x1 == 0.0 and x2 > 0.0:
-            return REGION_D1
-        if x1 > 0.0 and x2 == 0.0:
-            return REGION_D2
-        return REGION_COMPLEMENT
-    if isinstance(model, BekkArch):
-        kind, normal = bekk_line_normal(model.a_mat, model.b_mat)
-        if kind != REGION_ON_L:
-            return kind
-        c1, c2 = normal
-        lhs = abs(c1 * x1 + c2 * x2)
-        bound = 1e-9 * math.hypot(c1, c2) * math.hypot(x1, x2)
-        return REGION_ON_L if lhs <= bound else REGION_OFF_L
-    raise ValueError("classify_region supports ThresholdAffine2D and BekkArch only")
+    return model.classify_region(x)

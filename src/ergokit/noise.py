@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .norms import vector_s_norm
+from .norms import s_norms
 
 # Rejection proposals are uniform on [-EXPOL2_BOX, EXPOL2_BOX] per coordinate.
 # The unnormalized density exp(-(u^2-1)^2) attains its maximum 1 at u = +-1,
@@ -30,8 +30,21 @@ _QUAD_TOL = 1e-9
 _MAX_PROPOSALS_PER_DRAW = 10 ** 6
 
 
+class _NoiseSpec:
+    """Defaults for noise laws without a separable density or closed forms."""
+
+    def coordinate_density(self):
+        """(density, box) for one coordinate of a separable noise law."""
+        raise ValueError(
+            "quadrature moments require a separable density (gaussian or expol2)"
+        )
+
+    def analytic_abs_moment(self, s):
+        raise ValueError("analytic moments are available only for gaussian noise")
+
+
 @dataclass(frozen=True)
-class StdGaussian:
+class StdGaussian(_NoiseSpec):
     """Standard normal noise with independent coordinates."""
 
     dim: int
@@ -40,22 +53,58 @@ class StdGaussian:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 
+    def sample(self, rng, count):
+        return rng.standard_normal((count, self.dim))
+
+    def density(self, x):
+        return float(
+            (2.0 * math.pi) ** (-self.dim / 2.0) * math.exp(-0.5 * float(np.sum(x * x)))
+        )
+
+    def coordinate_density(self):
+        return (lambda u: math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi), 10.0)
+
+    def analytic_abs_moment(self, s):
+        if s <= 1.0:
+            # E|N(0,1)|^s = 2^(s/2) Gamma((s+1)/2) / sqrt(pi), per coordinate.
+            return self.dim * (
+                2.0 ** (s / 2.0) * math.gamma((s + 1.0) / 2.0) / math.sqrt(math.pi)
+            )
+        if s == 2.0:
+            # Mean of a chi distribution with `dim` degrees of freedom.
+            return (
+                math.sqrt(2.0)
+                * math.gamma((self.dim + 1.0) / 2.0)
+                / math.gamma(self.dim / 2.0)
+            )
+        raise ValueError("analytic gaussian moments cover s <= 1 and s = 2 only")
+
 
 @dataclass(frozen=True)
-class Expol2:
+class Expol2(_NoiseSpec):
     """Bivariate noise with density proportional to exp(-(x^2-1)^2 - (y^2-1)^2).
 
     Coordinates are independent and identically distributed; each marginal is
     bimodal with modes near +-1.
     """
 
-    @property
-    def dim(self):
-        return 2
+    dim = 2
+
+    def sample(self, rng, count):
+        flat, _ = _rejection_sample_expol2(rng, 2 * count)
+        return flat.reshape(count, 2)
+
+    def density(self, x):
+        z = _expol2_z()
+        return float(np.prod(_expol2_unnormalized(x))) / (z * z)
+
+    def coordinate_density(self):
+        z = _expol2_z()
+        return (lambda u: float(_expol2_unnormalized(u)) / z, _QUAD_BOX)
 
 
 @dataclass(frozen=True)
-class BoundedCustomDensity:
+class BoundedCustomDensity(_NoiseSpec):
     """Noise given by a bounded unnormalized log-density on a centered box.
 
     The unnormalized density exp(log_unnormalized_density(x)) must not exceed
@@ -74,6 +123,13 @@ class BoundedCustomDensity:
             raise ValueError("box_halfwidth must be positive")
         if self.envelope_constant <= 0:
             raise ValueError("envelope_constant must be positive")
+
+    def sample(self, rng, count):
+        out, _ = _rejection_sample_custom(self, rng, count)
+        return out
+
+    def density(self, x):
+        return math.exp(self.log_unnormalized_density(x)) / _custom_z(self)
 
 
 @dataclass(frozen=True)
@@ -232,47 +288,12 @@ def sample(spec, rng, count):
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if isinstance(spec, StdGaussian):
-        return rng.standard_normal((count, spec.dim))
-    if isinstance(spec, Expol2):
-        flat, _ = _rejection_sample_expol2(rng, 2 * count)
-        return flat.reshape(count, 2)
-    if isinstance(spec, BoundedCustomDensity):
-        out, _ = _rejection_sample_custom(spec, rng, count)
-        return out
-    raise ValueError(f"unknown noise spec {spec!r}")
+    return spec.sample(rng, count)
 
 
 def density(spec, x):
     """Normalized density of the noise law at x."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(spec, StdGaussian):
-        return float(
-            (2.0 * math.pi) ** (-spec.dim / 2.0) * math.exp(-0.5 * float(np.sum(x * x)))
-        )
-    if isinstance(spec, Expol2):
-        z = _expol2_z()
-        return float(np.prod(_expol2_unnormalized(x))) / (z * z)
-    if isinstance(spec, BoundedCustomDensity):
-        return math.exp(spec.log_unnormalized_density(x)) / _custom_z(spec)
-    raise ValueError(f"unknown noise spec {spec!r}")
-
-
-def _gaussian_abs_moment(s):
-    # E|N(0,1)|^s = 2^(s/2) Gamma((s+1)/2) / sqrt(pi)
-    return 2.0 ** (s / 2.0) * math.gamma((s + 1.0) / 2.0) / math.sqrt(math.pi)
-
-
-def _coordinate_density(spec):
-    """(density, box) for one coordinate of a separable noise law."""
-    if isinstance(spec, StdGaussian):
-        return (lambda u: math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi), 10.0)
-    if isinstance(spec, Expol2):
-        z = _expol2_z()
-        return (lambda u: float(_expol2_unnormalized(u)) / z, _QUAD_BOX)
-    raise ValueError(
-        "quadrature moments require a separable density (gaussian or expol2)"
-    )
+    return spec.density(np.asarray(x, dtype=float))
 
 
 def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
@@ -299,16 +320,12 @@ def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
             raise ValueError("monte_carlo requires a seeded generator")
         if budget < 2:
             raise ValueError("monte_carlo budget must be >= 2")
-        draws = sample(spec, rng, budget)
-        a = np.abs(draws) ** s
-        vals = np.sum(a, axis=1)
-        if s >= 1.0:
-            vals = vals ** (1.0 / s)
+        vals = s_norms(sample(spec, rng, budget), s, axis=1)
         value = float(np.mean(vals))
         stderr = float(np.std(vals, ddof=1) / math.sqrt(budget))
         return MomentEstimate(value, stderr, "monte_carlo", s, sample_count=budget)
     if method == "quadrature":
-        dens, box = _coordinate_density(spec)
+        dens, box = spec.coordinate_density()
         dim = spec.dim
         if s <= 1.0:
             # No outer root, so the expectation separates across coordinates.
@@ -337,18 +354,5 @@ def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
             value, 0.0, "quadrature", s, grid_size=total_evals[0] + n_outer
         )
     if method == "analytic":
-        if not isinstance(spec, StdGaussian):
-            raise ValueError("analytic moments are available only for gaussian noise")
-        if s <= 1.0:
-            value = spec.dim * _gaussian_abs_moment(s)
-        elif s == 2.0:
-            # Mean of a chi distribution with `dim` degrees of freedom.
-            value = (
-                math.sqrt(2.0)
-                * math.gamma((spec.dim + 1.0) / 2.0)
-                / math.gamma(spec.dim / 2.0)
-            )
-        else:
-            raise ValueError("analytic gaussian moments cover s <= 1 and s = 2 only")
-        return MomentEstimate(value, 0.0, "analytic", s)
+        return MomentEstimate(spec.analytic_abs_moment(s), 0.0, "analytic", s)
     raise ValueError(f"unknown moment method {method!r}")

@@ -17,15 +17,19 @@ _JACOBI_REL_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 60
 
 
+def s_norms(a, s, axis=None):
+    """Sum of |a|^s along `axis`, with the outer 1/s root when s >= 1: the
+    s-norm of a vector (axis=None), of matrix columns or of sample rows."""
+    total = np.sum(np.abs(np.asarray(a, dtype=float)) ** s, axis=axis)
+    return total ** (1.0 / s) if s >= 1.0 else total
+
+
 def vector_s_norm(x, s):
     """s-pseudonorm for 0 < s < 1, l_s norm for s >= 1."""
     s = float(s)
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    a = np.abs(np.asarray(x, dtype=float))
-    if s >= 1.0:
-        return float(np.sum(a ** s) ** (1.0 / s))
-    return float(np.sum(a ** s))
+    return float(s_norms(x, s))
 
 
 def matrix_col_sum_norm(a_mat, s):
@@ -33,13 +37,10 @@ def matrix_col_sum_norm(a_mat, s):
     s = float(s)
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    m = np.abs(np.asarray(a_mat, dtype=float))
+    m = np.asarray(a_mat, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    col = np.sum(m ** s, axis=0)
-    if s >= 1.0:
-        col = col ** (1.0 / s)
-    return float(np.max(col))
+    return float(np.max(s_norms(m, s, axis=0)))
 
 
 def frobenius_norm(a_mat):

@@ -1,21 +1,19 @@
 """Trajectory and ensemble simulation of X_t = f(X_{t-1}) + g(X_{t-1}) e_t.
 
 Ensembles derive one independent seed per trajectory from a 64-bit finalizer
-mix of the master seed, so results are a pure function of the configuration
-and identical under any execution order or thread count.  Diverged
-trajectories are censored at their first offending step and excluded from
-later snapshot statistics while staying in the divergence counts.
+mix of the master seed, so results are a pure function of the configuration.
+Every model family runs through the same path loop, which folds the family's
+step kernel over the noise draws.  Diverged trajectories are censored at
+their first offending step and excluded from later snapshot statistics while
+staying in the divergence counts.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import ks_2samp
 
-from .models import ThresholdAffine2D, step
 from .noise import sample
 
 _MASK64 = (1 << 64) - 1
@@ -138,59 +136,14 @@ class StationaryMoments:
     snapshots_used: int
 
 
-def _simulate_threshold_path(model, draws, x0, horizon, threshold):
-    """Scalar fast path for ThresholdAffine2D; mirrors step() arithmetic."""
-    a1, a2 = model.a
-    ((b11, b12), (b21, b22)) = model.b_mat
-    ((d11, d12), (d21, d22)) = model.d_main
-    d31, d32 = model.d_c
-    d41, d42 = model.d_const
-    x1, x2 = float(x0[0]), float(x0[1])
-    out = np.empty((horizon + 1, 2))
-    out[0, 0], out[0, 1] = x1, x2
-    for t in range(1, horizon + 1):
-        u1 = draws[t - 1, 0]
-        u2 = draws[t - 1, 1]
-        f1 = a1 + b11 * x1 + b12 * x2
-        f2 = a2 + b21 * x1 + b22 * x2
-        if x1 <= 0.0 and x2 <= 0.0:
-            y1 = f1 + (d31 * x1 + d41) * u1
-            y2 = f2 + (d32 * x2 + d42) * u1
-        else:
-            y1 = f1 + (d11 * x1 + d41) * u1 + d12 * x2 * u2
-            y2 = f2 + (d21 * x1 + d42) * u1 + d22 * x2 * u2
-        if not (math.isfinite(y1) and math.isfinite(y2)):
-            return out[:t], t
-        out[t, 0], out[t, 1] = y1, y2
-        x1, x2 = y1, y2
-        if threshold is not None and abs(x1) + abs(x2) > threshold:
-            return out[:t + 1], t
-    return out, None
-
-
-def _simulate_generic_path(model, draws, x0, horizon, threshold):
-    x = np.asarray(x0, dtype=float)
-    out = np.empty((horizon + 1, x.shape[0]))
-    out[0] = x
-    # Overflow to inf is the designed divergence signal here, not an anomaly.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, horizon + 1):
-            x = step(model, x, draws[t - 1])
-            if not np.all(np.isfinite(x)):
-                return out[:t], t
-            out[t] = x
-            if threshold is not None and float(np.sum(np.abs(x))) > threshold:
-                return out[:t + 1], t
-    return out, None
-
-
 def simulate_path(model, noise_spec, x0, horizon, seed,
                   divergence_threshold=None):
     """Simulate one path of length horizon+1 from the seeded noise stream.
 
-    Without a threshold the path only stops early on a non-finite state;
-    with one, the first state whose l1 norm exceeds it is recorded and kept
-    as the final row.
+    The model's kernel is folded over the draws.  A non-finite state
+    (including one produced by a non-finite f or g) truncates the path before
+    the offending step; with a threshold, the first state whose l1 norm
+    exceeds it is kept as the final row.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -198,33 +151,41 @@ def simulate_path(model, noise_spec, x0, horizon, seed,
     if callable(x0):
         x0 = x0(rng)
     draws = sample(noise_spec, rng, horizon)
-    if isinstance(model, ThresholdAffine2D):
-        states, bad_step = _simulate_threshold_path(
-            model, draws, x0, horizon, divergence_threshold
-        )
-    else:
-        states, bad_step = _simulate_generic_path(
-            model, draws, x0, horizon, divergence_threshold
-        )
+    kernel = model.kernel()
+    x = tuple(float(v) for v in x0)
+    flat = list(x)
+    bad_step = None
+    # Overflow to inf is the designed divergence signal here, not an anomaly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, u in enumerate(draws.tolist(), 1):
+            x = kernel(x, u)
+            l1 = sum(map(abs, x))
+            # A finite state can still overflow its l1 norm, so the per-entry
+            # test runs only when the norm is not finite.
+            if not math.isfinite(l1) and not all(map(math.isfinite, x)):
+                bad_step = t
+                break
+            flat += x
+            if divergence_threshold is not None and l1 > divergence_threshold:
+                bad_step = t
+                break
     return PathResult(
-        states=states, diverged=bad_step is not None, divergence_step=bad_step
+        states=np.array(flat).reshape(-1, len(x)),
+        diverged=bad_step is not None,
+        divergence_step=bad_step,
     )
 
 
 def run_trajectories(cfg, threads=1):
-    """All ensemble paths in index order, regardless of execution order."""
-
-    def one(i):
-        return simulate_path(
+    """All ensemble paths in index order, run serially; `threads` is accepted
+    and changes no result."""
+    return tuple(
+        simulate_path(
             cfg.model, cfg.noise, cfg.x0, cfg.horizon, mix64(cfg.master_seed, i),
             divergence_threshold=cfg.divergence_threshold,
         )
-
-    indices = range(cfg.n_traj)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(one, indices))
-    return tuple(one(i) for i in indices)
+        for i in range(cfg.n_traj)
+    )
 
 
 def _snapshot_rows(paths, time):
@@ -291,9 +252,21 @@ def snapshot_distance(sample_a, sample_b):
         raise ValueError("snapshot samples must be nonempty")
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError("snapshot samples must be (n, dim) with equal dim")
-    return max(
-        float(ks_2samp(a[:, j], b[:, j]).statistic) for j in range(a.shape[1])
-    )
+    return max(_ks_statistic(a[:, j], b[:, j]) for j in range(a.shape[1]))
+
+
+def _ks_statistic(a, b):
+    """Two-sample KS statistic from integer ECDF counts: with g = gcd(n1, n2),
+    max |c1 * (n2 // g) - c2 * (n1 // g)| is exact and is divided once."""
+    a = np.sort(a)
+    b = np.sort(b)
+    n1, n2 = a.size, b.size
+    pooled = np.concatenate([a, b])
+    c1 = np.searchsorted(a, pooled, side="right")
+    c2 = np.searchsorted(b, pooled, side="right")
+    g = math.gcd(n1, n2)
+    h = int(np.max(np.abs(c1 * (n2 // g) - c2 * (n1 // g))))
+    return h / (n1 // g * n2)
 
 
 def estimate_stationary_moments(summary, burn_in):

@@ -1,7 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import ergokit
 
 from ergokit.cli import main
 from ergokit.config import builtin_configs, validate_config
@@ -213,3 +218,14 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ERGOKIT_SEED", "not-a-seed")
     assert main(["check", path]) == 1
     assert "ERGOKIT_SEED" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs about a second of import time and ~70 MB of RSS; nothing
+    # on the CLI path may pull it back in.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergokit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, ergokit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

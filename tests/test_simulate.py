@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergokit.models import GenericModel, ThresholdAffine2D, step
 from ergokit.noise import Expol2, StdGaussian, sample
@@ -56,7 +58,7 @@ def test_simulate_path_matches_step_composition():
     x = np.array([0.5, -0.25])
     for t in range(1, 51):
         x = step(m, x, draws[t - 1])
-        assert res.states[t] == pytest.approx(x, rel=1e-15, abs=1e-15)
+        assert np.array_equal(res.states[t], x)
     again = simulate_path(m, Expol2(), (0.5, -0.25), 50, seed=123)
     assert np.array_equal(res.states, again.states)
 
@@ -90,6 +92,72 @@ def test_simulate_path_truncates_on_nonfinite():
     # The non-finite state itself is not stored.
     assert res.states.shape[0] == res.divergence_step
     assert np.all(np.isfinite(res.states))
+
+
+def test_generic_model_divergence_is_censored():
+    # f overflows to inf after ~650 steps; the path is censored, not raised.
+    tripler = GenericModel(1, lambda x: 3 * x, lambda x: np.eye(1))
+    res = simulate_path(tripler, StdGaussian(1), (1.0,), 2000, 5,
+                        divergence_threshold=None)
+    assert res.diverged
+    assert res.states.shape == (res.divergence_step, 1)
+    assert np.all(np.isfinite(res.states))
+    # A non-finite g counts the same way: x runs 0, 1, 2, 3, 4, and g(4) is
+    # NaN, so step 5 diverges and the four finite steps are kept.
+    nan_g = GenericModel(1, lambda x: np.abs(x) + 1.0,
+                         lambda x: np.full((1, 1), np.nan if x[0] >= 4.0 else 0.0))
+    res = simulate_path(nan_g, StdGaussian(1), (0.0,), 10, 1)
+    assert res.divergence_step == 5
+    assert res.states[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_generic_model_misshaped_value_still_raises():
+    wide = GenericModel(2, lambda x: np.zeros(3), lambda x: np.eye(2))
+    with pytest.raises(ValueError):
+        simulate_path(wide, StdGaussian(2), (0.0, 0.0), 5, 1)
+
+
+def _fold_of_step(model, x0, horizon, seed, threshold):
+    """Reference censoring rule, written with `step` and numpy checks."""
+    draws = sample(Expol2(), np.random.default_rng(seed), horizon)
+    x = np.asarray(x0, dtype=float)
+    rows = [x]
+    with np.errstate(over="ignore"):
+        for t in range(1, horizon + 1):
+            x = step(model, x, draws[t - 1])
+            if not np.all(np.isfinite(x)):
+                return np.array(rows), t
+            rows.append(x)
+            if threshold is not None and float(np.sum(np.abs(x))) > threshold:
+                return np.array(rows), t
+    return np.array(rows), None
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coefs=st.lists(_unit, min_size=12, max_size=12),
+    scale=st.sampled_from((0.3, 1.0, 40.0)),
+    x0=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    seed=st.integers(0, 2 ** 63),
+    threshold=st.one_of(st.none(), st.floats(1.0, 1e12)),
+)
+# Non-finite truncation (no threshold, explosive coefficients) and a kept
+# offending state (finite threshold crossed mid-run).
+@example(coefs=[1.0] * 12, scale=40.0, x0=(1.0, 1.0), seed=3, threshold=None)
+@example(coefs=[0.05] * 12, scale=40.0, x0=(1.0, 1.0), seed=4, threshold=1e6)
+def test_simulate_path_is_fold_of_step(coefs, scale, x0, seed, threshold):
+    c = [scale * v for v in coefs]
+    m = ThresholdAffine2D(a=c[0:2], b_mat=(c[2:4], c[4:6]),
+                          d_main=(c[6:8], c[8:10]), d_c=c[10:12],
+                          d_const=(1.0, 1.0))
+    res = simulate_path(m, Expol2(), x0, 200, seed, divergence_threshold=threshold)
+    want, bad_step = _fold_of_step(m, x0, 200, seed, threshold)
+    assert res.divergence_step == bad_step
+    assert res.diverged == (bad_step is not None)
+    assert np.array_equal(res.states, want)
 
 
 def test_simulate_path_threshold_censoring():
@@ -178,6 +246,19 @@ def test_divergence_monotone_in_threshold():
         counts.append(simulate_ensemble(cfg).diverged_count)
     assert counts[0] <= counts[1] <= counts[2]
     assert counts[2] == 30
+
+
+def test_snapshot_distance_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n1, n2 = (int(n) for n in rng.integers(1, 300, 2))
+        # One decimal place forces ties within and across the samples.
+        a = np.round(rng.standard_normal((n1, 2)), 1)
+        b = np.round(rng.standard_normal((n2, 2)) + rng.uniform(-1.0, 1.0), 1)
+        want = max(float(stats.ks_2samp(a[:, j], b[:, j]).statistic)
+                   for j in range(2))
+        assert snapshot_distance(a, b) == want
 
 
 def test_snapshot_distance_edges():
