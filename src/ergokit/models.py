@@ -54,9 +54,13 @@ def _as_2x2(values, name):
 class _ModelSpec:
     """Base of every model family.
 
-    Each family supplies eval_f, eval_g and kernel(); kernel() returns the
-    family's step as a closure (x, u) -> next state over tuples of floats, the
-    one implementation that both `step` and the path loop in `simulate` run.
+    Each family supplies eval_f, eval_g and lane_kernel().  lane_kernel()
+    returns the family's step in lane form: a closure (X, U) -> X' that
+    advances k states at once, with X, U and X' (k, dim) float arrays whose
+    row i is one lane's state, draw and next state.  It must not modify X or
+    U, and row i of X' may depend only on row i of X and U.  It is the one
+    implementation that both `step` (one lane) and the ensemble recurrence in
+    `simulate` (every live lane) run.
     """
 
     def g_determinant(self, x):
@@ -66,12 +70,11 @@ class _ModelSpec:
         raise ValueError("classify_region supports ThresholdAffine2D and BekkArch only")
 
 
-def _array_kernel(f, g):
-    """Step closure computing f(x) + g(x) @ u in array arithmetic."""
+def _lane_loop(f, g):
+    """Lane kernel computing f(x) + g(x) @ u one lane at a time."""
 
     def step(x, u):
-        x = np.array(x)
-        return tuple((f(x) + g(x) @ np.array(u)).tolist())
+        return np.array([f(xi) + g(xi) @ ui for xi, ui in zip(x, u)])
 
     return step
 
@@ -87,7 +90,7 @@ def _callable_value(fn, x, shape, name, finite=True):
 class GenericModel(_ModelSpec):
     """Model given by arbitrary callables f: R^n -> R^n and g: R^n -> R^(n x n).
 
-    eval_f and eval_g reject non-finite values; inside the path loop a
+    eval_f and eval_g reject non-finite values; inside the recurrence a
     non-finite f or g instead yields a non-finite state, which censors the
     path like any other divergence.  Misshaped values raise everywhere.
     """
@@ -106,8 +109,8 @@ class GenericModel(_ModelSpec):
     def eval_g(self, x):
         return _callable_value(self.g, x, (self.dim, self.dim), "g")
 
-    def kernel(self):
-        return _array_kernel(
+    def lane_kernel(self):
+        return _lane_loop(
             partial(_callable_value, self.f, shape=(self.dim,), name="f", finite=False),
             partial(_callable_value, self.g, shape=(self.dim,) * 2, name="g", finite=False),
         )
@@ -144,7 +147,8 @@ class ThresholdAffine2D(_ModelSpec):
 
     def _terms(self):
         """Closure (x1, x2) -> (f1, f2, g11, g12, g21, g22): the family's
-        arithmetic, with g in row-major order."""
+        arithmetic, with g in row-major order, over equal-shape arrays of
+        lane coordinates or over scalars."""
         a1, a2 = self.a
         ((b11, b12), (b21, b22)) = self.b_mat
         ((d11, d12), (d21, d22)) = self.d_main
@@ -152,11 +156,15 @@ class ThresholdAffine2D(_ModelSpec):
         d41, d42 = self.d_const
 
         def terms(x1, x2):
+            c = _in_c(x1, x2)
             f1 = a1 + b11 * x1 + b12 * x2
             f2 = a2 + b21 * x1 + b22 * x2
-            if _in_c(x1, x2):
-                return f1, f2, d31 * x1 + d41, 0.0, d32 * x2 + d42, 0.0
-            return f1, f2, d11 * x1 + d41, d12 * x2, d21 * x1 + d42, d22 * x2
+            # On C only the first column survives: d_c scales it, g12 = g22 = 0.
+            g11 = _select(c, d31 * x1, d11 * x1) + d41
+            g12 = _select(c, 0.0, d12 * x2)
+            g21 = _select(c, d32 * x2, d21 * x1) + d42
+            g22 = _select(c, 0.0, d22 * x2)
+            return f1, f2, g11, g12, g21, g22
 
         return terms
 
@@ -170,13 +178,16 @@ class ThresholdAffine2D(_ModelSpec):
         _, _, g11, g12, g21, g22 = self._terms_at(x)
         return np.array([[g11, g12], [g21, g22]])
 
-    def kernel(self):
+    def lane_kernel(self):
         terms = self._terms()
 
         def step(x, u):
-            f1, f2, g11, g12, g21, g22 = terms(*x)
-            u1, u2 = u
-            return (f1 + g11 * u1 + g12 * u2, f2 + g21 * u1 + g22 * u2)
+            f1, f2, g11, g12, g21, g22 = terms(x[:, 0], x[:, 1])
+            u1, u2 = u[:, 0], u[:, 1]
+            out = np.empty_like(x)
+            out[:, 0] = f1 + g11 * u1 + g12 * u2
+            out[:, 1] = f2 + g21 * u1 + g22 * u2
+            return out
 
         return step
 
@@ -255,8 +266,8 @@ class BekkArch(_ModelSpec):
         v = AffineMap(self.a_mat, (0.0, 0.0))(x)
         return psd_sqrt(np.asarray(self.b_mat) + np.outer(v, v))
 
-    def kernel(self):
-        return _array_kernel(self.eval_f, self.eval_g)
+    def lane_kernel(self):
+        return _lane_loop(self.eval_f, self.eval_g)
 
     def g_determinant(self, x):
         """det(b_mat + (Ax)(Ax)^T), by the rank-one closed form when det(b_mat)
@@ -289,8 +300,17 @@ class BekkArch(_ModelSpec):
 
 
 def _in_c(x1, x2):
-    # C is closed: its boundary belongs to the region.
-    return x1 <= 0.0 and x2 <= 0.0
+    # C is closed: its boundary belongs to the region.  `&` so that lane
+    # arrays give an elementwise mask.
+    return (x1 <= 0.0) & (x2 <= 0.0)
+
+
+def _select(mask, a, b):
+    """a where mask holds, else b: elementwise for a lane mask, and without
+    numpy's array round trip for a single state's bool."""
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b)
+    return a if mask else b
 
 
 def eval_f(model, x):
@@ -304,12 +324,15 @@ def eval_g(model, x):
 
 
 def step(model, x, u):
-    """One transition: f(x) + g(x) @ u, by the family's kernel."""
+    """One transition: f(x) + g(x) @ u, a one-lane call of the family's lane
+    kernel."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape != u.shape:
-        raise ValueError("state and control dimensions differ")
-    return np.array(model.kernel()(tuple(x.tolist()), u.tolist()))
+    if x.shape != u.shape or x.shape != (model.dim,):
+        raise ValueError(f"state and control must both have shape ({model.dim},)")
+    # Overflow shows as a non-finite state, as in the ensemble recurrence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.lane_kernel()(x[None], u[None])[0]
 
 
 def iterate(model, x0, controls):

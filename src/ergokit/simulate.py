@@ -2,10 +2,11 @@
 
 Ensembles derive one independent seed per trajectory from a 64-bit finalizer
 mix of the master seed, so results are a pure function of the configuration.
-Every model family runs through the same path loop, which folds the family's
-step kernel over the noise draws.  Diverged trajectories are censored at
-their first offending step and excluded from later snapshot statistics while
-staying in the divergence counts.
+Every model family runs through the same loop over time, which advances all
+live trajectories ("lanes") with one call of the family's lane kernel per
+step; a single path is a one-lane run of it.  Diverged trajectories are
+censored at their first offending step, never stepped again, and excluded
+from later snapshot statistics while staying in the divergence counts.
 """
 
 import math
@@ -41,12 +42,21 @@ def mix64(master_seed, index):
     return z
 
 
+def _check_dims(model, noise_spec, start=None):
+    """Raise unless the noise and a given start point have the model's dim."""
+    if start is not None and np.shape(start) != (model.dim,):
+        raise ValueError(f"x0 has shape {np.shape(start)} but the model has dim {model.dim}")
+    if noise_spec.dim != model.dim:
+        raise ValueError(f"the noise has dim {noise_spec.dim} but the model has dim {model.dim}")
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Ensemble description: model, noise, start, horizon and seeding.
 
     `x0` is either a fixed starting point or a callable rng -> point drawn
-    once per trajectory from that trajectory's own stream.
+    once per trajectory from that trajectory's own stream.  A fixed x0 and
+    the noise must both have the model's dimension.
     """
 
     model: object
@@ -72,9 +82,8 @@ class SimulationConfig:
             raise ValueError("snapshot_times must lie in [0, horizon]")
         object.__setattr__(self, "snapshot_times", times)
         if not callable(self.x0):
-            object.__setattr__(
-                self, "x0", tuple(float(v) for v in self.x0)
-            )
+            object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        _check_dims(self.model, self.noise, None if callable(self.x0) else self.x0)
         if not self.divergence_threshold > 0:
             raise ValueError("divergence_threshold must be positive")
 
@@ -85,7 +94,8 @@ class PathResult:
 
     A non-finite state truncates the path before the offending step; a
     finite state beyond the divergence threshold is kept as the last row.
-    In both cases `divergence_step` is the first offending t.
+    In both cases `divergence_step` is the first offending t.  `states` may
+    be a view into a buffer shared with the other paths of its ensemble.
     """
 
     states: np.ndarray
@@ -140,51 +150,83 @@ def simulate_path(model, noise_spec, x0, horizon, seed,
                   divergence_threshold=None):
     """Simulate one path of length horizon+1 from the seeded noise stream.
 
-    The model's kernel is folded over the draws.  A non-finite state
+    This is a one-lane run of the ensemble recurrence.  A non-finite state
     (including one produced by a non-finite f or g) truncates the path before
     the offending step; with a threshold, the first state whose l1 norm
     exceeds it is kept as the final row.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    rng = np.random.default_rng(seed)
-    if callable(x0):
-        x0 = x0(rng)
-    draws = sample(noise_spec, rng, horizon)
-    kernel = model.kernel()
-    x = tuple(float(v) for v in x0)
-    flat = list(x)
-    bad_step = None
-    # Overflow to inf is the designed divergence signal here, not an anomaly.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, u in enumerate(draws.tolist(), 1):
-            x = kernel(x, u)
-            l1 = sum(map(abs, x))
-            # A finite state can still overflow its l1 norm, so the per-entry
-            # test runs only when the norm is not finite.
-            if not math.isfinite(l1) and not all(map(math.isfinite, x)):
-                bad_step = t
-                break
-            flat += x
-            if divergence_threshold is not None and l1 > divergence_threshold:
-                bad_step = t
-                break
-    return PathResult(
-        states=np.array(flat).reshape(-1, len(x)),
-        diverged=bad_step is not None,
-        divergence_step=bad_step,
-    )
+    return _run_lanes(model, noise_spec, x0, horizon, (seed,),
+                      divergence_threshold)[0]
 
 
 def run_trajectories(cfg, threads=1):
-    """All ensemble paths in index order, run serially; `threads` is accepted
-    and changes no result."""
+    """All ensemble paths in index order, stepped together; `threads` is
+    accepted and changes no result."""
+    seeds = [mix64(cfg.master_seed, i) for i in range(cfg.n_traj)]
+    return _run_lanes(cfg.model, cfg.noise, cfg.x0, cfg.horizon, seeds,
+                      cfg.divergence_threshold)
+
+
+def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold):
+    """One path per seed, with the censoring rules of `simulate_path`.
+
+    Each lane draws from its own stream: its start when x0 is callable, then
+    all horizon draws.  Lane i lives in buf[i]: row 0 is its start, row t
+    holds draw t-1 until step t overwrites it with state t, and its states
+    are a view of the rows it keeps.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    n = len(seeds)
+    buf = np.empty((n, horizon + 1, model.dim))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        start = x0(rng) if callable(x0) else x0
+        _check_dims(model, noise_spec, start)
+        buf[i, 0] = start
+        buf[i, 1:] = sample(noise_spec, rng, horizon)
+    kernel = model.lane_kernel()
+    threshold = math.inf if divergence_threshold is None else divergence_threshold
+    # A lane passes unexamined while its l1 norm is at most `limit`; a
+    # non-finite norm never does.
+    limit = min(threshold, np.finfo(float).max)
+    rows = [horizon + 1] * n
+    bad_steps = [None] * n
+    lanes = np.arange(n)
+    live = slice(None)  # indexes the live lanes of buf; all of them at first
+    x = buf[:, 0].copy()
+    # Overflow to inf is the designed divergence signal here, not an anomaly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, horizon + 1):
+            x = kernel(x, buf[live, t])
+            buf[live, t] = x
+            # The l1 norm summed left to right over the coordinates, which
+            # np.sum does not promise.
+            a = np.abs(x)
+            l1 = a[:, 0]
+            for j in range(1, a.shape[1]):
+                l1 = l1 + a[:, j]
+            if (l1 <= limit).all():
+                continue
+            # A finite state whose norm alone overflows lives on.
+            truncated = ~np.all(np.isfinite(x), axis=1)
+            kept = ~truncated & (l1 > threshold)
+            dead = np.flatnonzero(truncated | kept)
+            for j in dead:
+                rows[lanes[j]] = t + int(kept[j])
+                bad_steps[lanes[j]] = t
+            if len(dead):
+                lanes = live = np.delete(lanes, dead)
+                x = np.delete(x, dead, axis=0)
+                if not len(lanes):
+                    break
     return tuple(
-        simulate_path(
-            cfg.model, cfg.noise, cfg.x0, cfg.horizon, mix64(cfg.master_seed, i),
-            divergence_threshold=cfg.divergence_threshold,
+        PathResult(
+            states=buf[i, :rows[i]],
+            diverged=bad_steps[i] is not None,
+            divergence_step=bad_steps[i],
         )
-        for i in range(cfg.n_traj)
+        for i in range(n)
     )
 
 

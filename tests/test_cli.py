@@ -146,6 +146,21 @@ def test_simulate_unwritable_out(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_noise_dimension_mismatch_exits_1(tmp_path, capsys, command):
+    # A threshold model is two-dimensional; dim-3 gaussian noise used to be
+    # accepted and then fail mid-run with an unpacking error.
+    doc = small_threshold_doc()
+    doc["noise"] = {"kind": "gaussian", "dim": 3}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    argv = [command, path, "--out", str(out / "report.json" if command == "check" else out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "noise has dim 3 but the model has dim 2 at $.simulation" in err
+    assert not out.exists()
+
 def test_moments_quadrature_band(capsys):
     assert main(["moments", "--noise", "expol2", "--s", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)

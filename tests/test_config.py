@@ -98,6 +98,12 @@ def test_value_type_errors_carry_paths():
         validate_config({**doc, "noise": {"kind": "cauchy"}})
 
 
+
+def test_noise_dimension_mismatch_is_a_config_error():
+    doc = ergodic_doc()
+    with pytest.raises(ConfigError, match=r"noise has dim 3 .* at \$\.simulation$"):
+        validate_config({**doc, "noise": {"kind": "gaussian", "dim": 3}})
+
 def test_seed_override_applies():
     parsed = validate_config(ergodic_doc(), seed_override=42)
     assert parsed["simulation"].master_seed == 42

@@ -1,8 +1,10 @@
 """Byte-level pins of `ergokit simulate` artifacts.
 
-The hashes were frozen from the two-loop implementation (a fused threshold
-loop beside a generic one) before both became a single loop over each
-family's step kernel; they must not move unless a change records why.
+The threshold-censored and bekk-small hashes were frozen from the two-loop
+implementation (a fused threshold loop beside a generic one), and the
+ergodic-over-cap ones from the loop that stepped one path at a time, each
+before the recurrence was rewritten; they must not move unless a change
+records why.
 """
 
 import hashlib
@@ -34,8 +36,16 @@ THRESHOLD_CENSORED = _doc(
     T=300, n_traj=12, snapshots=[50, 300], divergence_threshold=1000.0,
 )
 BEKK_SMALL = _doc("bekk-demo", T=40, n_traj=4, snapshots=[20, 40])
+# 20 x 5001 = 100,020 rows, just over the dump cap: no trajectories.csv.
+ERGODIC_OVER_CAP = _doc("example2-ergodic", T=5000, n_traj=20,
+                        snapshots=[100, 1000, 5000])
 
 GOLDEN = {
+    "ergodic-over-cap": (ERGODIC_OVER_CAP, {
+        "snapshots.csv": "8deeb11d7159c9aa60b78c150fa6c05e7cecd03a3440ad684fd3504f6e01d83d",
+        "summary.json": "7795d8df94f0fa548795f7a4a396e16514e5f1394e0c0f757e1734e15d126c50",
+        "verdict.txt": "51caff2a4c47c042a4cf371c753377b1023681f01cbc726afc310f34d7fddf8b",
+    }),
     "threshold-censored": (THRESHOLD_CENSORED, {
         "snapshots.csv": "e3de7918b3af1e1ed0ac54eb0e070184744c8d179de80d3b6f2f3b576c78211a",
         "summary.json": "4a7b5d16927f0ddc8bebd15b6b64c6004d249cb8903d88bf27e3f098933dd813",

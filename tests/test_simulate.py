@@ -119,8 +119,9 @@ def test_generic_model_misshaped_value_still_raises():
 
 def _fold_of_step(model, x0, horizon, seed, threshold):
     """Reference censoring rule, written with `step` and numpy checks."""
-    draws = sample(Expol2(), np.random.default_rng(seed), horizon)
-    x = np.asarray(x0, dtype=float)
+    rng = np.random.default_rng(seed)
+    x = np.asarray(x0(rng) if callable(x0) else x0, dtype=float)
+    draws = sample(Expol2(), rng, horizon)
     rows = [x]
     with np.errstate(over="ignore"):
         for t in range(1, horizon + 1):
@@ -136,6 +137,13 @@ def _fold_of_step(model, x0, horizon, seed, threshold):
 _unit = st.floats(-1.0, 1.0, allow_nan=False)
 
 
+def _threshold_from(coefs, scale):
+    c = [scale * v for v in coefs]
+    return ThresholdAffine2D(a=c[0:2], b_mat=(c[2:4], c[4:6]),
+                             d_main=(c[6:8], c[8:10]), d_c=c[10:12],
+                             d_const=(1.0, 1.0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     coefs=st.lists(_unit, min_size=12, max_size=12),
@@ -149,15 +157,132 @@ _unit = st.floats(-1.0, 1.0, allow_nan=False)
 @example(coefs=[1.0] * 12, scale=40.0, x0=(1.0, 1.0), seed=3, threshold=None)
 @example(coefs=[0.05] * 12, scale=40.0, x0=(1.0, 1.0), seed=4, threshold=1e6)
 def test_simulate_path_is_fold_of_step(coefs, scale, x0, seed, threshold):
-    c = [scale * v for v in coefs]
-    m = ThresholdAffine2D(a=c[0:2], b_mat=(c[2:4], c[4:6]),
-                          d_main=(c[6:8], c[8:10]), d_c=c[10:12],
-                          d_const=(1.0, 1.0))
+    m = _threshold_from(coefs, scale)
     res = simulate_path(m, Expol2(), x0, 200, seed, divergence_threshold=threshold)
     want, bad_step = _fold_of_step(m, x0, 200, seed, threshold)
     assert res.divergence_step == bad_step
     assert res.diverged == (bad_step is not None)
     assert np.array_equal(res.states, want)
+
+
+def _assert_lanes_are_paths(cfg, threshold):
+    """Each lane of the ensemble equals the one-path run of its seed and the
+    fold of `step` over its draws; `threshold` is the one-path threshold
+    (None where the ensemble has an infinite one)."""
+    paths = run_trajectories(cfg)
+    assert len(paths) == cfg.n_traj
+    for i, lane in enumerate(paths):
+        seed = mix64(cfg.master_seed, i)
+        one = simulate_path(cfg.model, cfg.noise, cfg.x0, cfg.horizon, seed,
+                            divergence_threshold=threshold)
+        assert np.array_equal(lane.states, one.states)
+        assert lane.diverged == one.diverged
+        assert lane.divergence_step == one.divergence_step
+        want, bad_step = _fold_of_step(cfg.model, cfg.x0, cfg.horizon, seed, threshold)
+        assert lane.divergence_step == bad_step
+        assert np.array_equal(lane.states, want)
+    return paths
+
+
+def _threshold_ensemble(model, horizon, n_traj, seed, threshold, x0=(0.0, 0.0)):
+    return SimulationConfig(
+        model=model, noise=Expol2(), x0=x0, horizon=horizon, n_traj=n_traj,
+        snapshot_times=(horizon,), master_seed=seed,
+        divergence_threshold=math.inf if threshold is None else threshold,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coefs=st.lists(_unit, min_size=12, max_size=12),
+    scale=st.sampled_from((0.3, 1.0, 40.0)),
+    drawn_start=st.booleans(),
+    seed=st.integers(0, 2 ** 63),
+    n_traj=st.integers(1, 12),
+    threshold=st.one_of(st.none(), st.floats(1.0, 1e12)),
+)
+def test_ensemble_lanes_are_single_paths(coefs, scale, drawn_start, seed, n_traj,
+                                         threshold):
+    x0 = (lambda rng: rng.uniform(-2.0, 2.0, 2)) if drawn_start else (0.5, -0.5)
+    cfg = _threshold_ensemble(_threshold_from(coefs, scale), 120, n_traj, seed,
+                              threshold, x0=x0)
+    _assert_lanes_are_paths(cfg, threshold)
+
+
+def test_ensemble_lanes_censored_at_different_steps():
+    m = make_threshold(b_mat=((1.02, 0.0), (0.0, 1.02)))
+    paths = _assert_lanes_are_paths(_threshold_ensemble(m, 300, 12, 11, 1000.0), 1000.0)
+    steps = [p.divergence_step for p in paths]
+    # Offending states are kept, at several different steps, while other
+    # lanes run to the horizon.
+    assert len({s for s in steps if s is not None}) >= 4
+    assert None in steps
+    for p in paths:
+        if p.diverged:
+            assert p.states.shape[0] == p.divergence_step + 1
+
+
+def test_ensemble_lane_truncates_while_others_live_on():
+    # Without a threshold the explosive lanes overflow to inf between steps
+    # 1021 and 1032; the horizon falls in between.
+    m = make_threshold(b_mat=((2.0, 0.0), (0.0, 2.0)))
+    paths = _assert_lanes_are_paths(_threshold_ensemble(m, 1027, 12, 11, None), None)
+    truncated = [p for p in paths if p.diverged]
+    assert len({p.divergence_step for p in truncated}) >= 3
+    assert 0 < len(truncated) < len(paths)
+    for p in truncated:
+        assert p.states.shape[0] == p.divergence_step
+        assert np.all(np.isfinite(p.states))
+
+
+@pytest.mark.parametrize("threshold", [math.inf, 1e6])
+def test_censored_lanes_are_not_stepped(threshold):
+    # x -> x^2 blows up from |x0| > 1 and settles near 0 otherwise; f refuses
+    # non-finite input and counts its calls.
+    calls = []
+
+    def f(x):
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError(f"stepped a censored lane at x={x!r}")
+        calls.append(1)
+        return x * x
+
+    model = GenericModel(1, f, lambda x: np.full((1, 1), 0.1))
+    cfg = SimulationConfig(model=model, noise=StdGaussian(1),
+                           x0=lambda rng: rng.uniform(-2.0, 2.0, 1), horizon=60,
+                           n_traj=20, snapshot_times=(60,), master_seed=17,
+                           divergence_threshold=threshold)
+    paths = run_trajectories(cfg)
+    steps = [p.divergence_step for p in paths]
+    diverged = sum(s is not None for s in steps)
+    assert 0 < diverged < len(paths)
+    assert max(s for s in steps if s is not None) < 20
+    # Each lane takes a step at each t up to its divergence step or the horizon.
+    assert len(calls) == sum(60 if s is None else s for s in steps)
+    summary = aggregate_ensemble(cfg, paths)
+    assert summary.diverged_count == diverged
+    assert summary.snapshots[-1].count == len(paths) - diverged
+
+
+def test_ensemble_calls_lane_kernel_once_per_step(monkeypatch):
+    # Guards against a silent fallback to stepping paths one at a time.
+    blocks = []
+    lane_kernel = ThresholdAffine2D.lane_kernel
+
+    def counting_lane_kernel(self):
+        kernel = lane_kernel(self)
+
+        def step(x, u):
+            blocks.append(x.shape)
+            return kernel(x, u)
+
+        return step
+
+    monkeypatch.setattr(ThresholdAffine2D, "lane_kernel", counting_lane_kernel)
+    cfg = _threshold_ensemble(make_threshold(), 100, 50, 8, None)
+    paths = run_trajectories(cfg)
+    assert blocks == [(50, 2)] * 100
+    assert all(p.states.shape == (101, 2) for p in paths)
 
 
 def test_simulate_path_threshold_censoring():
@@ -198,6 +323,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(**{**base, "divergence_threshold": 0.0})
 
+
+
+def test_dimension_mismatch_is_rejected():
+    # Both configs used to be accepted, and the run then died inside the
+    # threshold step (a TypeError for the start, a ValueError on unpacking
+    # the draws).
+    base = dict(model=make_threshold(), noise=Expol2(), x0=(0.0, 0.0),
+                horizon=10, n_traj=2, snapshot_times=(10,), master_seed=1)
+    with pytest.raises(ValueError, match=r"x0 has shape \(3,\)"):
+        SimulationConfig(**{**base, "x0": (0.0, 0.0, 0.0)})
+    with pytest.raises(ValueError, match="noise has dim 3"):
+        SimulationConfig(**{**base, "noise": StdGaussian(3)})
+    # A drawn start is checked when it is drawn, and a lone path checks too;
+    # neither may broadcast a shorter value over the state.
+    short_start = SimulationConfig(**{**base, "x0": lambda rng: rng.uniform(-1.0, 1.0, 1)})
+    with pytest.raises(ValueError, match=r"x0 has shape \(1,\)"):
+        run_trajectories(short_start)
+    with pytest.raises(ValueError, match="noise has dim 1"):
+        simulate_path(make_threshold(), StdGaussian(1), (0.0, 0.0), 10, 1)
 
 def test_ensemble_thread_count_invariance():
     cfg = SimulationConfig(model=make_threshold(), noise=Expol2(),
