@@ -80,21 +80,13 @@ def _build_report(parsed):
     noise = parsed["noise"]
     checks = parsed["checks"]
     notes = parsed["notes"]
-    seed = parsed["simulation"].master_seed
-    s = checks["s"]
     envelope = checks["envelope"]
     if envelope == "analytic":
-        pinned = model.analytic_envelope_s
-        if s != pinned:
-            raise ConfigError(
-                f"the analytic envelope for this model family fixes s={pinned:g}; "
-                "use a shell or explicit envelope for other exponents at $.checks.s"
-            )
         envelope = None
     elif envelope == "shell":
         envelope = shell_estimate_envelope(
-            model, s, m_ball=1.0, radius=_SHELL_RADIUS,
-            n_samples=_SHELL_SAMPLES, seed=seed,
+            model, checks["s"], m_ball=1.0, radius=_SHELL_RADIUS,
+            n_samples=_SHELL_SAMPLES, seed=parsed["simulation"].master_seed,
         )
     if isinstance(model, ThresholdAffine2D):
         return check_threshold_model(model, noise_spec=noise, envelope=envelope,
@@ -141,10 +133,8 @@ def _trajectory_csv(paths, seed, cfg_hash):
     header = ",".join(["traj_id", "t"] + [f"x_{j + 1}" for j in range(dim)])
     lines = [header]
     for i, p in enumerate(paths):
-        for t in range(p.states.shape[0]):
-            cells = [str(i), str(t)]
-            cells += [format_float(v) for v in p.states[t]]
-            lines.append(",".join(cells))
+        for t, row in enumerate(p.states.tolist()):
+            lines.append(",".join([str(i), str(t), *map(format_float, row)]))
     lines.append(provenance_comment(seed, cfg_hash))
     return "\n".join(lines) + "\n"
 

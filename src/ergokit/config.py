@@ -120,6 +120,11 @@ def _checks_from_config(doc, model, path="$.checks"):
     if isinstance(envelope, str):
         if envelope not in ("analytic", "shell"):
             _fail(env_path, f"unknown envelope mode {envelope!r}")
+        if envelope == "analytic" and s != default_s:
+            _fail(f"{path}.s", (
+                f"the analytic envelope for this model family fixes s={default_s:g}; "
+                "use a shell or explicit envelope for other exponents"
+            ))
     elif isinstance(envelope, dict):
         _require_keys(envelope, env_path, ("a_f", "b_f", "a_g", "b_g", "M"))
         try:

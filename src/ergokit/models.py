@@ -14,11 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .norms import frobenius_norm, psd_sqrt, symmetric_eigh
-
-# Relative threshold below which det(B) is treated as zero when choosing the
-# closed-form determinant path.
-_DET_B_REL_TOL = 1e-12
+from .norms import frobenius_norm, symmetric_eigh
 
 # Relative tolerance of the symmetry and PSD checks on BEKK b_mat.
 _B_REL_TOL = 1e-10
@@ -262,31 +258,37 @@ class BekkArch(_ModelSpec):
     def eval_f(self, x):
         return np.asarray(self.f(x), dtype=float)
 
+    def _m_terms(self, x):
+        """(m11, m12, m22, det M) of M = b_mat + v v^T with v = a_mat @ x,
+        taking (b12 + b21) / 2 as the off-diagonal of b_mat and
+        det M = det b_mat + v^T adj(b_mat) v."""
+        ((a11, a12), (a21, a22)) = self.a_mat
+        ((b11, b12), (b21, b22)) = self.b_mat
+        b12 = (b12 + b21) / 2.0
+        x1, x2 = float(x[0]), float(x[1])
+        v1 = a11 * x1 + a12 * x2
+        v2 = a21 * x1 + a22 * x2
+        det_b = b11 * b22 - b12 * b12
+        det = det_b + (b11 * v2 * v2 + b22 * v1 * v1 - 2.0 * b12 * v1 * v2)
+        return b11 + v1 * v1, b12 + v1 * v2, b22 + v2 * v2, det
+
     def eval_g(self, x):
-        v = AffineMap(self.a_mat, (0.0, 0.0))(x)
-        return psd_sqrt(np.asarray(self.b_mat) + np.outer(v, v))
+        """The PSD root of M in closed form, (M + sqrt(det M) I) /
+        sqrt(tr M + 2 sqrt(det M)); zero when M = 0.  An overflowing state
+        gives non-finite entries rather than an error."""
+        m11, m12, m22, det = self._m_terms(x)
+        r = math.sqrt(max(det, 0.0))
+        t = math.sqrt(max(m11 + m22 + 2.0 * r, 0.0))
+        if t == 0.0:
+            return np.zeros((2, 2))
+        return np.array([[(m11 + r) / t, m12 / t], [m12 / t, (m22 + r) / t]])
 
     def lane_kernel(self):
         return _lane_loop(self.eval_f, self.eval_g)
 
     def g_determinant(self, x):
-        """det(b_mat + (Ax)(Ax)^T), by the rank-one closed form when det(b_mat)
-        vanishes within tolerance and by the direct 2x2 determinant otherwise;
-        the two paths agree where both apply."""
-        ((b11, b12), (b21, b22)) = self.b_mat
-        det_b = b11 * b22 - b12 * b21
-        ((a11, a12), (a21, a22)) = self.a_mat
-        x1, x2 = float(x[0]), float(x[1])
-        v1 = a11 * x1 + a12 * x2
-        v2 = a21 * x1 + a22 * x2
-        norm_sq = b11 * b11 + b12 * b12 + b21 * b21 + b22 * b22
-        if abs(det_b) <= _DET_B_REL_TOL * (1.0 + norm_sq):
-            return b11 * v2 * v2 + b22 * v1 * v1 - 2.0 * b12 * v1 * v2
-        m11 = b11 + v1 * v1
-        m12 = b12 + v1 * v2
-        m21 = b21 + v2 * v1
-        m22 = b22 + v2 * v2
-        return m11 * m22 - m12 * m21
+        """det(b_mat + (Ax)(Ax)^T)."""
+        return self._m_terms(x)[3]
 
     def classify_region(self, x):
         kind, normal = bekk_line_normal(self.a_mat, self.b_mat)

@@ -9,12 +9,8 @@ import math
 
 import numpy as np
 
-# All eigen-based routines are restricted to tiny dense matrices; determinism
-# across platforms matters more here than asymptotic speed.
+# All eigen-based routines are restricted to tiny dense matrices.
 MAX_EIG_DIM = 8
-
-_JACOBI_REL_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
 
 
 def s_norms(a, s, axis=None):
@@ -65,68 +61,29 @@ def operator_norm(a_mat, p):
 
 
 def symmetric_eigh(m_sym):
-    """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi sweeps.
+    """Eigen-decomposition of a small symmetric matrix by numpy.linalg.eigh.
 
     Parameters
     ----------
     m_sym : array-like, shape (n, n), n <= 8
-        Symmetric matrix.  Mild asymmetry is not checked here; callers that
-        need a symmetry guarantee must validate before calling.
+        Symmetric matrix.  Only its lower triangle is read and asymmetry is
+        not checked here; callers that need a symmetry guarantee must
+        validate before calling.
 
     Returns
     -------
     w : ndarray, shape (n,)
-        Eigenvalues, in the order produced by the sweeps (not sorted).
+        Eigenvalues in ascending order.
     v : ndarray, shape (n, n)
         Orthogonal matrix with eigenvectors as columns, m_sym = v @ diag(w) @ v.T.
-
-    Notes
-    -----
-    Rotations are applied in the fixed row-major pair order (0,1), (0,2), ...
-    so the result is bit-reproducible across platforms.  Convergence is
-    declared when the off-diagonal Frobenius mass drops below
-    1e-14 * ||m_sym||_F.
     """
-    a = np.array(m_sym, dtype=float)
+    a = np.asarray(m_sym, dtype=float)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("expected a square matrix")
     if n > MAX_EIG_DIM:
         raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_EIG_DIM}")
-    v = np.eye(n)
-    target = _JACOBI_REL_TOL * frobenius_norm(a)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= target:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # Stable symmetric Schur rotation: pick the smaller tangent.
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    raise ArithmeticError("jacobi iteration did not converge")
+    return np.linalg.eigh(a)
 
 
 def psd_sqrt(m_sym, tol=1e-10):

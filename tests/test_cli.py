@@ -86,6 +86,24 @@ def test_check_analytic_envelope_pins_s(tmp_path, capsys):
     assert "s=1" in capsys.readouterr().err
 
 
+def test_analytic_envelope_at_the_wrong_s_fails_before_simulating(
+        tmp_path, capsys, monkeypatch):
+    doc = small_threshold_doc()
+    doc["checks"] = {"s": 2, "envelope": "analytic"}
+    path = write_config(tmp_path, doc)
+
+    def run_trajectories(*args, **kwargs):
+        raise AssertionError("simulated before validating the checks")
+
+    monkeypatch.setattr("ergokit.cli.run_trajectories", run_trajectories)
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--out", str(out)]) == 1
+    assert "s=1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["check", path]) == 1
+    assert "$.checks.s" in capsys.readouterr().err
+
+
 def test_check_out_file_matches_stdout(tmp_path, capsys):
     path = write_config(tmp_path, small_threshold_doc())
     out_file = tmp_path / "report.json"

@@ -104,6 +104,18 @@ def test_noise_dimension_mismatch_is_a_config_error():
     with pytest.raises(ConfigError, match=r"noise has dim 3 .* at \$\.simulation$"):
         validate_config({**doc, "noise": {"kind": "gaussian", "dim": 3}})
 
+
+def test_analytic_envelope_at_the_wrong_s_is_a_config_error():
+    doc = ergodic_doc()
+    with pytest.raises(ConfigError, match=r"fixes s=1; .* at \$\.checks\.s$"):
+        validate_config({**doc, "checks": {"s": 2.0, "envelope": "analytic"}})
+    bekk = builtin_configs()["bekk-demo"]
+    with pytest.raises(ConfigError, match=r"fixes s=2; .* at \$\.checks\.s$"):
+        validate_config({**bekk, "checks": {"s": 1.0}})
+    # Other envelopes take any s.
+    validate_config({**doc, "checks": {"s": 2.0, "envelope": "shell"}})
+
+
 def test_seed_override_applies():
     parsed = validate_config(ergodic_doc(), seed_override=42)
     assert parsed["simulation"].master_seed == 42

@@ -1,10 +1,21 @@
-"""Byte-level pins of `ergokit simulate` artifacts.
+"""Byte-level pins of `ergokit simulate` and `ergokit check` artifacts.
 
-The threshold-censored and bekk-small hashes were frozen from the two-loop
-implementation (a fused threshold loop beside a generic one), and the
-ergodic-over-cap ones from the loop that stepped one path at a time, each
-before the recurrence was rewritten; they must not move unless a change
-records why.
+The threshold-censored hashes were frozen from the two-loop implementation (a
+fused threshold loop beside a generic one), the ergodic-over-cap ones from the
+loop that stepped one path at a time, and the check ones while eigenvalues
+came from a hand-written Jacobi solver, each before that code was replaced;
+they must not move unless a change records why.
+
+bekk-small was first frozen with the BEKK volatility computed by the Jacobi
+`psd_sqrt`.  Its closed-form 2x2 root moves the trajectory values by at most
+6.5e-13 (1.0e-13 relative to 1 + |x|), so every file of that case changed
+(verdict.txt prints the last median l1 norm, 7.2688511096440891 before and
+7.2688511096440811 after):
+
+    snapshots.csv     2c8ded7c4570... -> 55b6441443b5...
+    summary.json      2dc05715d9e5... -> f7d8b4e6d0c7...
+    trajectories.csv  231a86caea09... -> 8b1455176759...
+    verdict.txt       caf96153ae6e... -> 82f2580c949e...
 """
 
 import hashlib
@@ -53,12 +64,32 @@ GOLDEN = {
         "verdict.txt": "07a09f020bfc23840daaa1463af99b460b839940d3b2aea745d6f30f7cf59205",
     }),
     "bekk-small": (BEKK_SMALL, {
-        "snapshots.csv": "2c8ded7c4570de8b69c51d22ac1d15d63e57bd5d146115cae9491fc5d8cecd95",
-        "summary.json": "2dc05715d9e574e79781de355ebd6559a8f4841c3eaa70f73c577bd21f1b47d7",
-        "trajectories.csv": "231a86caea09fa5a08db876163f4c1463672d40c391f08b19d9922fa71388d1a",
-        "verdict.txt": "caf96153ae6edb608edac498c7ef23ae4e25840be2e8a8c7d142e7d7f0560d73",
+        "snapshots.csv": "55b6441443b590b232ebe64882da4829f974cecd86f7727f41148f931296ab4b",
+        "summary.json": "f7d8b4e6d0c74010ac75a58e92ef7440673e4acb7346fe15898f95de83c22aa6",
+        "trajectories.csv": "8b1455176759ce7cb3dbbe2e42d20ddff9795c5a7d60ccdbf97a84f6501c7b4f",
+        "verdict.txt": "82f2580c949e146410776834f00ae0e913a7eed5056684f36bf01bc5dc68fe0c",
     }),
 }
+
+
+# `check` on built-in configs with their analytic envelopes: the BEKK report
+# runs b_f through operator_norm and the min_eigenvalue witness through
+# symmetric_eigh.  Name -> (exit code, report.json sha256).
+CHECK_GOLDEN = {
+    "bekk-demo": (2, "73335c2898823d358a025cf1d4ffb577da713ba8e6c42233bb03e6b6e30bc359"),
+    "example2-ergodic": (0, "86061852e59bdeeff1429ae53600725566ab3e8d7a7c9d61242cf72cb6fe78c6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_GOLDEN))
+def test_check_report_matches_golden_hash(tmp_path, capsys, name):
+    code, digest = CHECK_GOLDEN[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(builtin_configs()[name]))
+    report = tmp_path / "report.json"
+    assert main(["check", str(config), "--out", str(report)]) == code
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergokit.models import (
     AffineMap,
@@ -144,6 +146,56 @@ def test_bekk_g_is_symmetric_psd():
         g = eval_g(m, rng.uniform(-5.0, 5.0, 2))
         assert np.allclose(g, g.T, atol=1e-10)
         assert float(np.min(np.linalg.eigvalsh(g))) >= -1e-9
+
+
+_coef = st.floats(-2.0, 2.0, allow_nan=False)
+_pair = st.tuples(_coef, _coef)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b_kind=st.sampled_from(("full", "rank_one", "zero")),
+    q=st.tuples(_pair, _pair),
+    a=st.tuples(_pair, _pair),
+    x=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    off_line=st.sampled_from((None, 0.0, 1e-12, 1e-6)),
+)
+def test_bekk_closed_form_root(b_kind, q, a, x, off_line):
+    # b_mat is q q^T, w w^T with w the first row of q, or zero.  With
+    # `off_line` set, x is moved onto the degeneracy line (when there is
+    # one) and then that far off it along the unit normal.
+    q = np.array(q)
+    b = {"full": q @ q.T, "rank_one": np.outer(q[0], q[0]), "zero": np.zeros((2, 2))}[b_kind]
+    a = np.array(a)
+    x = np.array(x)
+    kind, normal = bekk_line_normal(a, b)
+    if off_line is not None and kind == "on_L":
+        n = np.array(normal) / math.hypot(*normal)
+        x = x - np.dot(x, n) * n + off_line * n
+    m = BekkArch(f=AffineMap(((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0)),
+                 a_mat=tuple(map(tuple, a)), b_mat=tuple(map(tuple, b)))
+    g = eval_g(m, x)
+    v = a @ x
+    full = b + np.outer(v, v)
+    scale = 1.0 + frobenius_norm(full)
+    assert g[0, 1] == g[1, 0]
+    assert float(np.min(np.linalg.eigvalsh(g))) >= -1e-12 * scale
+    assert frobenius_norm(g @ g - full) <= 1e-12 * scale
+    want = full[0, 0] * full[1, 1] - full[0, 1] * full[1, 0]
+    assert abs(g_determinant(m, x) - want) <= 1e-12 * scale ** 2
+
+
+def test_bekk_closed_form_root_examples():
+    zero = make_bekk(a_mat=((0.0, 0.0), (0.0, 0.0)), b_mat=((0.0, 0.0), (0.0, 0.0)))
+    assert np.array_equal(eval_g(zero, (3.0, -1.0)), np.zeros((2, 2)))
+    assert np.array_equal(eval_g(make_bekk(b_mat=((0.0, 0.0), (0.0, 0.0))), (0.0, 0.0)),
+                          np.zeros((2, 2)))
+    # Rank-one b_mat on its line x1 = x2: det M = 0, so the root is M / sqrt(tr M).
+    m = make_bekk()
+    for t in (0.0, 2.5, -3.0, 1e-8):
+        full = np.array([[1.0 + t * t, 1.0 + t * t], [1.0 + t * t, 1.0 + t * t]])
+        assert g_determinant(m, (t, t)) == 0.0
+        assert np.array_equal(eval_g(m, (t, t)), full / math.sqrt(np.trace(full)))
 
 
 def test_classify_region_threshold():

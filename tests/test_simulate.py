@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergokit.models import GenericModel, ThresholdAffine2D, step
+from ergokit.models import AffineMap, BekkArch, GenericModel, ThresholdAffine2D, step
 from ergokit.noise import Expol2, StdGaussian, sample
 from ergokit.simulate import (
     SimulationConfig,
@@ -184,7 +184,7 @@ def _assert_lanes_are_paths(cfg, threshold):
     return paths
 
 
-def _threshold_ensemble(model, horizon, n_traj, seed, threshold, x0=(0.0, 0.0)):
+def _ensemble(model, horizon, n_traj, seed, threshold, x0=(0.0, 0.0)):
     return SimulationConfig(
         model=model, noise=Expol2(), x0=x0, horizon=horizon, n_traj=n_traj,
         snapshot_times=(horizon,), master_seed=seed,
@@ -204,14 +204,13 @@ def _threshold_ensemble(model, horizon, n_traj, seed, threshold, x0=(0.0, 0.0)):
 def test_ensemble_lanes_are_single_paths(coefs, scale, drawn_start, seed, n_traj,
                                          threshold):
     x0 = (lambda rng: rng.uniform(-2.0, 2.0, 2)) if drawn_start else (0.5, -0.5)
-    cfg = _threshold_ensemble(_threshold_from(coefs, scale), 120, n_traj, seed,
-                              threshold, x0=x0)
+    cfg = _ensemble(_threshold_from(coefs, scale), 120, n_traj, seed, threshold, x0=x0)
     _assert_lanes_are_paths(cfg, threshold)
 
 
 def test_ensemble_lanes_censored_at_different_steps():
     m = make_threshold(b_mat=((1.02, 0.0), (0.0, 1.02)))
-    paths = _assert_lanes_are_paths(_threshold_ensemble(m, 300, 12, 11, 1000.0), 1000.0)
+    paths = _assert_lanes_are_paths(_ensemble(m, 300, 12, 11, 1000.0), 1000.0)
     steps = [p.divergence_step for p in paths]
     # Offending states are kept, at several different steps, while other
     # lanes run to the horizon.
@@ -226,12 +225,27 @@ def test_ensemble_lane_truncates_while_others_live_on():
     # Without a threshold the explosive lanes overflow to inf between steps
     # 1021 and 1032; the horizon falls in between.
     m = make_threshold(b_mat=((2.0, 0.0), (0.0, 2.0)))
-    paths = _assert_lanes_are_paths(_threshold_ensemble(m, 1027, 12, 11, None), None)
+    paths = _assert_lanes_are_paths(_ensemble(m, 1027, 12, 11, None), None)
     truncated = [p for p in paths if p.diverged]
     assert len({p.divergence_step for p in truncated}) >= 3
     assert 0 < len(truncated) < len(paths)
     for p in truncated:
         assert p.states.shape[0] == p.divergence_step
+        assert np.all(np.isfinite(p.states))
+
+
+@pytest.mark.parametrize("threshold", [1e6, None])
+def test_bekk_ensemble_censors_divergence(threshold):
+    # f = 3x and g of order 2|x|: every lane explodes from its drawn start
+    # off the degenerate line x1 = x2.  With the finite threshold each lane
+    # keeps its offending state; without one the volatility overflows to
+    # non-finite entries and the lane is truncated.
+    m = BekkArch(f=AffineMap(((3.0, 0.0), (0.0, 3.0)), (0.0, 0.0)),
+                 a_mat=((2.0, 0.0), (0.0, 2.0)), b_mat=((1.0, 1.0), (1.0, 1.0)))
+    cfg = _ensemble(m, 700, 6, 19, threshold, x0=lambda rng: rng.uniform(-1.0, 1.0, 2))
+    for p in _assert_lanes_are_paths(cfg, threshold):
+        assert p.diverged
+        assert p.states.shape[0] == p.divergence_step + (threshold is not None)
         assert np.all(np.isfinite(p.states))
 
 
@@ -279,7 +293,7 @@ def test_ensemble_calls_lane_kernel_once_per_step(monkeypatch):
         return step
 
     monkeypatch.setattr(ThresholdAffine2D, "lane_kernel", counting_lane_kernel)
-    cfg = _threshold_ensemble(make_threshold(), 100, 50, 8, None)
+    cfg = _ensemble(make_threshold(), 100, 50, 8, None)
     paths = run_trajectories(cfg)
     assert blocks == [(50, 2)] * 100
     assert all(p.states.shape == (101, 2) for p in paths)
