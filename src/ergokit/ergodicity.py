@@ -2,8 +2,8 @@
 ergodicity.
 
 The drift side verifies gamma = b_f + b_g * E[||e||_s] < 1 for envelope
-constants (a_f, b_f, a_g, b_g) bounding ||f(x)||_s and the column norm of
-g(x) outside the ball {||x||_s <= M}.  The structural side checks that the
+constants (a_f, b_f, a_g, b_g) bounding ||f(x)||_s and the induced s-norm
+of g(x) outside the ball {||x||_s <= M}.  The structural side checks that the
 volatility's singular set is thin enough for the chain to smooth it out.
 Everything here is a sufficient condition: a failed check never demonstrates
 non-ergodicity.
@@ -30,7 +30,7 @@ from .models import (
 from .noise import Expol2, StdGaussian, abs_moment, sample
 from .norms import (
     frobenius_norm,
-    matrix_col_sum_norm,
+    induced_norm_bounds,
     operator_norm,
     s_norms,
     vector_s_norm,
@@ -62,7 +62,13 @@ _ENVELOPE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DriftEnvelope:
-    """Constants (s, a_f, b_f, a_g, b_g, M) of the drift condition."""
+    """Constants (s, a_f, b_f, a_g, b_g, M) of the drift condition.
+
+    Outside the ball ||x||_s <= M they must satisfy ||f(x)||_s <= a_f + b_f ||x||_s
+    and |||g(x)|||_s <= a_g + b_g ||x||_s, where |||.|||_s is the norm induced
+    by the s-norm (any c with ||g(x) e||_s <= c ||e||_s for all e), so that a
+    user-supplied b_g must bound the induced norm, not a column norm, at s > 1.
+    """
 
     s: float
     a_f: float
@@ -236,9 +242,14 @@ def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
         raise ValueError("need at least 1000 shell samples")
     rng = np.random.default_rng(seed)
     xs = _sample_shell(rng, model.dim, s, m_ball, radius, n_samples)
-    radii = [vector_s_norm(x, s) for x in xs]
-    f_vals = [vector_s_norm(eval_f(model, x), s) for x in xs]
-    g_vals = [matrix_col_sum_norm(eval_g(model, x), s) for x in xs]
+    f_x = np.empty_like(xs)
+    g_x = np.empty((len(xs), model.dim, model.dim))
+    for i, x in enumerate(xs):
+        f_x[i] = eval_f(model, x)
+        g_x[i] = eval_g(model, x)
+    radii = s_norms(xs, s, axis=1).tolist()
+    f_vals = s_norms(f_x, s, axis=1).tolist()
+    g_vals = induced_norm_bounds(g_x, s).tolist()
     if max(f_vals) <= 0.0:
         raise ValueError("degenerate shell sample: f vanishes on every draw")
     if max(g_vals) <= 0.0:

@@ -39,6 +39,29 @@ def matrix_col_sum_norm(a_mat, s):
     return float(np.max(s_norms(m, s, axis=0)))
 
 
+def induced_norm_bounds(mats, s):
+    """Bounds c with ||A x||_s <= c ||x||_s for every square A in a stacked
+    (n, d, d) array, one per matrix, computed without LAPACK.
+
+    For s <= 1 this is the largest column s-norm (matrix_col_sum_norm), which
+    is the induced norm there.  For s = 2 and d = 2 it is the exact largest
+    singular value; for any other s > 1 the Riesz-Thorin bound
+    ||A||_1^(1/s) ||A||_inf^(1 - 1/s).
+    """
+    m = np.asarray(mats, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError("expected a stacked (n, d, d) array of square matrices")
+    if s <= 1.0:
+        return np.max(s_norms(m, s, axis=1), axis=1)
+    if s == 2.0 and m.shape[1] == 2:
+        a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+        return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0
+    a = np.abs(m)
+    col = np.max(np.sum(a, axis=1), axis=1)
+    row = np.max(np.sum(a, axis=2), axis=1)
+    return col ** (1.0 / s) * row ** (1.0 - 1.0 / s)
+
+
 def frobenius_norm(a_mat):
     """Square root of the sum of squared entries."""
     m = np.asarray(a_mat, dtype=float)

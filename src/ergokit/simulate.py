@@ -43,9 +43,12 @@ def mix64(master_seed, index):
 
 
 def _check_dims(model, noise_spec, start=None):
-    """Raise unless the noise and a given start point have the model's dim."""
+    """Raise unless the noise and a given start point have the model's dim
+    and the start point is finite."""
     if start is not None and np.shape(start) != (model.dim,):
         raise ValueError(f"x0 has shape {np.shape(start)} but the model has dim {model.dim}")
+    if start is not None and not np.all(np.isfinite(start)):
+        raise ValueError(f"x0 must be finite, got {start!r}")
     if noise_spec.dim != model.dim:
         raise ValueError(f"the noise has dim {noise_spec.dim} but the model has dim {model.dim}")
 
@@ -56,7 +59,8 @@ class SimulationConfig:
 
     `x0` is either a fixed starting point or a callable rng -> point drawn
     once per trajectory from that trajectory's own stream.  A fixed x0 and
-    the noise must both have the model's dimension.
+    the noise must both have the model's dimension, and every start point
+    must be finite, so that every state a path keeps is finite.
     """
 
     model: object

@@ -8,8 +8,11 @@ import pytest
 
 import ergokit
 
-from ergokit.cli import main
-from ergokit.config import builtin_configs, validate_config
+from ergokit.cli import _trajectory_csv, main
+from ergokit.config import builtin_configs, format_float, validate_config
+from ergokit.models import ThresholdAffine2D
+from ergokit.noise import Expol2
+from ergokit.simulate import SimulationConfig, run_trajectories
 
 
 @pytest.fixture(autouse=True)
@@ -262,3 +265,27 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_trajectory_dump_of_lanes_that_overflow_to_inf():
+    # With B = 2I and no threshold, lanes overflow to inf between steps 1021
+    # and 1032.  Simulation drops each non-finite state, so the one-format
+    # row dump prints exactly what format_float prints cell by cell.
+    model = ThresholdAffine2D(a=(0.0, 0.0), b_mat=((2.0, 0.0), (0.0, 2.0)),
+                              d_main=((0.1, -0.15), (-0.15, 0.1)),
+                              d_c=(0.2, -0.25), d_const=(1.0, 1.0))
+    cfg = SimulationConfig(model=model, noise=Expol2(), x0=(0.0, 0.0),
+                           horizon=1027, n_traj=12, snapshot_times=(1027,),
+                           master_seed=11, divergence_threshold=math.inf)
+    paths = run_trajectories(cfg)
+    truncated = [p for p in paths if p.diverged]
+    assert 0 < len(truncated) < len(paths)
+    for p in truncated:
+        assert p.states.shape[0] == p.divergence_step
+    want = ["traj_id,t,x_1,x_2"]
+    for i, p in enumerate(paths):
+        for t, row in enumerate(p.states.tolist()):
+            want.append(",".join([str(i), str(t), *map(format_float, row)]))
+    got = _trajectory_csv(paths, 11, "0" * 64).split("\n")
+    assert got[:-2] == want
+    assert not any("null" in line or "inf" in line for line in got[:-2])

@@ -16,6 +16,15 @@ bekk-small was first frozen with the BEKK volatility computed by the Jacobi
     summary.json      2dc05715d9e5... -> f7d8b4e6d0c7...
     trajectories.csv  231a86caea09... -> 8b1455176759...
     verdict.txt       caf96153ae6e... -> 82f2580c949e...
+
+example2-ergodic-shell-s2 was first frozen with the s = 2 noise moment from
+nested adaptive Simpson (1.237030558147227).  The graded Gauss-Legendre
+product rule gives 1.2370305581374037 (9.8e-12 lower; the mpmath value is
+1.2370305581477301), which moves gamma in its last digits; the shell
+envelope, verdict and exit code are unchanged:
+
+    report.json  40264c070b638b6faf2e0b0a23f8c11454bada7da47495743a44bf6088c52d51
+              -> ab59538d1d73d3060cc05fb342efd553d153552fc40759f7df8825970650edb9
 """
 
 import hashlib
@@ -72,20 +81,28 @@ GOLDEN = {
 }
 
 
-# `check` on built-in configs with their analytic envelopes: the BEKK report
+# `check` on built-in configs.  With their analytic envelopes, the BEKK report
 # runs b_f through operator_norm and the min_eigenvalue witness through
-# symmetric_eigh.  Name -> (exit code, report.json sha256).
+# symmetric_eigh; the shell-s2 case runs the s = 2 noise moment and the
+# shell envelope's induced norm bounds.
+# Name -> (config, exit code, report.json sha256).
+SHELL_S2 = {**builtin_configs()["example2-ergodic"],
+            "checks": {"s": 2.0, "envelope": "shell"}}
 CHECK_GOLDEN = {
-    "bekk-demo": (2, "73335c2898823d358a025cf1d4ffb577da713ba8e6c42233bb03e6b6e30bc359"),
-    "example2-ergodic": (0, "86061852e59bdeeff1429ae53600725566ab3e8d7a7c9d61242cf72cb6fe78c6"),
+    "bekk-demo": (builtin_configs()["bekk-demo"], 2,
+                  "73335c2898823d358a025cf1d4ffb577da713ba8e6c42233bb03e6b6e30bc359"),
+    "example2-ergodic": (builtin_configs()["example2-ergodic"], 0,
+                         "86061852e59bdeeff1429ae53600725566ab3e8d7a7c9d61242cf72cb6fe78c6"),
+    "example2-ergodic-shell-s2": (SHELL_S2, 3,
+                                  "ab59538d1d73d3060cc05fb342efd553d153552fc40759f7df8825970650edb9"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_GOLDEN))
 def test_check_report_matches_golden_hash(tmp_path, capsys, name):
-    code, digest = CHECK_GOLDEN[name]
+    doc, code, digest = CHECK_GOLDEN[name]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(builtin_configs()[name]))
+    config.write_text(json.dumps(doc))
     report = tmp_path / "report.json"
     assert main(["check", str(config), "--out", str(report)]) == code
     capsys.readouterr()

@@ -13,6 +13,7 @@ from ergokit.noise import (
     density,
     sample,
     _expol2_z,
+    _gauss_legendre,
     _rejection_sample_expol2,
 )
 
@@ -23,7 +24,13 @@ E_ABS_REF = 0.8273924393392819       # E|X| per coordinate
 E_L1_REF = 1.6547848786785639        # E||e||_1 = 2 E|X|
 E_S05_REF = 0.8750418393407426       # E|X|^0.5 per coordinate
 E_S075_REF = 0.8450573544657344      # E|X|^0.75 per coordinate
-E_L2_REF = 1.2370305581477301        # E||e||_2, two coordinates
+# E||e||_s for two coordinates at s > 1, from mpmath.quad (tanh-sinh) at 25
+# and again at 32 significant digits, agreeing in every digit kept here:
+# 4 * int_0^4 p(u) int_0^4 (u^s + v^s)^(1/s) p(v) dv du / Z^2 with
+# p(u) = exp(-(u^2 - 1)^2), Z = 2 int_0^4 p, breakpoints at 1 and at v = u.
+E_S15_REF = 1.3548150185797296       # s = 1.5
+E_L2_REF = 1.2370305581477301        # s = 2
+E_S3_REF = 1.141895211641996         # s = 3
 GAUSS_L2_REF = math.sqrt(math.pi / 2.0)
 GAUSS_L1_2D_REF = 2.0 * math.sqrt(2.0 / math.pi)
 
@@ -142,9 +149,31 @@ def test_quadrature_moments_match_frozen_values():
 
 def test_quadrature_l2_moment_two_dims():
     est = abs_moment(Expol2(), 2.0, method="quadrature")
-    assert abs(est.value - E_L2_REF) < 1e-6
+    assert abs(est.value - E_L2_REF) < 1e-10
+    assert est.grid_size == 448 ** 2
     est = abs_moment(StdGaussian(2), 2.0, method="quadrature")
-    assert abs(est.value - GAUSS_L2_REF) < 1e-6
+    assert abs(est.value - GAUSS_L2_REF) < 1e-10
+
+
+@pytest.mark.parametrize("s, want", [(1.5, E_S15_REF), (3.0, E_S3_REF)])
+def test_quadrature_s_moment_two_dims(s, want):
+    est = abs_moment(Expol2(), s, method="quadrature")
+    assert abs(est.value - want) < 1e-10
+    assert est.grid_size <= 250_000
+
+
+def test_gauss_legendre_matches_numpy():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = _gauss_legendre(32)
+    want_x, want_w = leggauss(32)
+    # Within 2 ulp of 1, the scale of the rule (|x| <= 1, sum w = 2).  Per
+    # entry numpy's smallest weights, from an eigenvalue solve, are some 470
+    # of their own ulps from the exact ones; the Newton weights are closer.
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(x - want_x)) <= 2 * eps
+    assert np.max(np.abs(w - want_w)) <= 2 * eps
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
 def test_analytic_gaussian_moments():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergokit.norms import (
     frobenius_norm,
+    induced_norm_bounds,
     matrix_col_sum_norm,
     operator_norm,
     psd_sqrt,
@@ -36,6 +39,38 @@ def test_matrix_col_sum_norm_examples():
     assert abs(matrix_col_sum_norm([[0.2, 0.1], [0.1, 0.3]], 1) - 0.4) < 1e-15
     assert matrix_col_sum_norm(np.eye(2), 1) == 1.0
     assert abs(matrix_col_sum_norm([[1.0, 2.0], [2.0, 1.0]], 0.5) - (1 + math.sqrt(2))) < 1e-12
+
+
+# Entries below 1e-6 in magnitude become 0, so that no |x_i|^s underflows
+# on one side of the inequality and not on the other.
+_entry = st.floats(-10.0, 10.0).map(lambda v: v if abs(v) >= 1e-6 else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    s=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    dim=st.sampled_from([2, 3]),
+    entries=st.lists(_entry, min_size=12, max_size=12),
+)
+def test_induced_norm_bounds_are_compatible(s, dim, entries):
+    a = np.array(entries[:dim * dim]).reshape(dim, dim)
+    x = np.array(entries[9:9 + dim])
+    bound = float(induced_norm_bounds(a[None], s)[0])
+    assert vector_s_norm(a @ x, s) <= bound * vector_s_norm(x, s) * (1 + 1e-12)
+    if s <= 1.0:
+        assert bound == matrix_col_sum_norm(a, s)
+
+
+def test_induced_norm_bounds_examples():
+    ones = np.ones((1, 2, 2))
+    assert induced_norm_bounds(ones, 2.0)[0] == 2.0
+    assert abs(matrix_col_sum_norm(ones[0], 2.0) - math.sqrt(2.0)) < 1e-15
+    # Riesz-Thorin is exact on the all-ones matrix: 3^(1/s) * 3^(1 - 1/s).
+    assert abs(induced_norm_bounds(np.ones((1, 3, 3)), 1.5)[0] - 3.0) < 1e-14
+    stack = np.array([[[2.0, 0.0], [0.0, -3.0]], [[0.0, 1.0], [0.0, 0.0]]])
+    assert induced_norm_bounds(stack, 2.0).tolist() == [3.0, 1.0]
+    with pytest.raises(ValueError):
+        induced_norm_bounds(np.ones((2, 2)), 2.0)
 
 
 def test_frobenius_norm_examples():

@@ -357,6 +357,18 @@ def test_dimension_mismatch_is_rejected():
     with pytest.raises(ValueError, match="noise has dim 1"):
         simulate_path(make_threshold(), StdGaussian(1), (0.0, 0.0), 10, 1)
 
+
+def test_non_finite_start_is_rejected():
+    # Row 0 of a path is its start, and only later rows pass the censoring
+    # check, so a non-finite start would be a kept non-finite state.
+    base = dict(model=make_threshold(), noise=Expol2(), x0=(0.0, 0.0),
+                horizon=10, n_traj=2, snapshot_times=(10,), master_seed=1)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        SimulationConfig(**{**base, "x0": (math.inf, 0.0)})
+    drawn = SimulationConfig(**{**base, "x0": lambda rng: np.array([0.0, math.nan])})
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        run_trajectories(drawn)
+
 def test_ensemble_thread_count_invariance():
     cfg = SimulationConfig(model=make_threshold(), noise=Expol2(),
                            x0=(0.0, 0.0), horizon=200, n_traj=16,
