@@ -242,11 +242,7 @@ def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
         raise ValueError("need at least 1000 shell samples")
     rng = np.random.default_rng(seed)
     xs = _sample_shell(rng, model.dim, s, m_ball, radius, n_samples)
-    f_x = np.empty_like(xs)
-    g_x = np.empty((len(xs), model.dim, model.dim))
-    for i, x in enumerate(xs):
-        f_x[i] = eval_f(model, x)
-        g_x[i] = eval_g(model, x)
+    f_x, g_x = model.lane_terms(xs)
     radii = s_norms(xs, s, axis=1).tolist()
     f_vals = s_norms(f_x, s, axis=1).tolist()
     g_vals = induced_norm_bounds(g_x, s).tolist()

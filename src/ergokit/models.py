@@ -57,7 +57,21 @@ class _ModelSpec:
     U, and row i of X' may depend only on row i of X and U.  It is the one
     implementation that both `step` (one lane) and the ensemble recurrence in
     `simulate` (every live lane) run.
+
+    lane_terms(X) evaluates f and g in the same lane form: a (k, dim) block
+    whose row i equals eval_f(X[i]) and a (k, dim, dim) block whose entry i
+    equals eval_g(X[i]), bit for bit.  The default below calls eval_f and
+    eval_g once per row, so it keeps their validation; the built-in families
+    compute each block with one array expression.
     """
+
+    def lane_terms(self, x):
+        f = np.empty((len(x), self.dim))
+        g = np.empty((len(x), self.dim, self.dim))
+        for i, xi in enumerate(x):
+            f[i] = self.eval_f(xi)
+            g[i] = self.eval_g(xi)
+        return f, g
 
     def g_determinant(self, x):
         raise ValueError("g_determinant supports ThresholdAffine2D and BekkArch only")
@@ -67,7 +81,7 @@ class _ModelSpec:
 
 
 def _lane_loop(f, g):
-    """Lane kernel computing f(x) + g(x) @ u one lane at a time."""
+    """GenericModel's lane kernel: f(x) + g(x) @ u one lane at a time."""
 
     def step(x, u):
         return np.array([f(xi) + g(xi) @ ui for xi, ui in zip(x, u)])
@@ -174,6 +188,11 @@ class ThresholdAffine2D(_ModelSpec):
         _, _, g11, g12, g21, g22 = self._terms_at(x)
         return np.array([[g11, g12], [g21, g22]])
 
+    def lane_terms(self, x):
+        f1, f2, g11, g12, g21, g22 = self._terms()(x[:, 0], x[:, 1])
+        return (np.stack((f1, f2), axis=1),
+                np.stack((g11, g12, g21, g22), axis=1).reshape(-1, 2, 2))
+
     def lane_kernel(self):
         terms = self._terms()
 
@@ -213,11 +232,15 @@ class AffineMap:
         object.__setattr__(self, "matrix", _as_2x2(self.matrix, "matrix"))
         object.__setattr__(self, "offset", _as_pair(self.offset, "offset"))
 
-    def __call__(self, x):
+    def columns(self, x1, x2):
+        """Both coordinates of the image, over scalars or over equal-shape
+        arrays of lane coordinates."""
         ((m11, m12), (m21, m22)) = self.matrix
         o1, o2 = self.offset
-        x1, x2 = float(x[0]), float(x[1])
-        return np.array([o1 + m11 * x1 + m12 * x2, o2 + m21 * x1 + m22 * x2])
+        return o1 + m11 * x1 + m12 * x2, o2 + m21 * x1 + m22 * x2
+
+    def __call__(self, x):
+        return np.array(self.columns(float(x[0]), float(x[1])))
 
 
 def bekk_b_eigenvalues(b_mat):
@@ -258,14 +281,14 @@ class BekkArch(_ModelSpec):
     def eval_f(self, x):
         return np.asarray(self.f(x), dtype=float)
 
-    def _m_terms(self, x):
+    def _m_terms(self, x1, x2):
         """(m11, m12, m22, det M) of M = b_mat + v v^T with v = a_mat @ x,
         taking (b12 + b21) / 2 as the off-diagonal of b_mat and
-        det M = det b_mat + v^T adj(b_mat) v."""
+        det M = det b_mat + v^T adj(b_mat) v; over the scalar coordinates of
+        one state or over equal-shape arrays of lane coordinates."""
         ((a11, a12), (a21, a22)) = self.a_mat
         ((b11, b12), (b21, b22)) = self.b_mat
         b12 = (b12 + b21) / 2.0
-        x1, x2 = float(x[0]), float(x[1])
         v1 = a11 * x1 + a12 * x2
         v2 = a21 * x1 + a22 * x2
         det_b = b11 * b22 - b12 * b12
@@ -276,19 +299,49 @@ class BekkArch(_ModelSpec):
         """The PSD root of M in closed form, (M + sqrt(det M) I) /
         sqrt(tr M + 2 sqrt(det M)); zero when M = 0.  An overflowing state
         gives non-finite entries rather than an error."""
-        m11, m12, m22, det = self._m_terms(x)
+        m11, m12, m22, det = self._m_terms(float(x[0]), float(x[1]))
         r = math.sqrt(max(det, 0.0))
         t = math.sqrt(max(m11 + m22 + 2.0 * r, 0.0))
         if t == 0.0:
             return np.zeros((2, 2))
         return np.array([[(m11 + r) / t, m12 / t], [m12 / t, (m22 + r) / t]])
 
+    def lane_terms(self, x):
+        """eval_f and eval_g of every row of x: an AffineMap f on the lane
+        columns, any other f once per row, and the root of eval_g with the
+        zero matrix wherever t == 0."""
+        x1, x2 = x[:, 0], x[:, 1]
+        f = np.empty_like(x)
+        if isinstance(self.f, AffineMap):
+            f[:, 0], f[:, 1] = self.f.columns(x1, x2)
+        else:
+            for i, xi in enumerate(x):
+                f[i] = self.f(xi)
+        m11, m12, m22, det = self._m_terms(x1, x2)
+        r = np.sqrt(np.maximum(det, 0.0))
+        t = np.sqrt(np.maximum(m11 + m22 + 2.0 * r, 0.0))
+        # Dividing only where t != 0 leaves those lanes' zeros in place.
+        nonzero = t != 0.0
+        g = np.zeros((len(x), 2, 2))
+        np.divide(m11 + r, t, out=g[:, 0, 0], where=nonzero)
+        np.divide(m12, t, out=g[:, 0, 1], where=nonzero)
+        g[:, 1, 0] = g[:, 0, 1]
+        np.divide(m22 + r, t, out=g[:, 1, 1], where=nonzero)
+        return f, g
+
     def lane_kernel(self):
-        return _lane_loop(self.eval_f, self.eval_g)
+        def step(x, u):
+            # f + g @ u through matmul, which rounds as eval_f(x) +
+            # eval_g(x) @ u does for one state; f1 + g11 u1 + g12 u2 summed
+            # left to right would round differently.
+            f, g = self.lane_terms(x)
+            return f + np.matmul(g, u[:, :, None])[:, :, 0]
+
+        return step
 
     def g_determinant(self, x):
         """det(b_mat + (Ax)(Ax)^T)."""
-        return self._m_terms(x)[3]
+        return self._m_terms(float(x[0]), float(x[1]))[3]
 
     def classify_region(self, x):
         kind, normal = bekk_line_normal(self.a_mat, self.b_mat)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergokit.ergodicity import (
     CheckResult,
@@ -30,7 +32,13 @@ from ergokit.models import (
     g_determinant,
 )
 from ergokit.noise import Expol2, MomentEstimate, StdGaussian, abs_moment
-from ergokit.norms import matrix_col_sum_norm, vector_s_norm
+from ergokit.norms import (
+    frobenius_norm,
+    induced_norm_bounds,
+    matrix_col_sum_norm,
+    s_norms,
+    vector_s_norm,
+)
 
 # Frozen quadrature oracle for E||e||_1 under the bimodal noise (see the
 # noise tests for the independent cross-checks).
@@ -88,6 +96,67 @@ def test_threshold_envelope_is_global_bound():
         nx = vector_s_norm(x, 1.0)
         assert vector_s_norm(eval_f(m, x), 1.0) <= env.a_f + env.b_f * nx + 1e-9
         assert matrix_col_sum_norm(eval_g(m, x), 1.0) <= env.a_g + env.b_g * nx + 1e-9
+
+
+# Rounding slack of the envelope inequalities on lane blocks.
+_SLACK = 1.0 + 1e-12
+_coef = st.floats(-2.0, 2.0, allow_nan=False)
+# Coefficients that keep b_f, a_g and b_g of the analytic envelopes positive.
+_lead = st.tuples(*[st.floats(0.01, 2.0)] * 3)
+_states = st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                   min_size=1, max_size=16)
+_C_EDGES = [(0.0, 0.0), (-1.0, -2.0), (0.0, 3.0), (3.0, 0.0), (-0.0, -5.0), (1e6, -1e6)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=_lead, c=st.lists(_coef, min_size=11, max_size=11), states=_states)
+@example(lead=(0.2, 0.1, 1.0), c=[1.0, -1.0, 0.1, 0.1, 0.3, -0.15, -0.15, 0.1, 0.2, -0.25, 1.0],
+         states=_C_EDGES)
+def test_threshold_envelope_holds_on_lane_blocks(lead, c, states):
+    # s = 1: ||f(x)||_1 <= a_f + b_f ||x||_1 and the induced 1-norm bound of
+    # g(x) is at most a_g + b_g ||x||_1, at every state.  lead holds b11,
+    # d11 and d41.
+    b11, d11, d41 = lead
+    m = ThresholdAffine2D(a=c[0:2], b_mat=((b11, c[2]), c[3:5]),
+                          d_main=((d11, c[5]), c[6:8]), d_c=c[8:10],
+                          d_const=(d41, c[10]))
+    env = threshold_envelope(m)
+    x = np.array(states)
+    f, g = m.lane_terms(x)
+    nx = s_norms(x, 1.0, axis=1)
+    assert np.all(s_norms(f, 1.0, axis=1) <= (env.a_f + env.b_f * nx) * _SLACK)
+    assert np.all(induced_norm_bounds(g, 1.0) <= (env.a_g + env.b_g * nx) * _SLACK)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m11=st.floats(0.01, 2.0), c=st.lists(_coef, min_size=12, max_size=12),
+       states=_states)
+# b_mat = [[1, 1], [1, 1]] with A = I: det M = 0 on the line x1 = x2.
+@example(m11=0.4, c=[1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.4, 1.0, 0.0],
+         states=[(2.5, 2.5), (-1e6, -1e6), (0.0, 0.0), (1.0, -1.0)])
+# b_mat = 0: g(0) = 0, and ||g(x)||_F = ||Ax||_2 <= ||A||_F ||x||_2 is tight
+# for the rank-one A along its row direction; f(x) = (2, -2) x1 - (2, -2) x2
+# meets ||f(x)||_2 = b_f ||x||_2 on x1 = -x2.
+@example(m11=2.0, c=[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, -2.0, -2.0, 2.0, 0.0, 0.0],
+         states=[(0.0, 0.0), (3.0, 3.0), (1e6, 1e6), (1.0, -1.0)])
+def test_bekk_envelope_holds_on_lane_blocks(m11, c, states):
+    # s = 2: ||g(x)||_F <= sqrt(tr B) + ||A||_F ||x||_2 and
+    # ||f(x)||_2 <= a_f + b_f ||x||_2, with the constants of the analytic
+    # envelope check_bekk_model reports.  b_mat = L L^T, L lower triangular.
+    l11, l21, l22 = c[4:7]
+    m = BekkArch(f=AffineMap(((m11, c[7]), c[8:10]), c[10:12]), a_mat=(c[0:2], c[2:4]),
+                 b_mat=((l11 * l11, l11 * l21), (l21 * l11, l21 * l21 + l22 * l22)))
+    env = check_bekk_model(m).envelope
+    assert env.source == "analytic_bekk_frobenius"
+    b = np.array(m.b_mat)
+    assert env.a_g == max(math.sqrt(np.trace(b)), 1e-12)
+    assert env.b_g == max(frobenius_norm(m.a_mat), 1e-12)
+    x = np.array(states)
+    f, g = m.lane_terms(x)
+    nx = s_norms(x, 2.0, axis=1)
+    g_frobenius = np.array([frobenius_norm(gi) for gi in g])
+    assert np.all(g_frobenius <= (env.a_g + env.b_g * nx) * _SLACK)
+    assert np.all(s_norms(f, 2.0, axis=1) <= (env.a_f + env.b_f * nx) * _SLACK)
 
 
 def test_envelope_validation():

@@ -25,6 +25,11 @@ envelope, verdict and exit code are unchanged:
 
     report.json  40264c070b638b6faf2e0b0a23f8c11454bada7da47495743a44bf6088c52d51
               -> ab59538d1d73d3060cc05fb342efd553d153552fc40759f7df8825970650edb9
+
+bekk-demo-shell-s2 was frozen while BEKK lanes were still stepped, and shell
+samples still evaluated, one state at a time through eval_f and eval_g, before
+both moved to the lane form (lane_kernel / lane_terms); the lane form must
+reproduce the per-state envelope bit for bit.
 """
 
 import hashlib
@@ -88,9 +93,13 @@ GOLDEN = {
 # Name -> (config, exit code, report.json sha256).
 SHELL_S2 = {**builtin_configs()["example2-ergodic"],
             "checks": {"s": 2.0, "envelope": "shell"}}
+BEKK_SHELL_S2 = {**builtin_configs()["bekk-demo"],
+                 "checks": {"s": 2.0, "envelope": "shell"}}
 CHECK_GOLDEN = {
     "bekk-demo": (builtin_configs()["bekk-demo"], 2,
                   "73335c2898823d358a025cf1d4ffb577da713ba8e6c42233bb03e6b6e30bc359"),
+    "bekk-demo-shell-s2": (BEKK_SHELL_S2, 2,
+                           "29e69a3ef3e98ddbd2aed5254f03d945de49d30a5b5e8a74a816873947a34bee"),
     "example2-ergodic": (builtin_configs()["example2-ergodic"], 0,
                          "86061852e59bdeeff1429ae53600725566ab3e8d7a7c9d61242cf72cb6fe78c6"),
     "example2-ergodic-shell-s2": (SHELL_S2, 3,

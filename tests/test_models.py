@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergokit.models import (
@@ -196,6 +196,77 @@ def test_bekk_closed_form_root_examples():
         full = np.array([[1.0 + t * t, 1.0 + t * t], [1.0 + t * t, 1.0 + t * t]])
         assert g_determinant(m, (t, t)) == 0.0
         assert np.array_equal(eval_g(m, (t, t)), full / math.sqrt(np.trace(full)))
+
+
+def _model_of(family, c):
+    """A model of `family` built from 12 coefficients c.  BEKK's b_mat is
+    L L^T with L lower triangular from c[4:7]; "bekk-callable" wraps the same
+    affine mean in a plain function, which lane_terms calls once per row."""
+    if family == "threshold":
+        return ThresholdAffine2D(a=c[0:2], b_mat=(c[2:4], c[4:6]),
+                                 d_main=(c[6:8], c[8:10]), d_c=c[10:12],
+                                 d_const=(1.0, 1.0))
+    if family == "generic":
+        return GenericModel(
+            2, lambda x: np.tanh(c[0] * x) + c[1],
+            lambda x: np.array([[c[2], c[3] * x[0]], [c[4] * x[1], c[5]]]))
+    l11, l21, l22 = c[4:7]
+    affine = AffineMap((c[7:9], c[9:11]), (c[11], c[0]))
+    return BekkArch(
+        f=affine if family == "bekk" else (lambda x: affine(x)),
+        a_mat=(c[0:2], c[2:4]),
+        b_mat=((l11 * l11, l11 * l21), (l21 * l11, l21 * l21 + l22 * l22)),
+    )
+
+
+def _one_state_step(model, x, u):
+    """The step of one state from eval_f and eval_g.  The threshold kernel
+    sums f + g11 u1 + g12 u2 left to right, the order its golden hashes were
+    frozen with, which can differ from f + g @ u in the last bit."""
+    f, g = eval_f(model, x), eval_g(model, x)
+    if isinstance(model, ThresholdAffine2D):
+        return f + g[:, 0] * u[0] + g[:, 1] * u[1]
+    return f + g @ u
+
+
+_ID = [1.0, 0.0, 0.0, 1.0]
+_lane = st.tuples(*[st.floats(-1e6, 1e6)] * 2, *[st.floats(-5.0, 5.0)] * 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(("threshold", "bekk", "bekk-callable", "generic")),
+    c=st.lists(_coef, min_size=12, max_size=12),
+    lanes=st.lists(_lane, min_size=1, max_size=9),
+)
+# M = 0 (b_mat = 0 and x = 0) beside a regular lane: the t == 0 branch.
+@example(family="bekk", c=_ID + [0.0] * 8, lanes=[(0.0, 0.0, 1.0, -2.0), (1.0, 2.0, 0.5, 0.5)])
+# b_mat = [[1, 1], [1, 1]] and A = I: det M = 0 on the line L = {x1 = x2}.
+@example(family="bekk", c=_ID + [1.0, 1.0, 0.0] + [0.5] * 5,
+         lanes=[(2.5, 2.5, 1.0, -1.0), (-3.0, -3.0, 0.3, 0.2), (1e-8, 1e-8, 1.0, 1.0)])
+# Lanes that overflow to inf (and to nan inside the BEKK root).
+@example(family="bekk", c=_ID + [0.0] * 8, lanes=[(1e300, 0.0, 1.0, 1.0), (1e200, -1e200, 1.0, 1.0)])
+@example(family="bekk-callable", c=_ID + [1.0] * 8, lanes=[(1e300, 1e300, 1.0, 1.0)])
+@example(family="threshold", c=[2.0] * 12, lanes=[(1e308, 1e308, 1e308, 1.0), (-1.0, 2.0, 1.0, 1.0)])
+def test_lane_forms_match_one_state_evaluation(family, c, lanes):
+    m = _model_of(family, c)
+    block = np.array(lanes)
+    x, u = block[:, :2], block[:, 2:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = m.lane_kernel()(x, u)
+        f, g = m.lane_terms(x)
+        for i in range(len(x)):
+            assert np.array_equal(got[i], _one_state_step(m, x[i], u[i]), equal_nan=True)
+            assert np.array_equal(f[i], eval_f(m, x[i]), equal_nan=True)
+            assert np.array_equal(g[i], eval_g(m, x[i]), equal_nan=True)
+
+
+def test_lane_terms_default_validates_like_eval():
+    # A non-finite f on the second row raises, as eval_f does.
+    m = GenericModel(2, lambda x: np.full(2, math.inf if x[0] == 0.0 else 1.0),
+                     lambda x: np.eye(2))
+    with pytest.raises(ValueError):
+        m.lane_terms(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_classify_region_threshold():

@@ -192,8 +192,22 @@ def _ensemble(model, horizon, n_traj, seed, threshold, x0=(0.0, 0.0)):
     )
 
 
-@settings(max_examples=40, deadline=None)
+def _bekk_from(coefs, scale, affine_f):
+    """BEKK model with b_mat = L L^T (L lower triangular) and an affine mean,
+    given as an AffineMap or as a plain callable."""
+    c = [scale * v for v in coefs]
+    l11, l21, l22 = c[4:7]
+    f = AffineMap((c[7:9], c[9:11]), (c[11], c[0]))
+    return BekkArch(
+        f=f if affine_f else (lambda x: f(x)),
+        a_mat=(c[0:2], c[2:4]),
+        b_mat=((l11 * l11, l11 * l21), (l21 * l11, l21 * l21 + l22 * l22)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
 @given(
+    family=st.sampled_from(("threshold", "bekk", "bekk-callable")),
     coefs=st.lists(_unit, min_size=12, max_size=12),
     scale=st.sampled_from((0.3, 1.0, 40.0)),
     drawn_start=st.booleans(),
@@ -201,10 +215,14 @@ def _ensemble(model, horizon, n_traj, seed, threshold, x0=(0.0, 0.0)):
     n_traj=st.integers(1, 12),
     threshold=st.one_of(st.none(), st.floats(1.0, 1e12)),
 )
-def test_ensemble_lanes_are_single_paths(coefs, scale, drawn_start, seed, n_traj,
-                                         threshold):
+def test_ensemble_lanes_are_single_paths(family, coefs, scale, drawn_start, seed,
+                                         n_traj, threshold):
     x0 = (lambda rng: rng.uniform(-2.0, 2.0, 2)) if drawn_start else (0.5, -0.5)
-    cfg = _ensemble(_threshold_from(coefs, scale), 120, n_traj, seed, threshold, x0=x0)
+    if family == "threshold":
+        model = _threshold_from(coefs, scale)
+    else:
+        model = _bekk_from(coefs, scale, family == "bekk")
+    cfg = _ensemble(model, 120, n_traj, seed, threshold, x0=x0)
     _assert_lanes_are_paths(cfg, threshold)
 
 
@@ -278,10 +296,16 @@ def test_censored_lanes_are_not_stepped(threshold):
     assert summary.snapshots[-1].count == len(paths) - diverged
 
 
-def test_ensemble_calls_lane_kernel_once_per_step(monkeypatch):
+@pytest.mark.parametrize("model", [
+    make_threshold(),
+    BekkArch(f=AffineMap(((0.4, 0.0), (0.0, 0.4)), (1.0, 0.0)),
+             a_mat=((0.3, 0.0), (0.0, 0.3)), b_mat=((1.0, 1.0), (1.0, 1.0))),
+], ids=["threshold", "bekk"])
+def test_ensemble_calls_lane_kernel_once_per_step(monkeypatch, model):
     # Guards against a silent fallback to stepping paths one at a time.
     blocks = []
-    lane_kernel = ThresholdAffine2D.lane_kernel
+    family = type(model)
+    lane_kernel = family.lane_kernel
 
     def counting_lane_kernel(self):
         kernel = lane_kernel(self)
@@ -292,8 +316,8 @@ def test_ensemble_calls_lane_kernel_once_per_step(monkeypatch):
 
         return step
 
-    monkeypatch.setattr(ThresholdAffine2D, "lane_kernel", counting_lane_kernel)
-    cfg = _ensemble(make_threshold(), 100, 50, 8, None)
+    monkeypatch.setattr(family, "lane_kernel", counting_lane_kernel)
+    cfg = _ensemble(model, 100, 50, 8, None)
     paths = run_trajectories(cfg)
     assert blocks == [(50, 2)] * 100
     assert all(p.states.shape == (101, 2) for p in paths)
