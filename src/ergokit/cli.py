@@ -42,7 +42,7 @@ from .ergodicity import (
 )
 from .models import ThresholdAffine2D
 from .noise import Expol2, StdGaussian, abs_moment
-from .simulate import aggregate_ensemble, run_trajectories
+from .simulate import aggregate_ensemble, run_trajectories, simulate_ensemble
 
 _EXIT_BY_VERDICT = {VERDICT_MET: 0, VERDICT_FAILED: 2, VERDICT_INCONCLUSIVE: 3}
 
@@ -158,15 +158,20 @@ def _write_simulation_artifacts(out_dir, parsed, doc, threads):
     cfg = parsed["simulation"]
     cfg_hash = config_hash(doc)
     os.makedirs(out_dir, exist_ok=True)
-    paths = run_trajectories(cfg, threads=threads)
-    summary = aggregate_ensemble(cfg, paths)
+    # Whole paths are kept only for the trajectory dump; a larger run streams.
+    paths = None
+    if cfg.n_traj * (cfg.horizon + 1) <= _TRAJECTORY_DUMP_ROW_CAP:
+        paths = run_trajectories(cfg, threads=threads)
+        summary = aggregate_ensemble(cfg, paths)
+    else:
+        summary = simulate_ensemble(cfg, threads=threads)
     report = _build_report(parsed)
 
     write_text_atomic(
         os.path.join(out_dir, "snapshots.csv"),
         _snapshot_csv(summary, cfg.master_seed, cfg_hash),
     )
-    if cfg.n_traj * (cfg.horizon + 1) <= _TRAJECTORY_DUMP_ROW_CAP:
+    if paths is not None:
         write_text_atomic(
             os.path.join(out_dir, "trajectories.csv"),
             _trajectory_csv(paths, cfg.master_seed, cfg_hash),

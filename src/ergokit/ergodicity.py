@@ -84,10 +84,10 @@ class DriftEnvelope:
             raise ValueError("envelope constants must be finite")
         if self.s <= 0:
             raise ValueError("s must be positive")
-        if self.a_f < 0:
-            raise ValueError("a_f must be nonnegative")
-        if min(self.b_f, self.a_g, self.b_g, self.m_ball) <= 0:
-            raise ValueError("b_f, a_g, b_g and M must be strictly positive")
+        if min(self.a_f, self.b_f) < 0:
+            raise ValueError("a_f and b_f must be nonnegative")
+        if min(self.a_g, self.b_g, self.m_ball) <= 0:
+            raise ValueError("a_g, b_g and M must be strictly positive")
         if self.source not in _ENVELOPE_SOURCES:
             raise ValueError(f"unknown envelope source {self.source!r}")
 
@@ -154,8 +154,9 @@ def threshold_envelope(model):
         s=1.0,
         a_f=abs(a1) + abs(a2),
         b_f=max(abs(b11) + abs(b21), abs(b12) + abs(b22)),
-        a_g=abs(d41) + abs(d42),
-        b_g=max(abs(d11) + abs(d21), abs(d31), abs(d32), abs(d12) + abs(d22)),
+        a_g=max(abs(d41) + abs(d42), _ENVELOPE_FLOOR),
+        b_g=max(abs(d11) + abs(d21), abs(d31), abs(d32), abs(d12) + abs(d22),
+                _ENVELOPE_FLOOR),
         m_ball=1.0,
         source=SOURCE_ANALYTIC_THRESHOLD,
     )

@@ -1,11 +1,15 @@
 """Noise distributions: exact densities, rejection sampling, absolute moments.
 
 Every sampling routine takes a caller-owned numpy Generator; nothing in this
-module holds generator state, so distinct generators may be used from any
-number of threads.  The one-time normalization constants are cached with
-compute-once semantics and are bit-stable because the quadrature refinement
-rule is deterministic.  Two-dimensional moments (s > 1) use a fixed tensor
-Gauss-Legendre rule on graded panels, so they involve no refinement at all.
+module holds generator state beyond the draw sources a caller asks for, so
+distinct generators may be used from any number of threads.  A draw source
+hands out the draws of one sample in pieces, bit-identical to drawing the
+sample at once; Expol2 sources replay the rejection rounds piece by piece, so
+they hold O(piece) draws rather than the whole sample.  The one-time
+normalization constants are cached with compute-once semantics and are
+bit-stable because the quadrature refinement rule is deterministic.
+Two-dimensional moments (s > 1) use a fixed tensor Gauss-Legendre rule on
+graded panels, so they involve no refinement at all.
 """
 
 import functools
@@ -37,6 +41,12 @@ _GL_NODES = 32
 
 _MAX_PROPOSALS_PER_DRAW = 10 ** 6
 
+# A rejection round of at most this many proposals is drawn whole from the one
+# generator; a larger round that a piece does not use up is split (see
+# _Expol2Stream).  Smaller rounds would split more often, each split costing
+# a generator copy; larger ones would leave more accepted values waiting.
+_WHOLE_ROUND = 2048
+
 
 class _NoiseSpec:
     """Defaults for noise laws without a separable density or closed forms."""
@@ -49,6 +59,10 @@ class _NoiseSpec:
 
     def analytic_abs_moment(self, s):
         raise ValueError("analytic moments are available only for gaussian noise")
+
+    def draw_source(self, rng, count):
+        """Draw source over the whole sample, drawn at once."""
+        return _SampleSlices(self.sample(rng, count))
 
 
 @dataclass(frozen=True)
@@ -63,6 +77,10 @@ class StdGaussian(_NoiseSpec):
 
     def sample(self, rng, count):
         return rng.standard_normal((count, self.dim))
+
+    def draw_source(self, rng, count):
+        # standard_normal gives the same values in pieces as in one call.
+        return _GaussianDraws(count, rng, self.dim)
 
     def density(self, x):
         return float(
@@ -101,6 +119,9 @@ class Expol2(_NoiseSpec):
     def sample(self, rng, count):
         flat, _ = _rejection_sample_expol2(rng, 2 * count)
         return flat.reshape(count, 2)
+
+    def draw_source(self, rng, count):
+        return _Expol2Stream(rng, count, 2)
 
     def density(self, x):
         z = _expol2_z()
@@ -275,29 +296,135 @@ def _custom_z(spec):
     raise ValueError("density normalization is supported only for dim <= 2")
 
 
+class _DrawSource:
+    """The draws of one sample of `count` rows, handed out in pieces:
+    take(m) returns the next m rows, and the pieces concatenate bit for bit
+    to the sample drawn at once."""
+
+    def __init__(self, count):
+        self.left = count
+
+    def take(self, m):
+        if not 1 <= m <= self.left:
+            raise ValueError(f"cannot take {m} draws with {self.left} left")
+        rows = self._next(m)
+        self.left -= m
+        return rows
+
+
+class _SampleSlices(_DrawSource):
+    """Draw source over a sample drawn whole up front."""
+
+    def __init__(self, draws):
+        super().__init__(len(draws))
+        self._draws = draws
+
+    def _next(self, m):
+        start = len(self._draws) - self.left
+        return self._draws[start:start + m]
+
+
+class _GaussianDraws(_DrawSource):
+    """Draw source of standard normal rows, drawn piece by piece."""
+
+    def __init__(self, count, rng, dim):
+        super().__init__(count)
+        self._rng = rng
+        self._dim = dim
+
+    def _next(self, m):
+        return self._rng.standard_normal((m, self._dim))
+
+
+class _Expol2Stream(_DrawSource):
+    """Rows of `width` Expol2 coordinates, the values of
+    _rejection_sample_expol2(rng, count * width) handed out in pieces.
+
+    A round of k proposals reads k proposal uniforms and then k acceptance
+    uniforms from the generator, one 64-bit output per uniform, and the next
+    round starts where they end.  A round drawn whole reads both from one
+    generator, as the one-shot sampler does.  A round too large to draw whole
+    that this piece does not use up is split: its acceptance uniforms come
+    from a copy advanced past the k proposals, both are read a chunk at a
+    time, and when the round is used up the copy, which then stands where
+    the round ends, becomes the generator (and the old one the spare for
+    the next copy).  Accepted values a piece does not need wait in
+    `_ready`, so a source holds O(piece) values.
+    """
+
+    def __init__(self, rng, count, width):
+        super().__init__(count)
+        self._width = width
+        self._total = count * width
+        self._rng = rng
+        self._accept = rng  # the acceptance-uniform generator of the round
+        self._spare = None  # a generator free to become the next copy
+        self._round_left = 0  # proposals of the round not yet read
+        self._filled = 0  # values accepted so far
+        self._ready = np.empty(0)
+        self.proposals = 0
+
+    def _next(self, m):
+        need = m * self._width
+        out = np.empty(need)
+        got = 0
+        while True:
+            n = min(self._ready.size, need - got)
+            out[got:got + n] = self._ready[:n]
+            self._ready = self._ready[n:]
+            got += n
+            if got == need:
+                # A copy, so that the chunk the values came from is freed.
+                self._ready = self._ready.copy()
+                return out.reshape(m, self._width)
+            self._propose(need - got)
+
+    def _propose(self, need):
+        """Read the next chunk of proposals into `_ready`, which is empty;
+        `need` more values are wanted by this piece."""
+        if not self._round_left:
+            k = self._total - self._filled
+            self._round_left = k
+            self.proposals += k
+            # With need == k this piece takes every value still to come, so
+            # it uses the round up.  advance(k) skips exactly k 64-bit
+            # outputs on these bit generators.
+            bits = self._rng.bit_generator
+            advanceable = (np.random.PCG64, np.random.PCG64DXSM)
+            if k > _WHOLE_ROUND and need < k and isinstance(bits, advanceable):
+                if self._spare is None:
+                    self._spare = np.random.Generator(type(bits)(0))
+                self._accept, self._spare = self._spare, None
+                self._accept.bit_generator.state = bits.state
+                self._accept.bit_generator.advance(k)
+        k = self._round_left
+        if self._accept is not self._rng:
+            # About a third of the proposals are accepted (Z / 6 = 0.329).
+            k = min(k, 3 * need + 256)
+        u = self._rng.uniform(-EXPOL2_BOX, EXPOL2_BOX, k)
+        v = self._accept.uniform(0.0, 1.0, k)
+        self._ready = u[v <= _expol2_unnormalized(u)]
+        self._filled += self._ready.size
+        self._round_left -= k
+        if not self._round_left:
+            if self._accept is not self._rng:
+                self._rng, self._spare = self._accept, self._rng
+            if self.proposals > _MAX_PROPOSALS_PER_DRAW * self._total:
+                raise ValueError("rejection sampler exceeded the proposal budget")
+
+
 def _rejection_sample_expol2(rng, count):
     """Draw `count` scalar Expol2 coordinates; returns (values, n_proposals).
 
     Per round, one batch of uniform proposals on [-3, 3] and one batch of
     acceptance uniforms are drawn; accepted values fill the output in
     proposal order.  The per-round batch size equals the number of slots
-    still unfilled, which makes the draw order deterministic.
+    still unfilled, which makes the draw order deterministic.  This is the
+    one-shot form of _Expol2Stream: one piece of every value, so each round
+    is drawn whole.
     """
-    out = np.empty(count)
-    filled = 0
-    proposals = 0
-    while filled < count:
-        k = count - filled
-        u = rng.uniform(-EXPOL2_BOX, EXPOL2_BOX, k)
-        v = rng.uniform(0.0, 1.0, k)
-        proposals += k
-        accepted = u[v <= _expol2_unnormalized(u)]
-        n = accepted.size
-        out[filled:filled + n] = accepted
-        filled += n
-        if proposals > _MAX_PROPOSALS_PER_DRAW * count:
-            raise ValueError("rejection sampler exceeded the proposal budget")
-    return out, proposals
+    stream = _Expol2Stream(rng, count, 1)
+    return stream.take(count).ravel(), stream.proposals
 
 
 def _rejection_sample_custom(spec, rng, count):
@@ -334,6 +461,20 @@ def sample(spec, rng, count):
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return spec.sample(rng, count)
+
+
+def draw_source(spec, rng, count):
+    """A source of the draws of sample(spec, rng, count), in pieces.
+
+    source.take(m) returns the next m draws as an (m, dim) array, and pieces
+    taken in any sizes that add up to count concatenate bit for bit to
+    sample(spec, rng, count).  Expol2 and Gaussian sources hold O(m) draws;
+    other laws are sampled whole when the source is made.  The source draws
+    from rng, which it leaves at an unspecified position.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return spec.draw_source(rng, count)
 
 
 def density(spec, x):

@@ -7,15 +7,24 @@ live trajectories ("lanes") with one call of the family's lane kernel per
 step; a single path is a one-lane run of it.  Diverged trajectories are
 censored at their first offending step, never stepped again, and excluded
 from later snapshot statistics while staying in the divergence counts.
+
+Memory: run_trajectories and simulate_path keep whole paths, so they hold
+O(n_traj * horizon) states.  simulate_ensemble runs the same recurrence in
+blocks of _BLOCK_STEPS steps, with each lane's draws taken block by block
+from a noise draw source, and keeps only the snapshot rows and divergence
+steps, so it holds O(n_traj * _BLOCK_STEPS) states whatever the horizon
+(BoundedCustomDensity noise still draws each lane's whole sample at once).
+Both give bit-identical results.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .noise import sample
+from .noise import draw_source, sample
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -23,6 +32,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e9
+
+# Time steps per block of a run that keeps no whole paths.
+_BLOCK_STEPS = 1024
 
 
 def mix64(master_seed, index):
@@ -99,7 +111,9 @@ class PathResult:
     A non-finite state truncates the path before the offending step; a
     finite state beyond the divergence threshold is kept as the last row.
     In both cases `divergence_step` is the first offending t.  `states` may
-    be a view into a buffer shared with the other paths of its ensemble.
+    be a view into a buffer shared with the other paths of its ensemble, so
+    an ensemble of PathResults holds O(n_traj * horizon) states; an ensemble
+    summary that needs no whole paths comes from simulate_ensemble instead.
     """
 
     states: np.ndarray
@@ -163,32 +177,49 @@ def simulate_path(model, noise_spec, x0, horizon, seed,
                       divergence_threshold)[0]
 
 
+def _seeds(cfg):
+    return [mix64(cfg.master_seed, i) for i in range(cfg.n_traj)]
+
+
 def run_trajectories(cfg, threads=1):
     """All ensemble paths in index order, stepped together; `threads` is
-    accepted and changes no result."""
-    seeds = [mix64(cfg.master_seed, i) for i in range(cfg.n_traj)]
-    return _run_lanes(cfg.model, cfg.noise, cfg.x0, cfg.horizon, seeds,
+    accepted and changes no result.  Whole paths are kept, so this holds
+    O(n_traj * horizon) states; simulate_ensemble does not."""
+    return _run_lanes(cfg.model, cfg.noise, cfg.x0, cfg.horizon, _seeds(cfg),
                       cfg.divergence_threshold)
 
 
-def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold):
+def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
+               snapshot_times=None):
     """One path per seed, with the censoring rules of `simulate_path`.
 
     Each lane draws from its own stream: its start when x0 is callable, then
-    all horizon draws.  Lane i lives in buf[i]: row 0 is its start, row t
-    holds draw t-1 until step t overwrites it with state t, and its states
-    are a view of the rows it keeps.
+    its horizon draws, taken one block of steps at a time.  Lane i lives in
+    buf[i]: row 0 is its start, and row s holds the block's draw s-1 until
+    step s overwrites it with the state.
+
+    Without snapshot_times the block is the whole horizon, and the result is
+    one PathResult per seed, whose states are a view of the rows it keeps.
+    With them, blocks are _BLOCK_STEPS long and nothing else of a path is
+    kept: the result is (snapshot samples, divergence steps), where sample k
+    holds the states at snapshot_times[k] of the lanes still live then, in
+    lane order.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    keep_paths = snapshot_times is None
+    block = horizon if keep_paths else min(horizon, _BLOCK_STEPS)
     n = len(seeds)
-    buf = np.empty((n, horizon + 1, model.dim))
+    buf = np.empty((n, block + 1, model.dim))
+    takes = []
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         start = x0(rng) if callable(x0) else x0
         _check_dims(model, noise_spec, start)
         buf[i, 0] = start
-        buf[i, 1:] = sample(noise_spec, rng, horizon)
+        # A block as long as the horizon takes every draw in one call.
+        takes.append(partial(sample, noise_spec, rng) if block == horizon
+                     else draw_source(noise_spec, rng, horizon).take)
     kernel = model.lane_kernel()
     threshold = math.inf if divergence_threshold is None else divergence_threshold
     # A lane passes unexamined while its l1 norm is at most `limit`; a
@@ -199,31 +230,45 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold):
     lanes = np.arange(n)
     live = slice(None)  # indexes the live lanes of buf; all of them at first
     x = buf[:, 0].copy()
+    snapshot_at = {t: k for k, t in enumerate(snapshot_times or ())}
+    samples = [np.empty((0, model.dim))] * len(snapshot_at)
+    if 0 in snapshot_at:
+        samples[snapshot_at[0]] = x.copy()
     # Overflow to inf is the designed divergence signal here, not an anomaly.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, horizon + 1):
-            x = kernel(x, buf[live, t])
-            buf[live, t] = x
-            # The l1 norm summed left to right over the coordinates, which
-            # np.sum does not promise.
-            a = np.abs(x)
-            l1 = a[:, 0]
-            for j in range(1, a.shape[1]):
-                l1 = l1 + a[:, j]
-            if (l1 <= limit).all():
-                continue
-            # A finite state whose norm alone overflows lives on.
-            truncated = ~np.all(np.isfinite(x), axis=1)
-            kept = ~truncated & (l1 > threshold)
-            dead = np.flatnonzero(truncated | kept)
-            for j in dead:
-                rows[lanes[j]] = t + int(kept[j])
-                bad_steps[lanes[j]] = t
-            if len(dead):
-                lanes = live = np.delete(lanes, dead)
-                x = np.delete(x, dead, axis=0)
-                if not len(lanes):
-                    break
+        for t0 in range(0, horizon, block):
+            steps = min(block, horizon - t0)
+            for i in lanes:
+                buf[i, 1:steps + 1] = takes[i](steps)
+            for s in range(1, steps + 1):
+                t = t0 + s
+                x = kernel(x, buf[live, s])
+                buf[live, s] = x
+                # The l1 norm summed left to right over the coordinates,
+                # which np.sum does not promise.
+                a = np.abs(x)
+                l1 = a[:, 0]
+                for j in range(1, a.shape[1]):
+                    l1 = l1 + a[:, j]
+                if not (l1 <= limit).all():
+                    # A finite state whose norm alone overflows lives on.
+                    truncated = ~np.all(np.isfinite(x), axis=1)
+                    kept = ~truncated & (l1 > threshold)
+                    dead = np.flatnonzero(truncated | kept)
+                    for j in dead:
+                        rows[lanes[j]] = t + int(kept[j])
+                        bad_steps[lanes[j]] = t
+                    if len(dead):
+                        lanes = live = np.delete(lanes, dead)
+                        x = np.delete(x, dead, axis=0)
+                        if not len(lanes):
+                            break
+                if t in snapshot_at:
+                    samples[snapshot_at[t]] = x.copy()
+            if not len(lanes):
+                break
+    if not keep_paths:
+        return tuple(samples), tuple(bad_steps)
     return tuple(
         PathResult(
             states=buf[i, :rows[i]],
@@ -269,25 +314,37 @@ def _snapshot_stats(time, rows):
     )
 
 
-def aggregate_ensemble(cfg, paths):
-    """Gather-then-reduce in index order so aggregation is order-free."""
-    samples = tuple(_snapshot_rows(paths, t) for t in cfg.snapshot_times)
-    snapshots = tuple(
-        _snapshot_stats(t, rows) for t, rows in zip(cfg.snapshot_times, samples)
-    )
-    steps = tuple(p.divergence_step for p in paths)
+def _summary(cfg, samples, steps):
     return EnsembleSummary(
         n_traj=cfg.n_traj,
-        snapshots=snapshots,
+        snapshots=tuple(
+            _snapshot_stats(t, rows) for t, rows in zip(cfg.snapshot_times, samples)
+        ),
         snapshot_samples=samples,
         diverged_count=sum(1 for s in steps if s is not None),
         divergence_steps=steps,
     )
 
 
+def aggregate_ensemble(cfg, paths):
+    """Gather-then-reduce in index order so aggregation is order-free."""
+    samples = tuple(_snapshot_rows(paths, t) for t in cfg.snapshot_times)
+    return _summary(cfg, samples, tuple(p.divergence_step for p in paths))
+
+
 def simulate_ensemble(cfg, threads=1):
-    """Ensemble summary as a pure function of the configuration."""
-    return aggregate_ensemble(cfg, run_trajectories(cfg, threads=threads))
+    """Ensemble summary as a pure function of the configuration.
+
+    Equal to aggregate_ensemble(cfg, run_trajectories(cfg)), but the lanes
+    advance in blocks of _BLOCK_STEPS steps and keep only their snapshot
+    rows and divergence steps, so the ensemble holds O(n_traj * _BLOCK_STEPS)
+    states whatever its horizon.  `threads` is accepted and changes no
+    result.
+    """
+    samples, steps = _run_lanes(cfg.model, cfg.noise, cfg.x0, cfg.horizon,
+                                _seeds(cfg), cfg.divergence_threshold,
+                                cfg.snapshot_times)
+    return _summary(cfg, samples, steps)
 
 
 def snapshot_distance(sample_a, sample_b):

@@ -51,6 +51,38 @@ def test_check_exit_codes(tmp_path, capsys):
     assert main(["check", bekk]) == 2
 
 
+def _with_model(name, path, value):
+    doc = {k: v for k, v in builtin_configs()[name].items() if k != "notes"}
+    model = doc["model"] = json.loads(json.dumps(doc["model"]))
+    for key in path[:-1]:
+        model = model[key]
+    model[path[-1]] = value
+    return doc
+
+
+_ZERO = [[0.0, 0.0], [0.0, 0.0]]
+
+
+# A zero mean matrix gives b_f = 0 and a zero constant volatility column
+# a_g = 0, both valid bounds; check reports the verdict instead of failing
+# on the envelope.
+@pytest.mark.parametrize("doc, code, b_f", [
+    # gamma = 0 + 0.25 * E||e||_1 < 1, and the structural checks pass.
+    (_with_model("example2-ergodic", ("B",), _ZERO), 0, 0.0),
+    # coefexpol fails with D_const = 0; a_g is floored at 1e-12.
+    (_with_model("example2-ergodic", ("D_const",), [0.0, 0.0]), 2, 0.4),
+    # gamma = 0 + sqrt(2) * E||e||_2 >= 1.
+    (_with_model("bekk-demo", ("f", "B"), _ZERO), 2, 0.0),
+], ids=["threshold-B0", "threshold-D_const0", "bekk-fB0"])
+def test_check_accepts_zero_envelope_coefficients(tmp_path, capsys, doc, code, b_f):
+    assert main(["check", write_config(tmp_path, doc)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["envelope"]["b_f"] == b_f
+    assert report["envelope"]["a_g"] > 0.0
+
+
 def test_check_shell_envelope_is_inconclusive(tmp_path, capsys):
     doc = small_threshold_doc()
     doc["checks"] = {"s": 1.0, "envelope": "shell"}

@@ -129,7 +129,11 @@ def test_user_envelope_parsing():
     assert isinstance(env, DriftEnvelope)
     assert env.source == "user_supplied"
     assert env.b_g == 0.25
-    bad = {**env_doc, "b_f": 0.0}
+    # b_f = 0 (a zero mean matrix) is a valid bound; a negative one is not.
+    zero_bf = {**env_doc, "b_f": 0.0}
+    parsed = validate_config({**doc, "checks": {"s": 1.0, "envelope": zero_bf}})
+    assert parsed["checks"]["envelope"].b_f == 0.0
+    bad = {**env_doc, "b_f": -0.1}
     with pytest.raises(ConfigError, match=r"\$\.checks\.envelope"):
         validate_config({**doc, "checks": {"s": 1.0, "envelope": bad}})
     with pytest.raises(ConfigError, match=r"\$\.checks\.envelope"):

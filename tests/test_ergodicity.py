@@ -101,8 +101,8 @@ def test_threshold_envelope_is_global_bound():
 # Rounding slack of the envelope inequalities on lane blocks.
 _SLACK = 1.0 + 1e-12
 _coef = st.floats(-2.0, 2.0, allow_nan=False)
-# Coefficients that keep b_f, a_g and b_g of the analytic envelopes positive.
-_lead = st.tuples(*[st.floats(0.01, 2.0)] * 3)
+# b11, d11 and d41; zero ones can make b_f, a_g and b_g zero.
+_lead = st.tuples(*[st.floats(0.0, 2.0)] * 3)
 _states = st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
                    min_size=1, max_size=16)
 _C_EDGES = [(0.0, 0.0), (-1.0, -2.0), (0.0, 3.0), (3.0, 0.0), (-0.0, -5.0), (1e6, -1e6)]
@@ -112,6 +112,8 @@ _C_EDGES = [(0.0, 0.0), (-1.0, -2.0), (0.0, 3.0), (3.0, 0.0), (-0.0, -5.0), (1e6
 @given(lead=_lead, c=st.lists(_coef, min_size=11, max_size=11), states=_states)
 @example(lead=(0.2, 0.1, 1.0), c=[1.0, -1.0, 0.1, 0.1, 0.3, -0.15, -0.15, 0.1, 0.2, -0.25, 1.0],
          states=_C_EDGES)
+# Zero mean and zero volatility coefficients: b_f = 0, a_g and b_g floored.
+@example(lead=(0.0, 0.0, 0.0), c=[0.0] * 11, states=_C_EDGES)
 def test_threshold_envelope_holds_on_lane_blocks(lead, c, states):
     # s = 1: ||f(x)||_1 <= a_f + b_f ||x||_1 and the induced 1-norm bound of
     # g(x) is at most a_g + b_g ||x||_1, at every state.  lead holds b11,
@@ -129,8 +131,11 @@ def test_threshold_envelope_holds_on_lane_blocks(lead, c, states):
 
 
 @settings(max_examples=200, deadline=None)
-@given(m11=st.floats(0.01, 2.0), c=st.lists(_coef, min_size=12, max_size=12),
+@given(m11=st.floats(0.0, 2.0), c=st.lists(_coef, min_size=12, max_size=12),
        states=_states)
+# A zero mean matrix: b_f = 0.
+@example(m11=0.0, c=[1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+         states=[(2.5, 2.5), (0.0, 0.0), (1.0, -1.0)])
 # b_mat = [[1, 1], [1, 1]] with A = I: det M = 0 on the line x1 = x2.
 @example(m11=0.4, c=[1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.4, 1.0, 0.0],
          states=[(2.5, 2.5), (-1e6, -1e6), (0.0, 0.0), (1.0, -1.0)])
@@ -160,9 +165,17 @@ def test_bekk_envelope_holds_on_lane_blocks(m11, c, states):
 
 
 def test_envelope_validation():
+    # b_f = 0 is a valid bound (a zero mean matrix); a negative b_f and a
+    # zero a_g, b_g or M are not.
+    DriftEnvelope(s=1.0, a_f=0.0, b_f=0.0, a_g=1.0, b_g=1.0, m_ball=1.0,
+                  source="user_supplied")
     with pytest.raises(ValueError):
-        DriftEnvelope(s=1.0, a_f=0.0, b_f=0.0, a_g=1.0, b_g=1.0, m_ball=1.0,
+        DriftEnvelope(s=1.0, a_f=0.0, b_f=-0.1, a_g=1.0, b_g=1.0, m_ball=1.0,
                       source="user_supplied")
+    for zero in ("a_g", "b_g", "m_ball"):
+        constants = dict(a_f=0.0, b_f=0.5, a_g=1.0, b_g=1.0, m_ball=1.0)
+        with pytest.raises(ValueError):
+            DriftEnvelope(s=1.0, **{**constants, zero: 0.0}, source="user_supplied")
     with pytest.raises(ValueError):
         DriftEnvelope(s=0.0, a_f=0.0, b_f=0.5, a_g=1.0, b_g=1.0, m_ball=1.0,
                       source="user_supplied")

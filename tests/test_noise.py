@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ergokit import noise
 from ergokit.noise import (
     BoundedCustomDensity,
     Expol2,
@@ -11,7 +14,9 @@ from ergokit.noise import (
     abs_moment,
     adaptive_simpson,
     density,
+    draw_source,
     sample,
+    _Expol2Stream,
     _expol2_z,
     _gauss_legendre,
     _rejection_sample_expol2,
@@ -115,6 +120,131 @@ def test_rejection_guard_trips_for_misconfigured_density():
     )
     with pytest.raises(ValueError):
         sample(spec, np.random.default_rng(0), 1)
+    with pytest.raises(ValueError):
+        draw_source(spec, np.random.default_rng(0), 1)
+
+
+def test_rejection_guard_trips_for_a_density_above_its_envelope():
+    spec = BoundedCustomDensity(
+        dim=1,
+        log_unnormalized_density=lambda x: 1.0,
+        box_halfwidth=1.0,
+        envelope_constant=1.0,
+    )
+    for draw in (sample, draw_source):
+        with pytest.raises(ValueError, match="exceeds the declared envelope"):
+            draw(spec, np.random.default_rng(0), 10)
+
+
+def _reference_expol2(rng, count):
+    """The Expol2 rejection loop as written before draw sources: (values,
+    proposals, values accepted by the end of each round)."""
+    out = np.empty(count)
+    filled = 0
+    proposals = 0
+    ends = []
+    while filled < count:
+        k = count - filled
+        u = rng.uniform(-3.0, 3.0, k)
+        v = rng.uniform(0.0, 1.0, k)
+        proposals += k
+        t = u * u - 1.0
+        accepted = u[v <= np.exp(-(t * t))]
+        out[filled:filled + accepted.size] = accepted
+        filled += accepted.size
+        ends.append(filled)
+    return out, proposals, ends
+
+
+def _generator(seed, start):
+    """A fresh generator, or one that first drew a start the way a callable
+    x0 does, or a 32-bit integer (which leaves half an output buffered)."""
+    rng = np.random.default_rng(seed)
+    if start == "uniform":
+        rng.uniform(-2.0, 2.0, 2)
+    elif start == "int32":
+        rng.integers(0, 10, dtype=np.int32)
+    return rng
+
+
+def _pieces(take, cuts, count):
+    edges = [0, *sorted(set(cuts)), count]
+    return [take(b - a) for a, b in zip(edges, edges[1:]) if b > a]
+
+
+_seeds = st.integers(0, 2 ** 63)
+_starts = st.sampled_from(("none", "uniform", "int32"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(1, 12000), seed=_seeds, start=_starts,
+       data=st.data(), at_round_ends=st.booleans())
+# Rounds of more than _WHOLE_ROUND proposals are split across a piece.
+@example(count=9000, seed=5, start="int32", data=None, at_round_ends=True)
+def test_expol2_stream_replays_the_rejection_rounds(count, seed, start, data,
+                                                    at_round_ends):
+    want, proposals, ends = _reference_expol2(_generator(seed, start), count)
+    values, got_proposals = _rejection_sample_expol2(_generator(seed, start), count)
+    assert np.array_equal(values, want)
+    assert got_proposals == proposals
+    if data is None:
+        cuts = [1, 2, 1000, 4095, 4096, 4097, count - 1]
+    else:
+        cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
+    if at_round_ends:
+        # Pieces that end exactly where a round's values end, or one off.
+        cuts += [e + d for e in ends for d in (-1, 0, 1)]
+    cuts = [c for c in cuts if 0 < c < count]
+    stream = _Expol2Stream(_generator(seed, start), count, 1)
+    pieces = _pieces(stream.take, cuts, count)
+    assert np.array_equal(np.concatenate(pieces).ravel(), want)
+    assert stream.proposals == proposals
+
+
+_SOURCE_SPECS = {
+    "expol2": Expol2(),
+    "gaussian": StdGaussian(3),
+    "custom": BoundedCustomDensity(
+        dim=2, log_unnormalized_density=lambda x: -abs(float(x[0])) - abs(float(x[1])),
+        box_halfwidth=2.0, envelope_constant=1.0,
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_SOURCE_SPECS)), count=st.integers(1, 6000),
+       seed=_seeds, start=_starts, data=st.data())
+def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, data):
+    spec = _SOURCE_SPECS[name]
+    if name == "custom":
+        count = min(count, 400)  # its density runs in Python, row by row
+    want = sample(spec, _generator(seed, start), count)
+    cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
+    if name == "expol2":
+        # Pieces that end on a round boundary, in whole draws of 2 values.
+        _, _, ends = _reference_expol2(_generator(seed, start), 2 * count)
+        cuts += [e // 2 for e in ends] + [(e + 1) // 2 for e in ends]
+    cuts = [c for c in cuts if 0 < c < count]
+    source = draw_source(spec, _generator(seed, start), count)
+    got = np.concatenate(_pieces(source.take, cuts, count))
+    assert got.shape == want.shape == (count, spec.dim)
+    assert np.array_equal(got, want)
+    assert source.left == 0
+    with pytest.raises(ValueError, match="cannot take"):
+        source.take(1)
+
+
+def test_expol2_stream_keeps_the_proposal_budget(monkeypatch):
+    # With a budget of one proposal per value, the second round exceeds it;
+    # the stream raises at the end of that round, as the one-shot sampler
+    # does, also when the round is split across pieces.
+    monkeypatch.setattr(noise, "_MAX_PROPOSALS_PER_DRAW", 1)
+    with pytest.raises(ValueError, match="proposal budget"):
+        sample(Expol2(), np.random.default_rng(3), 5000)
+    source = draw_source(Expol2(), np.random.default_rng(3), 5000)
+    with pytest.raises(ValueError, match="proposal budget"):
+        for _ in range(50):
+            source.take(100)
 
 
 def test_custom_density_sampling_and_normalization():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ergokit.models import AffineMap, BekkArch, GenericModel, ThresholdAffine2D, step
 from ergokit.noise import Expol2, StdGaussian, sample
 from ergokit.simulate import (
+    _BLOCK_STEPS,
     SimulationConfig,
     aggregate_ensemble,
     estimate_stationary_moments,
@@ -321,6 +323,111 @@ def test_ensemble_calls_lane_kernel_once_per_step(monkeypatch, model):
     paths = run_trajectories(cfg)
     assert blocks == [(50, 2)] * 100
     assert all(p.states.shape == (101, 2) for p in paths)
+    # A streamed run steps every lane at every step too: blocks of time
+    # steps never split the lanes.
+    blocks.clear()
+    horizon = 2 * _BLOCK_STEPS + 100
+    summary = simulate_ensemble(_ensemble(model, horizon, 50, 8, None))
+    assert summary.diverged_count == 0
+    assert blocks == [(50, 2)] * horizon
+
+
+# Lane kinds of the streamed-ensemble test, by the first coordinate of the
+# start: 0.5 stays put; -d counts up to 0 and turns non-finite at step d + 1
+# (truncated there); c >= 1 counts up and crosses the threshold 1100.5 at
+# step 1101 - c (kept there); 1e9 turns non-finite at step 1.  The second
+# coordinate follows the noise scaled by 1e-3, so it never decides a
+# crossing.
+_B = _BLOCK_STEPS
+_STARTS = (0.5, -(_B - 2.0), -(_B - 1.0), -float(_B), 1102.0 - _B, 1101.0 - _B,
+           1100.0 - _B, 1.0e9)
+
+
+def _counter_step(x):
+    x1 = x[0]
+    if x1 == 0.5:
+        return np.array([0.5, 0.5 * x[1]])
+    if x1 > 1e8:
+        return np.array([math.nan, 0.0])
+    return np.array([x1 + 1.0 if x1 < 0.0 or x1 >= 1.0 else math.nan, 0.5 * x[1]])
+
+
+_COUNTER = GenericModel(2, _counter_step, lambda x: np.diag((0.0, 1e-3)))
+
+
+def _assert_same_summary(got, want):
+    assert got.n_traj == want.n_traj
+    assert got.divergence_steps == want.divergence_steps
+    assert got.diverged_count == want.diverged_count
+    # repr tells every float apart and gives nan == nan (empty snapshots).
+    assert repr(got.snapshots) == repr(want.snapshots)
+    assert len(got.snapshot_samples) == len(want.snapshot_samples)
+    for a, b in zip(got.snapshot_samples, want.snapshot_samples):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("noise", [Expol2(), StdGaussian(2)], ids=["expol2", "gaussian"])
+def test_streamed_ensemble_matches_whole_paths(noise):
+    cfg = SimulationConfig(
+        model=_COUNTER, noise=noise,
+        x0=lambda rng: (rng.choice(_STARTS), rng.uniform(-1.0, 1.0)),
+        horizon=2 * _B + 52, n_traj=40,
+        snapshot_times=(0, 1, _B - 2, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 52),
+        master_seed=23, divergence_threshold=1100.5,
+    )
+    paths = run_trajectories(cfg)
+    want = aggregate_ensemble(cfg, paths)
+    steps = [p.divergence_step for p in paths]
+    # Lanes censored on both sides of the first block boundary, both ways.
+    truncated = {p.divergence_step for p in paths if p.diverged
+                 and p.states.shape[0] == p.divergence_step}
+    kept = {p.divergence_step for p in paths if p.diverged
+            and p.states.shape[0] == p.divergence_step + 1}
+    assert {_B - 1, _B, _B + 1} <= truncated
+    assert {_B - 1, _B, _B + 1} <= kept
+    assert 1 in truncated and None in steps
+    got = simulate_ensemble(cfg)
+    assert got.divergence_steps == tuple(steps)
+    _assert_same_summary(got, want)
+
+
+def test_streamed_ensemble_matches_whole_paths_threshold():
+    # The ergodic threshold model over several blocks, with Expol2 rounds
+    # split across blocks; and an explosive one whose lanes all die.
+    for b_mat, threshold in ((((0.2, 0.1), (0.1, 0.3)), 1e9), (((1.5, 0.0), (0.0, 1.5)), 1e6)):
+        cfg = SimulationConfig(model=make_threshold(b_mat=b_mat), noise=Expol2(),
+                               x0=(0.0, 0.0), horizon=3 * _B + 7, n_traj=13,
+                               snapshot_times=(5, _B, 2 * _B + 1, 3 * _B + 7),
+                               master_seed=99, divergence_threshold=threshold)
+        got = simulate_ensemble(cfg)
+        _assert_same_summary(got, aggregate_ensemble(cfg, run_trajectories(cfg)))
+    assert got.diverged_count == 13 and got.snapshots[-1].count == 0
+
+
+def test_streamed_ensemble_memory_does_not_grow_with_horizon():
+    # 50 lanes over the trajectory dump cap at both horizons.  Whole paths
+    # would take 50 * (T + 1) * 2 * 8 bytes: 1.6 MB and 16 MB.
+    def peak(horizon):
+        cfg = SimulationConfig(model=make_threshold(), noise=Expol2(),
+                               x0=(0.0, 0.0), horizon=horizon, n_traj=50,
+                               snapshot_times=(horizon // 2, horizon),
+                               master_seed=4, divergence_threshold=1e9)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The first run also pays one-time allocations, such as numpy's lazy
+    # imports behind np.quantile; measure warm runs only.
+    peak(1_100)
+    short, long = peak(2_000), peak(20_000)
+    assert short < 2_000_000
+    # The margin covers a second generator per lane while a large rejection
+    # round is split (about 9% here), which depends on n_traj, not on T.
+    assert long <= 1.25 * short
 
 
 def test_simulate_path_threshold_censoring():
