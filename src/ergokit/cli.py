@@ -95,15 +95,17 @@ def _build_report(parsed):
                             extra_notes=notes)
 
 
+def _json_artifact(payload, seed, cfg_hash):
+    """Text of a JSON artifact: payload with its provenance key added."""
+    return json_dumps({**payload, "provenance": provenance(seed, cfg_hash)}) + "\n"
+
+
 def cmd_check(args):
     doc = _load_config_file(args.config)
     parsed = validate_config(doc, seed_override=_env_seed_override())
     report = _build_report(parsed)
-    payload = report_to_dict(report)
-    payload["provenance"] = provenance(
-        parsed["simulation"].master_seed, config_hash(doc)
-    )
-    text = json_dumps(payload) + "\n"
+    text = _json_artifact(report_to_dict(report), parsed["simulation"].master_seed,
+                          config_hash(doc))
     print(text, end="")
     if args.out:
         write_text_atomic(args.out, text)
@@ -154,17 +156,17 @@ def _simulation_verdict_lines(report, summary, cfg):
     ]
 
 
-def _write_simulation_artifacts(out_dir, parsed, doc, threads):
+def _write_simulation_artifacts(out_dir, parsed, doc):
     cfg = parsed["simulation"]
     cfg_hash = config_hash(doc)
     os.makedirs(out_dir, exist_ok=True)
     # Whole paths are kept only for the trajectory dump; a larger run streams.
     paths = None
     if cfg.n_traj * (cfg.horizon + 1) <= _TRAJECTORY_DUMP_ROW_CAP:
-        paths = run_trajectories(cfg, threads=threads)
+        paths = run_trajectories(cfg)
         summary = aggregate_ensemble(cfg, paths)
     else:
-        summary = simulate_ensemble(cfg, threads=threads)
+        summary = simulate_ensemble(cfg)
     report = _build_report(parsed)
 
     write_text_atomic(
@@ -176,10 +178,9 @@ def _write_simulation_artifacts(out_dir, parsed, doc, threads):
             os.path.join(out_dir, "trajectories.csv"),
             _trajectory_csv(paths, cfg.master_seed, cfg_hash),
         )
-    summary_payload = summary_to_dict(summary)
-    summary_payload["provenance"] = provenance(cfg.master_seed, cfg_hash)
     write_text_atomic(
-        os.path.join(out_dir, "summary.json"), json_dumps(summary_payload) + "\n"
+        os.path.join(out_dir, "summary.json"),
+        _json_artifact(summary_to_dict(summary), cfg.master_seed, cfg_hash),
     )
     verdict_lines = _simulation_verdict_lines(report, summary, cfg)
     verdict_lines.append(provenance_comment(cfg.master_seed, cfg_hash))
@@ -192,9 +193,7 @@ def _write_simulation_artifacts(out_dir, parsed, doc, threads):
 def cmd_simulate(args):
     doc = _load_config_file(args.config)
     parsed = validate_config(doc, seed_override=_env_seed_override())
-    report, summary = _write_simulation_artifacts(
-        args.out, parsed, doc, args.threads
-    )
+    report, summary = _write_simulation_artifacts(args.out, parsed, doc)
     print(f"wrote {args.out}: " + "; ".join(
         _simulation_verdict_lines(report, summary, parsed["simulation"])
     ))
@@ -309,19 +308,12 @@ def cmd_reproduce(args):
     cfg_hash = config_hash(doc)
     os.makedirs(args.out, exist_ok=True)
 
-    config_payload = dict(doc)
-    config_payload["provenance"] = provenance(cfg.master_seed, cfg_hash)
-    write_text_atomic(
-        os.path.join(args.out, "config.json"), json_dumps(config_payload) + "\n"
-    )
+    write_text_atomic(os.path.join(args.out, "config.json"),
+                      _json_artifact(doc, cfg.master_seed, cfg_hash))
 
-    report, summary = _write_simulation_artifacts(args.out, parsed, doc,
-                                                  args.threads)
-    report_payload = report_to_dict(report)
-    report_payload["provenance"] = provenance(cfg.master_seed, cfg_hash)
-    write_text_atomic(
-        os.path.join(args.out, "report.json"), json_dumps(report_payload) + "\n"
-    )
+    report, summary = _write_simulation_artifacts(args.out, parsed, doc)
+    write_text_atomic(os.path.join(args.out, "report.json"),
+                      _json_artifact(report_to_dict(report), cfg.master_seed, cfg_hash))
     write_text_atomic(
         os.path.join(args.out, "comparison.txt"),
         _comparison_text(args.name, report, summary, cfg.master_seed, cfg_hash),

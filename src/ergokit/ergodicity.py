@@ -17,7 +17,6 @@ import numpy as np
 
 from .models import (
     BekkArch,
-    REGION_EVERYWHERE_REGULAR,
     REGION_EVERYWHERE_SINGULAR,
     REGION_ON_L,
     ThresholdAffine2D,
@@ -27,10 +26,11 @@ from .models import (
     eval_g,
     g_determinant,
 )
-from .noise import Expol2, StdGaussian, abs_moment, sample
+from .noise import Expol2, StdGaussian, _box_rejection, abs_moment, sample
 from .norms import (
     frobenius_norm,
     induced_norm_bounds,
+    matrix_col_sum_norm,
     operator_norm,
     s_norms,
     vector_s_norm,
@@ -102,14 +102,6 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class Degeneracy:
-    """Where det(B + (Ax)(Ax)^T) vanishes: nowhere, on a line, or everywhere."""
-
-    kind: str  # "everywhere_regular" | "line" | "everywhere_singular"
-    normal: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
 class SkeletonProbe:
     """Result of iterating the deterministic skeleton from one seed."""
 
@@ -142,21 +134,22 @@ class ErgodicityReport:
 
 def threshold_envelope(model):
     """Global drift envelope for the threshold family, from the coefficient
-    column sums (s = 1; the bounds hold for every x, so M = 1 is valid)."""
+    column sums (s = 1; the bounds hold for every x, so M = 1 is valid).
+
+    On C the volatility's state-scaled part is diag(d_c), elsewhere d_main,
+    so b_g is the larger of their column-sum norms."""
     if not isinstance(model, ThresholdAffine2D):
         raise ValueError("threshold_envelope expects a ThresholdAffine2D model")
-    a1, a2 = model.a
-    ((b11, b12), (b21, b22)) = model.b_mat
-    ((d11, d12), (d21, d22)) = model.d_main
+    s = model.analytic_envelope_s
     d31, d32 = model.d_c
-    d41, d42 = model.d_const
+    on_c = ((d31, 0.0), (0.0, d32))
     return DriftEnvelope(
-        s=1.0,
-        a_f=abs(a1) + abs(a2),
-        b_f=max(abs(b11) + abs(b21), abs(b12) + abs(b22)),
-        a_g=max(abs(d41) + abs(d42), _ENVELOPE_FLOOR),
-        b_g=max(abs(d11) + abs(d21), abs(d31), abs(d32), abs(d12) + abs(d22),
-                _ENVELOPE_FLOOR),
+        s=s,
+        a_f=vector_s_norm(model.a, s),
+        b_f=matrix_col_sum_norm(model.b_mat, s),
+        a_g=max(vector_s_norm(model.d_const, s), _ENVELOPE_FLOOR),
+        b_g=max(matrix_col_sum_norm(model.d_main, s),
+                matrix_col_sum_norm(on_c, s), _ENVELOPE_FLOOR),
         m_ball=1.0,
         source=SOURCE_ANALYTIC_THRESHOLD,
     )
@@ -210,21 +203,12 @@ def _sample_shell(rng, dim, s, m_ball, radius, n_samples):
     """Uniform draws from the shell {m_ball < ||x||_s <= radius} by box
     rejection; the box halfwidth is radius^(1/s) in the pseudonorm regime."""
     half = radius if s >= 1.0 else radius ** (1.0 / s)
-    out = np.empty((n_samples, dim))
-    filled = 0
-    proposals = 0
-    while filled < n_samples:
-        k = max(n_samples - filled, 1024)
-        cand = rng.uniform(-half, half, (k, dim))
+
+    def in_shell(cand):
         norms = s_norms(cand, s, axis=1)
-        accepted = cand[(norms > m_ball) & (norms <= radius)]
-        take = min(accepted.shape[0], n_samples - filled)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-        proposals += k
-        if proposals > 10 ** 6 * n_samples:
-            raise ValueError("shell sampling acceptance rate is degenerate")
-    return out
+        return (norms > m_ball) & (norms <= radius)
+
+    return _box_rejection(rng, n_samples, dim, half, in_shell)
 
 
 def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
@@ -308,14 +292,8 @@ def _check_d_main_nonsingular(model):
     )
 
 
-def bekk_degeneracy(a_mat, b_mat):
-    """Classify where det(B + (Ax)(Ax)^T) vanishes; see bekk_line_normal."""
-    kind, normal = bekk_line_normal(a_mat, b_mat)
-    if kind == REGION_ON_L:
-        return Degeneracy(kind="line", normal=normal)
-    if kind == REGION_EVERYWHERE_SINGULAR:
-        return Degeneracy(kind="everywhere_singular")
-    return Degeneracy(kind="everywhere_regular")
+# (kind, normal) of the set where det(B + (Ax)(Ax)^T) vanishes.
+bekk_degeneracy = bekk_line_normal
 
 
 def probe_skeleton_reachability(model, seeds, horizon):
@@ -468,17 +446,16 @@ def check_bekk_model(model, noise_spec=None, envelope=None, moment=None,
             name="b_psd", passed=True, witnesses=(("min_eigenvalue", float(np.min(w))),)
         )
     ]
-    deg = bekk_degeneracy(model.a_mat, model.b_mat)
-    deg_witness = deg.normal if deg.normal is not None else (float("nan"), float("nan"))
+    kind, normal = bekk_line_normal(model.a_mat, model.b_mat)
+    c1, c2 = normal if kind == REGION_ON_L else (float("nan"), float("nan"))
     checks.append(
         CheckResult(
             name="degeneracy_locus",
-            passed=deg.kind != "everywhere_singular",
-            witnesses=(("c1", deg_witness[0]), ("c2", deg_witness[1])),
+            passed=kind != REGION_EVERYWHERE_SINGULAR,
+            witnesses=(("c1", c1), ("c2", c2)),
         )
     )
-    if deg.kind == "line":
-        c1, c2 = deg.normal
+    if kind == REGION_ON_L:
         scale = math.hypot(c1, c2)
         direction = (-c2 / scale, c1 / scale)
         seeds = [direction, tuple(-v for v in direction)]

@@ -62,7 +62,10 @@ class _ModelSpec:
     whose row i equals eval_f(X[i]) and a (k, dim, dim) block whose entry i
     equals eval_g(X[i]), bit for bit.  The default below calls eval_f and
     eval_g once per row, so it keeps their validation; the built-in families
-    compute each block with one array expression.
+    compute each block with one array expression.  ThresholdAffine2D has no
+    other form: its eval_f, eval_g and g_determinant read the single row of
+    lane_terms.  BekkArch keeps a scalar eval_g, the closed-form root of one
+    state, as the reference its lane root is tested against.
     """
 
     def lane_terms(self, x):
@@ -158,7 +161,7 @@ class ThresholdAffine2D(_ModelSpec):
     def _terms(self):
         """Closure (x1, x2) -> (f1, f2, g11, g12, g21, g22): the family's
         arithmetic, with g in row-major order, over equal-shape arrays of
-        lane coordinates or over scalars."""
+        lane coordinates."""
         a1, a2 = self.a
         ((b11, b12), (b21, b22)) = self.b_mat
         ((d11, d12), (d21, d22)) = self.d_main
@@ -170,23 +173,19 @@ class ThresholdAffine2D(_ModelSpec):
             f1 = a1 + b11 * x1 + b12 * x2
             f2 = a2 + b21 * x1 + b22 * x2
             # On C only the first column survives: d_c scales it, g12 = g22 = 0.
-            g11 = _select(c, d31 * x1, d11 * x1) + d41
-            g12 = _select(c, 0.0, d12 * x2)
-            g21 = _select(c, d32 * x2, d21 * x1) + d42
-            g22 = _select(c, 0.0, d22 * x2)
+            g11 = np.where(c, d31 * x1, d11 * x1) + d41
+            g12 = np.where(c, 0.0, d12 * x2)
+            g21 = np.where(c, d32 * x2, d21 * x1) + d42
+            g22 = np.where(c, 0.0, d22 * x2)
             return f1, f2, g11, g12, g21, g22
 
         return terms
 
-    def _terms_at(self, x):
-        return self._terms()(float(x[0]), float(x[1]))
-
     def eval_f(self, x):
-        return np.array(self._terms_at(x)[:2])
+        return self.lane_terms(np.asarray(x, dtype=float)[None])[0][0]
 
     def eval_g(self, x):
-        _, _, g11, g12, g21, g22 = self._terms_at(x)
-        return np.array([[g11, g12], [g21, g22]])
+        return self.lane_terms(np.asarray(x, dtype=float)[None])[1][0]
 
     def lane_terms(self, x):
         f1, f2, g11, g12, g21, g22 = self._terms()(x[:, 0], x[:, 1])
@@ -207,7 +206,7 @@ class ThresholdAffine2D(_ModelSpec):
         return step
 
     def g_determinant(self, x):
-        _, _, g11, g12, g21, g22 = self._terms_at(x)
+        ((g11, g12), (g21, g22)) = self.eval_g(x).tolist()
         return g11 * g22 - g12 * g21
 
     def classify_region(self, x):
@@ -358,14 +357,6 @@ def _in_c(x1, x2):
     # C is closed: its boundary belongs to the region.  `&` so that lane
     # arrays give an elementwise mask.
     return (x1 <= 0.0) & (x2 <= 0.0)
-
-
-def _select(mask, a, b):
-    """a where mask holds, else b: elementwise for a lane mask, and without
-    numpy's array round trip for a single state's bool."""
-    if isinstance(mask, np.ndarray):
-        return np.where(mask, a, b)
-    return a if mask else b
 
 
 def eval_f(model, x):

@@ -154,8 +154,14 @@ class BoundedCustomDensity(_NoiseSpec):
             raise ValueError("envelope_constant must be positive")
 
     def sample(self, rng, count):
-        out, _ = _rejection_sample_custom(self, rng, count)
-        return out
+        def accept(u):
+            v = rng.uniform(0.0, 1.0, len(u))
+            dens = np.array([math.exp(self.log_unnormalized_density(row)) for row in u])
+            if np.any(dens > self.envelope_constant * (1.0 + 1e-12)):
+                raise ValueError("unnormalized density exceeds the declared envelope")
+            return v * self.envelope_constant <= dens
+
+        return _box_rejection(rng, count, self.dim, self.box_halfwidth, accept)
 
     def density(self, x):
         return math.exp(self.log_unnormalized_density(x)) / _custom_z(self)
@@ -427,30 +433,29 @@ def _rejection_sample_expol2(rng, count):
     return stream.take(count).ravel(), stream.proposals
 
 
-def _rejection_sample_custom(spec, rng, count):
-    # Rounds propose at least 1024 points so that low acceptance rates hit the
-    # proposal budget quickly instead of degenerating into scalar rounds;
-    # surplus accepted values beyond `count` are discarded deterministically.
-    out = np.empty((count, spec.dim))
+def _box_rejection(rng, count, dim, halfwidth, accept):
+    """`count` rows of proposals uniform on [-halfwidth, halfwidth]^dim, kept
+    where the mask accept(proposals) holds.
+
+    Rounds propose at least 1024 points so that low acceptance rates hit the
+    proposal budget quickly instead of degenerating into scalar rounds;
+    surplus accepted values beyond `count` are discarded deterministically.
+    accept may draw from rng after the proposals.
+    """
+    out = np.empty((count, dim))
     filled = 0
     proposals = 0
-    w = spec.box_halfwidth
     while filled < count:
         k = max(count - filled, 1024)
-        u = rng.uniform(-w, w, (k, spec.dim))
-        v = rng.uniform(0.0, 1.0, k)
-        proposals += k
-        dens = np.array([math.exp(spec.log_unnormalized_density(row)) for row in u])
-        if np.any(dens > spec.envelope_constant * (1.0 + 1e-12)):
-            raise ValueError("unnormalized density exceeds the declared envelope")
-        mask = v * spec.envelope_constant <= dens
-        accepted = u[mask]
+        cand = rng.uniform(-halfwidth, halfwidth, (k, dim))
+        accepted = cand[accept(cand)]
         take = min(accepted.shape[0], count - filled)
         out[filled:filled + take] = accepted[:take]
         filled += take
+        proposals += k
         if proposals > _MAX_PROPOSALS_PER_DRAW * count:
             raise ValueError("rejection sampler exceeded the proposal budget")
-    return out, proposals
+    return out
 
 
 def sample(spec, rng, count):

@@ -181,10 +181,10 @@ def _seeds(cfg):
     return [mix64(cfg.master_seed, i) for i in range(cfg.n_traj)]
 
 
-def run_trajectories(cfg, threads=1):
-    """All ensemble paths in index order, stepped together; `threads` is
-    accepted and changes no result.  Whole paths are kept, so this holds
-    O(n_traj * horizon) states; simulate_ensemble does not."""
+def run_trajectories(cfg):
+    """All ensemble paths in index order, stepped together.  Whole paths are
+    kept, so this holds O(n_traj * horizon) states; simulate_ensemble does
+    not."""
     return _run_lanes(cfg.model, cfg.noise, cfg.x0, cfg.horizon, _seeds(cfg),
                       cfg.divergence_threshold)
 
@@ -332,14 +332,13 @@ def aggregate_ensemble(cfg, paths):
     return _summary(cfg, samples, tuple(p.divergence_step for p in paths))
 
 
-def simulate_ensemble(cfg, threads=1):
+def simulate_ensemble(cfg):
     """Ensemble summary as a pure function of the configuration.
 
     Equal to aggregate_ensemble(cfg, run_trajectories(cfg)), but the lanes
     advance in blocks of _BLOCK_STEPS steps and keep only their snapshot
     rows and divergence steps, so the ensemble holds O(n_traj * _BLOCK_STEPS)
-    states whatever its horizon.  `threads` is accepted and changes no
-    result.
+    states whatever its horizon.
     """
     samples, steps = _run_lanes(cfg.model, cfg.noise, cfg.x0, cfg.horizon,
                                 _seeds(cfg), cfg.divergence_threshold,

@@ -23,10 +23,14 @@ from ergokit.ergodicity import (
     threshold_envelope,
 )
 from ergokit.models import (
+    REGION_EVERYWHERE_REGULAR,
+    REGION_EVERYWHERE_SINGULAR,
+    REGION_ON_L,
     AffineMap,
     BekkArch,
     GenericModel,
     ThresholdAffine2D,
+    bekk_line_normal,
     eval_f,
     eval_g,
     g_determinant,
@@ -350,24 +354,26 @@ def test_bekk_report_everywhere_singular():
 
 
 def test_bekk_degeneracy_kinds():
-    assert bekk_degeneracy(((1.0, 0.0), (0.0, 1.0)),
-                           ((1.0, 0.0), (0.0, 1.0))).kind == "everywhere_regular"
-    deg = bekk_degeneracy(((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0), (1.0, 1.0)))
-    assert deg.kind == "line"
-    c1, c2 = deg.normal
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    ones = ((1.0, 1.0), (1.0, 1.0))
+    assert bekk_degeneracy(eye, eye) == (REGION_EVERYWHERE_REGULAR, None)
+    kind, (c1, c2) = bekk_degeneracy(eye, ones)
+    assert kind == REGION_ON_L
     # Normal proportional to (1, -1): the line is {x1 = x2}.
     assert c1 == pytest.approx(-c2, rel=1e-12)
-    assert bekk_degeneracy(((1.0, 1.0), (1.0, 1.0)),
-                           ((1.0, 1.0), (1.0, 1.0))).kind == "everywhere_singular"
-    assert bekk_degeneracy(((1.0, 0.0), (0.0, 1.0)),
-                           ((0.0, 0.0), (0.0, 0.0))).kind == "everywhere_singular"
+    assert bekk_degeneracy(ones, ones) == (REGION_EVERYWHERE_SINGULAR, None)
+    assert bekk_degeneracy(eye, ((0.0, 0.0), (0.0, 0.0))) == (
+        REGION_EVERYWHERE_SINGULAR, None)
+    # The exported name is the one classification of models.bekk_line_normal.
+    for b_mat in (eye, ones, ((0.0, 0.0), (0.0, 0.0))):
+        assert bekk_degeneracy(eye, b_mat) == bekk_line_normal(eye, b_mat)
 
 
 def test_bekk_on_line_determinants_vanish():
     model = make_bekk(scale_f=0.4, scale_a=1.0, b_mat=((1.0, 1.0), (1.0, 1.0)),
                       offset=(1.0, 0.0))
-    deg = bekk_degeneracy(model.a_mat, model.b_mat)
-    c1, c2 = deg.normal
+    kind, (c1, c2) = bekk_degeneracy(model.a_mat, model.b_mat)
+    assert kind == REGION_ON_L
     scale = math.hypot(c1, c2)
     direction = np.array([-c2 / scale, c1 / scale])
     normal = np.array([c1 / scale, c2 / scale])

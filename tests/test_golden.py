@@ -95,6 +95,21 @@ SHELL_S2 = {**builtin_configs()["example2-ergodic"],
             "checks": {"s": 2.0, "envelope": "shell"}}
 BEKK_SHELL_S2 = {**builtin_configs()["bekk-demo"],
                  "checks": {"s": 2.0, "envelope": "shell"}}
+
+
+def _check_doc(name, **model):
+    doc = builtin_configs()[name]
+    return {**doc, "model": {**doc["model"], **model}}
+
+
+# Degeneracy branches of the BEKK report (B = I is everywhere regular, B = 0
+# everywhere singular) and a threshold model with coefficients of both signs,
+# frozen before the threshold arithmetic and the BEKK degeneracy vocabulary
+# each moved to a single form.
+BEKK_B_IDENTITY = _check_doc("bekk-demo", B=[[1.0, 0.0], [0.0, 1.0]])
+BEKK_B_ZERO = _check_doc("bekk-demo", B=[[0.0, 0.0], [0.0, 0.0]])
+ERGODIC_SIGNED = _check_doc("example2-ergodic", a=[0.3, -0.2],
+                            B=[[-0.2, 0.1], [0.15, -0.3]], D_c=[-0.2, 0.25])
 CHECK_GOLDEN = {
     "bekk-demo": (builtin_configs()["bekk-demo"], 2,
                   "73335c2898823d358a025cf1d4ffb577da713ba8e6c42233bb03e6b6e30bc359"),
@@ -102,8 +117,14 @@ CHECK_GOLDEN = {
                            "29e69a3ef3e98ddbd2aed5254f03d945de49d30a5b5e8a74a816873947a34bee"),
     "example2-ergodic": (builtin_configs()["example2-ergodic"], 0,
                          "86061852e59bdeeff1429ae53600725566ab3e8d7a7c9d61242cf72cb6fe78c6"),
+    "bekk-demo-B-identity": (BEKK_B_IDENTITY, 2,
+                             "a16aed9d5b4c96f2baae2f907fd4559bb74e93cdcdc7a0c5032a803d391baa18"),
+    "bekk-demo-B-zero": (BEKK_B_ZERO, 2,
+                         "a4a216c550b02918cdf026f7350ea2990ec042cc274ef99d70b8cbc8791f5fcd"),
     "example2-ergodic-shell-s2": (SHELL_S2, 3,
                                   "ab59538d1d73d3060cc05fb342efd553d153552fc40759f7df8825970650edb9"),
+    "example2-ergodic-signed": (ERGODIC_SIGNED, 0,
+                                "75c3f82e1b4f8c80051eade4c739a2b73b1ea60a9b55d5f7969d0af928fa3305"),
 }
 
 

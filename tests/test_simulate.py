@@ -500,19 +500,6 @@ def test_non_finite_start_is_rejected():
     with pytest.raises(ValueError, match="x0 must be finite"):
         run_trajectories(drawn)
 
-def test_ensemble_thread_count_invariance():
-    cfg = SimulationConfig(model=make_threshold(), noise=Expol2(),
-                           x0=(0.0, 0.0), horizon=200, n_traj=16,
-                           snapshot_times=(100, 200), master_seed=77)
-    serial = simulate_ensemble(cfg, threads=1)
-    for threads in (3, 7):
-        parallel = simulate_ensemble(cfg, threads=threads)
-        assert parallel.snapshots == serial.snapshots
-        assert parallel.divergence_steps == serial.divergence_steps
-        for a, b in zip(parallel.snapshot_samples, serial.snapshot_samples):
-            assert np.array_equal(a, b)
-
-
 def test_ensemble_single_trajectory_reduces_to_path():
     cfg = SimulationConfig(model=make_threshold(), noise=Expol2(),
                            x0=(0.0, 0.0), horizon=50, n_traj=1,
