@@ -59,9 +59,12 @@ def _env_seed_override():
     if raw is None:
         return None
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError(f"ERGOKIT_SEED must be an integer, got {raw!r}")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"ERGOKIT_SEED must lie in [0, 2^64), got {raw!r}")
+    return seed
 
 
 def _load_config_file(path):

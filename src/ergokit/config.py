@@ -171,6 +171,8 @@ def validate_config(doc, seed_override=None):
         _as_int(t, f"$.simulation.snapshots[{i}]") for i, t in enumerate(snaps)
     )
     seed = _as_int(sim_doc["seed"], "$.simulation.seed")
+    if not 0 <= seed < 1 << 64:
+        _fail("$.simulation.seed", "expected an integer in [0, 2^64)")
     if seed_override is not None:
         seed = int(seed_override)
     threshold = sim_doc.get("divergence_threshold", DEFAULT_DIVERGENCE_THRESHOLD)
@@ -343,6 +345,10 @@ def write_text_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergokit-")
     try:
+        # mkstemp creates the file 0600; give it the mode open(path, "w") would.
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)

@@ -59,6 +59,9 @@ _STRUCTURAL_REL_TOL = 1e-12
 # Positive floors keeping fitted envelopes inside the type invariants.
 _ENVELOPE_FLOOR = 1e-12
 
+# Skeleton steps check_bekk_model probes for an escape from the line L.
+_SKELETON_HORIZON = 20
+
 
 @dataclass(frozen=True)
 class DriftEnvelope:
@@ -388,23 +391,20 @@ def _compose_notes(envelope, moment, gamma, verdict, extra):
     return "; ".join(parts)
 
 
-def check_threshold_model(model, noise_spec=None, envelope=None, moment=None,
-                          extra_notes=""):
+def check_threshold_model(model, noise_spec=None, envelope=None, extra_notes=""):
     """Full sufficient-condition report for a ThresholdAffine2D model."""
     if not isinstance(model, ThresholdAffine2D):
         raise ValueError("check_threshold_model expects a ThresholdAffine2D model")
     noise_spec = noise_spec if noise_spec is not None else Expol2()
     if envelope is None:
         envelope = threshold_envelope(model)
-    if moment is None:
-        moment = abs_moment(noise_spec, envelope.s, method="quadrature")
+    moment = abs_moment(noise_spec, envelope.s, method="quadrature")
     gamma = drift_gamma(envelope, moment)
     structural = (check_coefexpol(model), _check_d_main_nonsingular(model))
     return _report(structural, gamma, moment, envelope, extra_notes)
 
 
-def check_bekk_model(model, noise_spec=None, envelope=None, moment=None,
-                     skeleton_horizon=20, extra_notes=""):
+def check_bekk_model(model, noise_spec=None, envelope=None, extra_notes=""):
     """Full sufficient-condition report for a BekkArch model.
 
     Without an explicit envelope the autoregressive term must be an
@@ -432,11 +432,10 @@ def check_bekk_model(model, noise_spec=None, envelope=None, moment=None,
             m_ball=1.0,
             source=SOURCE_ANALYTIC_BEKK,
         )
-    if moment is None:
-        if isinstance(noise_spec, StdGaussian):
-            moment = abs_moment(noise_spec, 2.0, method="analytic")
-        else:
-            moment = abs_moment(noise_spec, 2.0, method="quadrature")
+    if isinstance(noise_spec, StdGaussian):
+        moment = abs_moment(noise_spec, 2.0, method="analytic")
+    else:
+        moment = abs_moment(noise_spec, 2.0, method="quadrature")
     # The default envelope has b_g = |||A|||_F, so this equals
     # bekk_gamma(b_f, A, moment); a user envelope substitutes its own bound.
     gamma = drift_gamma(envelope, moment)
@@ -459,7 +458,7 @@ def check_bekk_model(model, noise_spec=None, envelope=None, moment=None,
         scale = math.hypot(c1, c2)
         direction = (-c2 / scale, c1 / scale)
         seeds = [direction, tuple(-v for v in direction)]
-        probes = probe_skeleton_reachability(model, seeds, skeleton_horizon)
+        probes = probe_skeleton_reachability(model, seeds, _SKELETON_HORIZON)
         checks.append(
             CheckResult(
                 name="skeleton_escape",

@@ -2,10 +2,10 @@
 
 Every sampling routine takes a caller-owned numpy Generator; nothing in this
 module holds generator state beyond the draw sources a caller asks for, so
-distinct generators may be used from any number of threads.  A draw source
-hands out the draws of one sample in pieces, bit-identical to drawing the
-sample at once; Expol2 sources replay the rejection rounds piece by piece, so
-they hold O(piece) draws rather than the whole sample.  The one-time
+distinct generators may be used from any number of threads.  A noise law
+draws only through its draw_source, which hands out one sample in pieces
+of any sizes, and sample() takes it in one piece; Expol2 sources replay the
+rejection rounds piece by piece, so they hold O(piece) draws.  The one-time
 normalization constants are cached with compute-once semantics and are
 bit-stable because the quadrature refinement rule is deterministic.
 Two-dimensional moments (s > 1) use a fixed tensor Gauss-Legendre rule on
@@ -60,10 +60,6 @@ class _NoiseSpec:
     def analytic_abs_moment(self, s):
         raise ValueError("analytic moments are available only for gaussian noise")
 
-    def draw_source(self, rng, count):
-        """Draw source over the whole sample, drawn at once."""
-        return _SampleSlices(self.sample(rng, count))
-
 
 @dataclass(frozen=True)
 class StdGaussian(_NoiseSpec):
@@ -74,9 +70,6 @@ class StdGaussian(_NoiseSpec):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-
-    def sample(self, rng, count):
-        return rng.standard_normal((count, self.dim))
 
     def draw_source(self, rng, count):
         # standard_normal gives the same values in pieces as in one call.
@@ -116,10 +109,6 @@ class Expol2(_NoiseSpec):
 
     dim = 2
 
-    def sample(self, rng, count):
-        flat, _ = _rejection_sample_expol2(rng, 2 * count)
-        return flat.reshape(count, 2)
-
     def draw_source(self, rng, count):
         return _Expol2Stream(rng, count, 2)
 
@@ -153,7 +142,7 @@ class BoundedCustomDensity(_NoiseSpec):
         if self.envelope_constant <= 0:
             raise ValueError("envelope_constant must be positive")
 
-    def sample(self, rng, count):
+    def draw_source(self, rng, count):
         def accept(u):
             v = rng.uniform(0.0, 1.0, len(u))
             dens = np.array([math.exp(self.log_unnormalized_density(row)) for row in u])
@@ -161,7 +150,8 @@ class BoundedCustomDensity(_NoiseSpec):
                 raise ValueError("unnormalized density exceeds the declared envelope")
             return v * self.envelope_constant <= dens
 
-        return _box_rejection(rng, count, self.dim, self.box_halfwidth, accept)
+        rows = _box_rejection(rng, count, self.dim, self.box_halfwidth, accept)
+        return _SampleSlices(rows)
 
     def density(self, x):
         return math.exp(self.log_unnormalized_density(x)) / _custom_z(self)
@@ -343,13 +333,13 @@ class _GaussianDraws(_DrawSource):
 
 
 class _Expol2Stream(_DrawSource):
-    """Rows of `width` Expol2 coordinates, the values of
-    _rejection_sample_expol2(rng, count * width) handed out in pieces.
+    """`count` rows of `width` Expol2 coordinates drawn by rejection, in pieces.
 
-    A round of k proposals reads k proposal uniforms and then k acceptance
-    uniforms from the generator, one 64-bit output per uniform, and the next
-    round starts where they end.  A round drawn whole reads both from one
-    generator, as the one-shot sampler does.  A round too large to draw whole
+    A round proposes one value per unfilled slot: k proposal uniforms, then
+    k acceptance uniforms, one 64-bit output per uniform; accepted values
+    fill the slots in proposal order, `proposals` counts them all, and the
+    next round starts where they end.  A round drawn whole reads both from
+    one generator.  A round too large to draw whole
     that this piece does not use up is split: its acceptance uniforms come
     from a copy advanced past the k proposals, both are read a chunk at a
     time, and when the round is used up the copy, which then stands where
@@ -419,20 +409,6 @@ class _Expol2Stream(_DrawSource):
                 raise ValueError("rejection sampler exceeded the proposal budget")
 
 
-def _rejection_sample_expol2(rng, count):
-    """Draw `count` scalar Expol2 coordinates; returns (values, n_proposals).
-
-    Per round, one batch of uniform proposals on [-3, 3] and one batch of
-    acceptance uniforms are drawn; accepted values fill the output in
-    proposal order.  The per-round batch size equals the number of slots
-    still unfilled, which makes the draw order deterministic.  This is the
-    one-shot form of _Expol2Stream: one piece of every value, so each round
-    is drawn whole.
-    """
-    stream = _Expol2Stream(rng, count, 1)
-    return stream.take(count).ravel(), stream.proposals
-
-
 def _box_rejection(rng, count, dim, halfwidth, accept):
     """`count` rows of proposals uniform on [-halfwidth, halfwidth]^dim, kept
     where the mask accept(proposals) holds.
@@ -459,17 +435,15 @@ def _box_rejection(rng, count, dim, halfwidth, accept):
 
 
 def sample(spec, rng, count):
-    """Draw `count` i.i.d. noise vectors as an array of shape (count, dim).
+    """draw_source(spec, rng, count) taken in one piece, a (count, dim) array.
 
     Deterministic given the generator state and count.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return spec.sample(rng, count)
+    return draw_source(spec, rng, count).take(count)
 
 
 def draw_source(spec, rng, count):
-    """A source of the draws of sample(spec, rng, count), in pieces.
+    """A source of `count` i.i.d. noise draws, handed out in pieces.
 
     source.take(m) returns the next m draws as an (m, dim) array, and pieces
     taken in any sizes that add up to count concatenate bit for bit to

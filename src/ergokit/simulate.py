@@ -8,23 +8,22 @@ step; a single path is a one-lane run of it.  Diverged trajectories are
 censored at their first offending step, never stepped again, and excluded
 from later snapshot statistics while staying in the divergence counts.
 
-Memory: run_trajectories and simulate_path keep whole paths, so they hold
-O(n_traj * horizon) states.  simulate_ensemble runs the same recurrence in
-blocks of _BLOCK_STEPS steps, with each lane's draws taken block by block
-from a noise draw source, and keeps only the snapshot rows and divergence
-steps, so it holds O(n_traj * _BLOCK_STEPS) states whatever the horizon
+Each lane takes its draws block by block from a noise draw source.
+run_trajectories and simulate_path keep whole paths in one block, so they
+hold O(n_traj * horizon) states.  simulate_ensemble runs blocks of
+_BLOCK_STEPS steps and keeps only the snapshot rows and divergence steps,
+so it holds O(n_traj * _BLOCK_STEPS) states whatever the horizon
 (BoundedCustomDensity noise still draws each lane's whole sample at once).
 Both give bit-identical results.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .noise import draw_source, sample
+from .noise import draw_source
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -217,9 +216,7 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
         start = x0(rng) if callable(x0) else x0
         _check_dims(model, noise_spec, start)
         buf[i, 0] = start
-        # A block as long as the horizon takes every draw in one call.
-        takes.append(partial(sample, noise_spec, rng) if block == horizon
-                     else draw_source(noise_spec, rng, horizon).take)
+        takes.append(draw_source(noise_spec, rng, horizon).take)
     kernel = model.lane_kernel()
     threshold = math.inf if divergence_threshold is None else divergence_threshold
     # A lane passes unexamined while its l1 norm is at most `limit`; a

@@ -283,9 +283,10 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["provenance"]["master_seed"] == 99
 
-    monkeypatch.setenv("ERGOKIT_SEED", "not-a-seed")
-    assert main(["check", path]) == 1
-    assert "ERGOKIT_SEED" in capsys.readouterr().err
+    for bad in ("not-a-seed", "-1", str(2 ** 64)):
+        monkeypatch.setenv("ERGOKIT_SEED", bad)
+        assert main(["check", path]) == 1
+        assert "ERGOKIT_SEED" in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_scipy():

@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 
 import pytest
 
@@ -121,6 +122,19 @@ def test_seed_override_applies():
     assert parsed["simulation"].master_seed == 42
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -1, 2 ** 64])
+def test_seed_must_fit_64_unsigned_bits(seed):
+    # mix64 reduces the seed mod 2^64, so a wider seed would simulate as
+    # another one while its provenance names the full value.
+    doc = ergodic_doc()
+    doc["simulation"] = {**doc["simulation"], "seed": seed}
+    if 0 <= seed < 2 ** 64:
+        assert validate_config(doc)["simulation"].master_seed == seed
+    else:
+        with pytest.raises(ConfigError, match=r"\[0, 2\^64\) at \$\.simulation\.seed"):
+            validate_config(doc)
+
+
 def test_user_envelope_parsing():
     doc = ergodic_doc()
     env_doc = {"a_f": 0.0, "b_f": 0.4, "a_g": 2.0, "b_g": 0.25, "M": 1.0}
@@ -193,6 +207,18 @@ def test_write_text_atomic(tmp_path):
     assert target.read_text() == "second\n"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".ergokit-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_write_text_atomic_gives_the_mode_open_would(tmp_path, umask, mode):
+    target = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        write_text_atomic(str(target), "text\n")
+        assert os.umask(umask) == umask  # the umask is left as it was
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 def test_report_and_summary_serialize():

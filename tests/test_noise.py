@@ -19,7 +19,6 @@ from ergokit.noise import (
     _Expol2Stream,
     _expol2_z,
     _gauss_legendre,
-    _rejection_sample_expol2,
 )
 
 # Frozen reference values, precomputed with 30-digit quadrature and
@@ -105,9 +104,10 @@ def test_sample_rejects_bad_count():
 def test_rejection_acceptance_rate():
     rng = np.random.default_rng(107)
     want = 33000  # enough accepted values for ~1e5 proposals
-    vals, proposals = _rejection_sample_expol2(rng, want)
-    assert proposals >= 10 ** 5
-    rate = want / proposals
+    stream = _Expol2Stream(rng, want, 1)
+    stream.take(want)
+    assert stream.proposals >= 10 ** 5
+    rate = want / stream.proposals
     assert Z_REF / 6.0 - 0.02 <= rate <= Z_REF / 6.0 + 0.02
 
 
@@ -184,9 +184,9 @@ _starts = st.sampled_from(("none", "uniform", "int32"))
 def test_expol2_stream_replays_the_rejection_rounds(count, seed, start, data,
                                                     at_round_ends):
     want, proposals, ends = _reference_expol2(_generator(seed, start), count)
-    values, got_proposals = _rejection_sample_expol2(_generator(seed, start), count)
-    assert np.array_equal(values, want)
-    assert got_proposals == proposals
+    whole = _Expol2Stream(_generator(seed, start), count, 1)
+    assert np.array_equal(whole.take(count).ravel(), want)
+    assert whole.proposals == proposals
     if data is None:
         cuts = [1, 2, 1000, 4095, 4096, 4097, count - 1]
     else:
@@ -218,12 +218,19 @@ def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, 
     spec = _SOURCE_SPECS[name]
     if name == "custom":
         count = min(count, 400)  # its density runs in Python, row by row
-    want = sample(spec, _generator(seed, start), count)
+    # sample() is itself one piece of a source, so the reference is drawn
+    # without one, except for the custom law, which is sampled whole.
+    rng = _generator(seed, start)
     cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
-    if name == "expol2":
+    if name == "gaussian":
+        want = rng.standard_normal((count, spec.dim))
+    elif name == "expol2":
+        values, _, ends = _reference_expol2(rng, 2 * count)
+        want = values.reshape(count, 2)
         # Pieces that end on a round boundary, in whole draws of 2 values.
-        _, _, ends = _reference_expol2(_generator(seed, start), 2 * count)
         cuts += [e // 2 for e in ends] + [(e + 1) // 2 for e in ends]
+    else:
+        want = sample(spec, rng, count)
     cuts = [c for c in cuts if 0 < c < count]
     source = draw_source(spec, _generator(seed, start), count)
     got = np.concatenate(_pieces(source.take, cuts, count))

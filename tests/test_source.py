@@ -49,3 +49,59 @@ def test_unused_import_check_flags_only_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree):
+    """(node, name) of every private function, class or constant a module
+    defines at top level; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node, name
+
+
+def _referenced_names(nodes):
+    """Names read, attributes accessed and names imported anywhere in nodes."""
+    found = set()
+    for node in (n for root in nodes for n in ast.walk(root)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unreferenced_private_names(sources):
+    """(module, name) of each private top-level name in `sources` (module
+    name -> source text) that no code outside its own definition refers to."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    unused = []
+    for module, tree in trees.items():
+        for definition, name in _private_definitions(tree):
+            elsewhere = [n for t in trees.values() for n in t.body if n is not definition]
+            if name not in _referenced_names(elsewhere):
+                unused.append((module, name))
+    return sorted(unused)
+
+
+def test_private_name_check_flags_only_unreferenced_names():
+    sources = {
+        "a": "_LIMIT = 3\n_SPARE = 4\n\ndef _helper(n):\n    return _helper(n - 1)\n\n"
+             "def _used():\n    return _LIMIT\n",
+        "b": "from .a import _used\n",
+    }
+    assert unreferenced_private_names(sources) == [("a", "_SPARE"), ("a", "_helper")]
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert unreferenced_private_names(sources) == []
