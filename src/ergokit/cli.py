@@ -3,10 +3,11 @@ checking, ensemble simulation with CSV/JSON artifacts, moment estimation,
 and one-command reproduction of the built-in experiments.
 
 Exit codes: 0 sufficient_condition_met, 2 condition_failed, 3 inconclusive,
-1 for schema violations, malformed input, or I/O failures.  Every file
-artifact ends with a provenance footer (tool version, master seed, config
-hash) and is written atomically; outputs are byte-identical across repeated
-runs.  `--threads` is accepted and changes no result.
+1 for schema violations, malformed input, numeric failures, or I/O
+failures.  Every file artifact ends with a provenance footer (tool version,
+master seed, config hash) and is written atomically; outputs are
+byte-identical across repeated runs.  `--threads` is accepted and changes no
+result.
 """
 
 import argparse
@@ -206,6 +207,8 @@ def cmd_simulate(args):
 def cmd_moments(args):
     noise = Expol2() if args.noise == "expol2" else StdGaussian(args.dim)
     method = {"mc": "monte_carlo"}.get(args.method, args.method)
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
     seed_override = _env_seed_override()
     seed = args.seed if seed_override is None else seed_override
     rng = None
@@ -383,6 +386,9 @@ def main(argv=None):
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"error: numeric failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 1
 
 

@@ -244,6 +244,51 @@ def test_moments_analytic_rejects_expol2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _shell_check_doc(s):
+    return {**builtin_configs()["example2-ergodic"],
+            "checks": {"s": s, "envelope": "shell"}}
+
+
+def test_pseudonorm_moments_and_checks_run_at_small_s(tmp_path, capsys):
+    # Both used to die in adaptive Simpson, which cannot resolve |u|^s.
+    assert main(["moments", "--noise", "expol2", "--s", "0.25"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["value"] == pytest.approx(1.8459678711693555, rel=1e-13)
+    assert err == ""
+    path = write_config(tmp_path, _shell_check_doc(0.4))
+    code = main(["check", path])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["noise_moment"]["s"] == 0.4
+    assert code == {"sufficient_condition_met": 0, "condition_failed": 2,
+                    "inconclusive": 3}[report["verdict"]]
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--s", "inf"],
+    ["--s", "nan"],
+    ["--s", "inf", "--method", "mc", "--budget", "100"],
+    ["--s", "1", "--method", "mc", "--seed", "-1"],
+    ["--s", "1", "--method", "mc", "--seed", str(1 << 64)],
+], ids=["s-inf", "s-nan", "mc-s-inf", "seed-negative", "seed-2^64"])
+def test_moments_rejects_bad_s_and_seed(capsys, argv):
+    assert main(["moments", "--noise", "gaussian", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert ("--seed" if "--seed" in argv else "s must be") in err
+
+
+def test_numeric_failure_is_an_error_line(tmp_path, capsys):
+    # At s = 0.001 the shell radius 100^(1/s) overflows a float.
+    path = write_config(tmp_path, _shell_check_doc(0.001))
+    assert main(["check", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: numeric failure") and err.count("\n") == 1
+
+
 def test_reproduce_unknown_name(tmp_path, capsys):
     assert main(["reproduce", "mystery", "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err

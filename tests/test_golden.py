@@ -26,6 +26,29 @@ envelope, verdict and exit code are unchanged:
     report.json  40264c070b638b6faf2e0b0a23f8c11454bada7da47495743a44bf6088c52d51
               -> ab59538d1d73d3060cc05fb342efd553d153552fc40759f7df8825970650edb9
 
+The threshold reports and verdicts were then re-frozen when the Expol2
+normalization Z and the s <= 1 moment moved from adaptive Simpson to the
+depth-40 graded Gauss-Legendre rule.  Z moved from 8.2e-12 above the mpmath
+value 1.973732150089823779 to 6.1e-16 above it, the s = 1 moment from
+1.6547848786891797 to 1.6547848786785642 (its grid_size, now a point count,
+from 1289 to 2624) and the s = 2 moment to 1.237030558147713.  The largest
+change of a printed number is that of the s = 1 moment, 1.06e-11; gamma
+moved by at most 2.65e-12.  No verdict or exit code changed, and no
+simulation artifact other than verdict.txt:
+
+    check example2-ergodic, example2-ergodic-signed (gamma 0.813696219672295
+    -> 0.81369621966964112)
+      report.json  86061852e59b... -> 5c6196acd4d3...
+                   75c3f82e1b4f... -> a567268bb187...
+    check example2-ergodic-shell-s2 (gamma 0.67007800013868823
+    -> 0.6700780001412574)
+      report.json  ab59538d1d73... -> 78c1521455a4...
+    simulate ergodic-over-cap
+      verdict.txt  51caff2a4c47... -> 16c1575bd2e9...
+    simulate threshold-censored (gamma 1.4336962196722949
+    -> 1.433696219669641)
+      verdict.txt  07a09f020bfc... -> f086d5dd447e...
+
 bekk-demo-shell-s2 was frozen while BEKK lanes were still stepped, and shell
 samples still evaluated, one state at a time through eval_f and eval_g, before
 both moved to the lane form (lane_kernel / lane_terms); the lane form must
@@ -69,13 +92,13 @@ GOLDEN = {
     "ergodic-over-cap": (ERGODIC_OVER_CAP, {
         "snapshots.csv": "8deeb11d7159c9aa60b78c150fa6c05e7cecd03a3440ad684fd3504f6e01d83d",
         "summary.json": "7795d8df94f0fa548795f7a4a396e16514e5f1394e0c0f757e1734e15d126c50",
-        "verdict.txt": "51caff2a4c47c042a4cf371c753377b1023681f01cbc726afc310f34d7fddf8b",
+        "verdict.txt": "16c1575bd2e9858f8d877d7ef2b5b456f6a064dedd6d53c2f46f346521f2034d",
     }),
     "threshold-censored": (THRESHOLD_CENSORED, {
         "snapshots.csv": "e3de7918b3af1e1ed0ac54eb0e070184744c8d179de80d3b6f2f3b576c78211a",
         "summary.json": "4a7b5d16927f0ddc8bebd15b6b64c6004d249cb8903d88bf27e3f098933dd813",
         "trajectories.csv": "373ae85fe3eaa262682df4d9b874973b1b39508e667069ed551df8c53b26cc43",
-        "verdict.txt": "07a09f020bfc23840daaa1463af99b460b839940d3b2aea745d6f30f7cf59205",
+        "verdict.txt": "f086d5dd447e7d6df967a3b9df1489b92101ae5283f66527c81d40b14c0a6ddf",
     }),
     "bekk-small": (BEKK_SMALL, {
         "snapshots.csv": "55b6441443b590b232ebe64882da4829f974cecd86f7727f41148f931296ab4b",
@@ -116,15 +139,15 @@ CHECK_GOLDEN = {
     "bekk-demo-shell-s2": (BEKK_SHELL_S2, 2,
                            "29e69a3ef3e98ddbd2aed5254f03d945de49d30a5b5e8a74a816873947a34bee"),
     "example2-ergodic": (builtin_configs()["example2-ergodic"], 0,
-                         "86061852e59bdeeff1429ae53600725566ab3e8d7a7c9d61242cf72cb6fe78c6"),
+                         "5c6196acd4d3ce99dc197f07864f35781a50685e473b3b4594a092be31a7da11"),
     "bekk-demo-B-identity": (BEKK_B_IDENTITY, 2,
                              "a16aed9d5b4c96f2baae2f907fd4559bb74e93cdcdc7a0c5032a803d391baa18"),
     "bekk-demo-B-zero": (BEKK_B_ZERO, 2,
                          "a4a216c550b02918cdf026f7350ea2990ec042cc274ef99d70b8cbc8791f5fcd"),
     "example2-ergodic-shell-s2": (SHELL_S2, 3,
-                                  "ab59538d1d73d3060cc05fb342efd553d153552fc40759f7df8825970650edb9"),
+                                  "78c1521455a42139b0dd3947913cea815d97a39f00365e151f548025bd5225d1"),
     "example2-ergodic-signed": (ERGODIC_SIGNED, 0,
-                                "75c3f82e1b4f8c80051eade4c739a2b73b1ea60a9b55d5f7969d0af928fa3305"),
+                                "a567268bb1872d21da390fd49907da08b6aa1dc577c826dc2643ad8f5fdeeac8"),
 }
 
 
