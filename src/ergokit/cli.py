@@ -245,8 +245,8 @@ def _comparison_expectations(name):
             ("structural witnesses fail",
              lambda r, s: any(not c.passed for c in r.structural)),
             # The reference account expects visible divergence here; simulation
-            # shows bounded paths (see the repository decision notes), so this
-            # expectation is listed and honestly marked when it fails.
+            # shows bounded paths (the README's acceptance section says why), so
+            # this expectation is listed and honestly marked when it fails.
             medians_grow,
         ]
     if name == "bekk-demo":
@@ -292,8 +292,8 @@ def _comparison_text(name, report, summary, seed, cfg_hash):
     lines.append("")
     if mismatches:
         lines.append(
-            f"{mismatches} expectation(s) not reproduced; see the decision "
-            "notes shipped with the source repository for the analysis"
+            f"{mismatches} expectation(s) not reproduced; see the acceptance "
+            "section of README.md for the analysis"
         )
     else:
         lines.append("all expectations reproduced")

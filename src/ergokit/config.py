@@ -14,7 +14,7 @@ import os
 import tempfile
 
 from . import __version__
-from .ergodicity import DriftEnvelope
+from .ergodicity import SOURCE_USER, DriftEnvelope
 from .models import AffineMap, BekkArch, ThresholdAffine2D
 from .noise import Expol2, StdGaussian
 from .simulate import DEFAULT_DIVERGENCE_THRESHOLD, SimulationConfig
@@ -135,7 +135,7 @@ def _checks_from_config(doc, model, path="$.checks"):
                 a_g=_as_number(envelope["a_g"], f"{env_path}.a_g"),
                 b_g=_as_number(envelope["b_g"], f"{env_path}.b_g"),
                 m_ball=_as_number(envelope["M"], f"{env_path}.M"),
-                source="user_supplied",
+                source=SOURCE_USER,
             )
         except ConfigError:
             raise

@@ -3,10 +3,12 @@ ergodicity.
 
 The drift side verifies gamma = b_f + b_g * E[||e||_s] < 1 for envelope
 constants (a_f, b_f, a_g, b_g) bounding ||f(x)||_s and the induced s-norm
-of g(x) outside the ball {||x||_s <= M}.  The structural side checks that the
-volatility's singular set is thin enough for the chain to smooth it out.
-Everything here is a sufficient condition: a failed check never demonstrates
-non-ergodicity.
+of g(x) outside the ball {||x||_s <= M}, with the moment taken at the
+envelope's own s on one path for both families (_report): the noise law's
+closed form where it has one at s, quadrature otherwise.  The structural side
+checks that the volatility's singular set is thin enough for the chain to
+smooth it out.  Everything here is a sufficient condition: a failed check
+never demonstrates non-ergodicity.
 """
 
 import math
@@ -16,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .models import (
+    AffineMap,
     BekkArch,
     REGION_EVERYWHERE_SINGULAR,
     REGION_ON_L,
@@ -23,10 +26,16 @@ from .models import (
     bekk_b_eigenvalues,
     bekk_line_normal,
     eval_f,
-    eval_g,
     g_determinant,
 )
-from .noise import Expol2, StdGaussian, _box_rejection, abs_moment, sample
+from .noise import (
+    _MAX_PROPOSALS_PER_DRAW,
+    Expol2,
+    StdGaussian,
+    _box_rejection,
+    abs_moment,
+    sample,
+)
 from .norms import (
     frobenius_norm,
     induced_norm_bounds,
@@ -158,6 +167,24 @@ def threshold_envelope(model):
     )
 
 
+def _bekk_envelope(model):
+    """Global drift envelope for BEKK with an affine f at s = 2 (M = 1): b_f, a_f
+    are the operator norm of f's matrix and its offset norm, and the Frobenius
+    identity bounds the volatility by a_g = sqrt(tr B), b_g = |||A|||_F."""
+    if not isinstance(model.f, AffineMap):
+        raise ValueError("an explicit envelope is required when f is not an affine map")
+    s = model.analytic_envelope_s
+    return DriftEnvelope(
+        s=s,
+        a_f=math.hypot(*model.f.offset),
+        b_f=operator_norm(model.f.matrix, s),
+        a_g=max(math.sqrt(max(float(np.trace(model.b_mat)), 0.0)), _ENVELOPE_FLOOR),
+        b_g=max(frobenius_norm(model.a_mat), _ENVELOPE_FLOOR),
+        m_ball=1.0,
+        source=SOURCE_ANALYTIC_BEKK,
+    )
+
+
 def _upper_hull(points):
     """Upper convex hull of (r, v) points sorted by r (monotone chain)."""
     pts = sorted(points)
@@ -204,7 +231,22 @@ def _fit_linear_envelope(radii, values, mid, floor_a):
 
 def _sample_shell(rng, dim, s, m_ball, radius, n_samples):
     """Uniform draws from the shell {m_ball < ||x||_s <= radius} by box
-    rejection; the box halfwidth is radius^(1/s) in the pseudonorm regime."""
+    rejection; the box halfwidth is radius^(1/s) in the pseudonorm regime.
+
+    A proposal lands in the shell with probability
+    p = Gamma(1 + 1/s)^dim / Gamma(1 + dim/s) * (1 - (m_ball/radius)^k), with
+    k = dim/s below s = 1 and k = dim from 1 up; p is computed in logs and
+    checked against the proposal budget before anything is drawn, because
+    it collapses (and the halfwidth overflows) as s -> 0."""
+    k = dim / s if s < 1.0 else dim
+    log_p = (dim * math.lgamma(1.0 + 1.0 / s) - math.lgamma(1.0 + dim / s)
+             + math.log1p(-(m_ball / radius) ** k))
+    if not log_p >= -math.log(_MAX_PROPOSALS_PER_DRAW):
+        raise ValueError(
+            f"cannot sample the shell at s={s:g}: a box proposal lands in it with "
+            f"probability 10^{log_p / math.log(10.0):.3g}, so a draw would take "
+            f"more than the budget of {_MAX_PROPOSALS_PER_DRAW:g} proposals"
+        )
     half = radius if s >= 1.0 else radius ** (1.0 / s)
 
     def in_shell(cand):
@@ -332,9 +374,7 @@ def empirical_drift_check(model, noise_spec, x, s, n_mc, seed):
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
     draws = sample(noise_spec, rng, n_mc)
-    fx = eval_f(model, x)
-    gx = eval_g(model, x)
-    nxt = fx[None, :] + draws @ gx.T
+    nxt = model.lane_kernel()(np.broadcast_to(x, draws.shape), draws)
     v1 = 1.0 + s_norms(nxt, s, axis=1)
     v0 = 1.0 + vector_s_norm(x, s)
     value = float(np.mean(v1)) / v0
@@ -350,7 +390,12 @@ def _verdict(structural, gamma, envelope):
     return VERDICT_MET
 
 
-def _report(structural, gamma, moment, envelope, extra_notes):
+def _report(structural, noise_spec, envelope, extra_notes):
+    """Both families' report: E[||e||_s] at envelope.s by the noise law's
+    moment_method(s), gamma by drift_gamma, the verdict and the notes."""
+    s = envelope.s
+    moment = abs_moment(noise_spec, s, method=noise_spec.moment_method(s))
+    gamma = drift_gamma(envelope, moment)
     verdict = _verdict(structural, gamma, envelope)
     return ErgodicityReport(
         structural=structural,
@@ -392,53 +437,23 @@ def _compose_notes(envelope, moment, gamma, verdict, extra):
 
 
 def check_threshold_model(model, noise_spec=None, envelope=None, extra_notes=""):
-    """Full sufficient-condition report for a ThresholdAffine2D model."""
+    """Full sufficient-condition report for a ThresholdAffine2D model: its two
+    structural checks, then _report (Expol2 and threshold_envelope by default)."""
     if not isinstance(model, ThresholdAffine2D):
         raise ValueError("check_threshold_model expects a ThresholdAffine2D model")
-    noise_spec = noise_spec if noise_spec is not None else Expol2()
-    if envelope is None:
-        envelope = threshold_envelope(model)
-    moment = abs_moment(noise_spec, envelope.s, method="quadrature")
-    gamma = drift_gamma(envelope, moment)
     structural = (check_coefexpol(model), _check_d_main_nonsingular(model))
-    return _report(structural, gamma, moment, envelope, extra_notes)
+    return _report(structural, noise_spec or Expol2(),
+                   envelope or threshold_envelope(model), extra_notes)
 
 
 def check_bekk_model(model, noise_spec=None, envelope=None, extra_notes=""):
-    """Full sufficient-condition report for a BekkArch model.
-
-    Without an explicit envelope the autoregressive term must be an
-    AffineMap; then b_f is its matrix operator 2-norm, a_f the offset norm,
-    and the volatility is bounded through the Frobenius identity by
-    a_g = sqrt(tr B), b_g = |||A|||_F.
-    """
+    """Full sufficient-condition report for a BekkArch model: the PSD,
+    degeneracy-locus and skeleton-escape checks, then _report (StdGaussian(2)
+    and _bekk_envelope by default, where gamma equals bekk_gamma; an explicit
+    envelope, required when f is not affine, is checked at its own s)."""
     if not isinstance(model, BekkArch):
         raise ValueError("check_bekk_model expects a BekkArch model")
-    noise_spec = noise_spec if noise_spec is not None else StdGaussian(2)
-    if envelope is None:
-        matrix = getattr(model.f, "matrix", None)
-        offset = getattr(model.f, "offset", None)
-        if matrix is None or offset is None:
-            raise ValueError(
-                "an explicit envelope is required when f is not an affine map"
-            )
-        b = np.asarray(model.b_mat)
-        envelope = DriftEnvelope(
-            s=2.0,
-            a_f=math.hypot(*offset),
-            b_f=operator_norm(matrix, 2),
-            a_g=max(math.sqrt(max(float(np.trace(b)), 0.0)), _ENVELOPE_FLOOR),
-            b_g=max(frobenius_norm(model.a_mat), _ENVELOPE_FLOOR),
-            m_ball=1.0,
-            source=SOURCE_ANALYTIC_BEKK,
-        )
-    if isinstance(noise_spec, StdGaussian):
-        moment = abs_moment(noise_spec, 2.0, method="analytic")
-    else:
-        moment = abs_moment(noise_spec, 2.0, method="quadrature")
-    # The default envelope has b_g = |||A|||_F, so this equals
-    # bekk_gamma(b_f, A, moment); a user envelope substitutes its own bound.
-    gamma = drift_gamma(envelope, moment)
+    envelope = envelope or _bekk_envelope(model)
     w, _ = bekk_b_eigenvalues(model.b_mat)
     checks = [
         CheckResult(
@@ -469,4 +484,4 @@ def check_bekk_model(model, noise_spec=None, envelope=None, extra_notes=""):
                 ),
             )
         )
-    return _report(tuple(checks), gamma, moment, envelope, extra_notes)
+    return _report(tuple(checks), noise_spec or StdGaussian(2), envelope, extra_notes)

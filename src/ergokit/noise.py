@@ -57,6 +57,10 @@ class _NoiseSpec:
             "quadrature moments require a separable density (gaussian or expol2)"
         )
 
+    def moment_method(self, s):
+        """abs_moment's method at s: "analytic" where a closed form exists."""
+        return "quadrature"
+
     def analytic_abs_moment(self, s):
         raise ValueError("analytic moments are available only for gaussian noise")
 
@@ -83,20 +87,20 @@ class StdGaussian(_NoiseSpec):
     def coordinate_density(self):
         return (lambda u: np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi), 10.0)
 
+    def moment_method(self, s):
+        return "analytic" if s <= 1.0 or s == 2.0 else "quadrature"
+
     def analytic_abs_moment(self, s):
+        if self.moment_method(s) != "analytic":
+            raise ValueError("analytic gaussian moments cover s <= 1 and s = 2 only")
         if s <= 1.0:
             # E|N(0,1)|^s = 2^(s/2) Gamma((s+1)/2) / sqrt(pi), per coordinate.
             return self.dim * (
                 2.0 ** (s / 2.0) * math.gamma((s + 1.0) / 2.0) / math.sqrt(math.pi)
             )
-        if s == 2.0:
-            # Mean of a chi distribution with `dim` degrees of freedom.
-            return (
-                math.sqrt(2.0)
-                * math.gamma((self.dim + 1.0) / 2.0)
-                / math.gamma(self.dim / 2.0)
-            )
-        raise ValueError("analytic gaussian moments cover s <= 1 and s = 2 only")
+        # s = 2: the mean of a chi distribution with `dim` degrees of freedom.
+        return (math.sqrt(2.0) * math.gamma((self.dim + 1.0) / 2.0)
+                / math.gamma(self.dim / 2.0))
 
 
 @dataclass(frozen=True)
@@ -477,7 +481,8 @@ def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
             nodes), for s > 1 (two coordinates) the depth-6 tensor rule
             (448^2 points).  grid_size is the point count.
         monte_carlo: sample mean of ||e||_s with a standard error (needs rng).
-        analytic: closed forms for the Gaussian law (s <= 1 or s = 2).
+        analytic: closed forms for the Gaussian law (s <= 1 or s = 2);
+            spec.moment_method(s) names the method a law has at s.
     budget : int
         Monte Carlo sample count; ignored by the other methods.
     rng : numpy Generator, required for monte_carlo.

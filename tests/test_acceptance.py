@@ -4,8 +4,8 @@ Each test prints a PASS/FAIL line per claim (shown with pytest -s, and in
 the failure report otherwise).  Two expectations are known not to replicate
 and are asserted faithfully anyway, so they fail honestly rather than being
 weakened: the s=2 legs of the matrix-norm property suite, and the variance
-variant's divergence under simulation.  The analysis for both lives in the
-decision notes shipped alongside the source repository.
+variant's divergence under simulation.  README.md's acceptance section gives
+the analysis for both.
 """
 
 import json
@@ -141,7 +141,8 @@ def test_criterion_3_norm_property_suite():
     results.append((f"runtime {elapsed:.2f}s < 10s", elapsed < 10.0))
     failed = _lines(results)
     # The s=2 submultiplicativity/compatibility legs are mathematically false
-    # for the max-column norm and fail here by design; see the decision notes.
+    # for the max-column norm and fail here by design; see README.md's
+    # acceptance section for the all-ones counterexample.
     assert not failed, failed
 
 
@@ -263,7 +264,8 @@ def test_criterion_6_simulation_dichotomy():
          med_var[0] < med_var[1] < med_var[2]),
     ])
     # The variance-variant leg does not replicate (medians stay flat); it is
-    # asserted as stated and fails honestly; see the decision notes.
+    # asserted as stated and fails honestly; README.md's acceptance section
+    # explains the flat medians.
     assert not failed, failed
 
 

@@ -262,6 +262,8 @@ def test_pseudonorm_moments_and_checks_run_at_small_s(tmp_path, capsys):
     assert report["noise_moment"]["s"] == 0.4
     assert code == {"sufficient_condition_met": 0, "condition_failed": 2,
                     "inconclusive": 3}[report["verdict"]]
+    # Inside the shell sampler's proposal budget (acceptance 0.092).
+    assert code == 2
     assert err == ""
 
 
@@ -280,13 +282,70 @@ def test_moments_rejects_bad_s_and_seed(capsys, argv):
     assert ("--seed" if "--seed" in argv else "s must be") in err
 
 
-def test_numeric_failure_is_an_error_line(tmp_path, capsys):
-    # At s = 0.001 the shell radius 100^(1/s) overflows a float.
-    path = write_config(tmp_path, _shell_check_doc(0.001))
+def test_numeric_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # An ArithmeticError inside a command, here an overflowing noise moment,
+    # is one error line and exit 1.
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr("ergokit.ergodicity.abs_moment", overflow)
+    path = write_config(tmp_path, builtin_configs()["example2-ergodic"])
     assert main(["check", path]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: numeric failure") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("s", [0.05, 0.001])
+def test_shell_envelope_beyond_the_proposal_budget_fails_fast(tmp_path, capsys, s):
+    # A box proposal lands in the shell with probability 7.3e-12 at s = 0.05
+    # (the sampler would run for minutes) and 10^-600 at s = 0.001 (the box
+    # halfwidth 100^(1/s) overflows); both are refused before any draw.
+    path = write_config(tmp_path, _shell_check_doc(s))
+    assert main(["check", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"s={s:g}" in err
+    assert "OverflowError" not in err and "numeric failure" not in err
+
+
+def _bekk_checks_doc(checks):
+    return {**builtin_configs()["bekk-demo"], "checks": checks}
+
+
+_BEKK_AT_OTHER_S = {
+    "shell-s1": {"s": 1.0, "envelope": "shell"},
+    "shell-s3": {"s": 3.0, "envelope": "shell"},
+    "user-s1": {"s": 1.0, "envelope": {"a_f": 1.0, "b_f": 0.4, "a_g": 1.5,
+                                       "b_g": 1.0, "M": 1.0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BEKK_AT_OTHER_S))
+def test_bekk_checks_run_at_the_envelope_s(tmp_path, capsys, name):
+    # BEKK drift checks take the noise moment at the envelope's s, like the
+    # threshold family.
+    checks = _BEKK_AT_OTHER_S[name]
+    assert main(["check", write_config(tmp_path, _bekk_checks_doc(checks))]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    env, moment = report["envelope"], report["noise_moment"]
+    assert moment["s"] == env["s"] == checks["s"]
+    assert moment["method"] == ("analytic" if checks["s"] == 1.0 else "quadrature")
+    assert report["gamma"] == env["b_f"] + env["b_g"] * moment["value"]
+    assert report["verdict"] == "condition_failed"
+
+
+def test_bekk_simulate_with_an_s1_shell_envelope(tmp_path, capsys):
+    path = write_config(tmp_path, _bekk_checks_doc(_BEKK_AT_OTHER_S["shell-s1"]))
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == [
+        "snapshots.csv", "summary.json", "trajectories.csv", "verdict.txt"]
+    assert (out / "verdict.txt").read_text().startswith("check: condition_failed")
 
 
 def test_reproduce_unknown_name(tmp_path, capsys):

@@ -270,6 +270,24 @@ def test_threshold_report_variance_variant():
     assert not by_name["d_main_nonsingular"].passed
 
 
+@pytest.mark.parametrize("s, method", [
+    (1.0, "analytic"), (2.0, "analytic"), (3.0, "quadrature"),
+])
+def test_threshold_report_takes_the_gaussian_closed_form_where_it_exists(s, method):
+    # One moment rule for both families: Gaussian noise has closed forms at
+    # s <= 1 and s = 2, so the threshold report uses them there too.
+    model = make_threshold()
+    env = None if s == 1.0 else DriftEnvelope(
+        s=s, a_f=0.0, b_f=0.4, a_g=1.0, b_g=0.25, m_ball=1.0, source="user_supplied")
+    report = check_threshold_model(model, StdGaussian(2), envelope=env)
+    moment = report.noise_moment
+    assert (moment.s, moment.method) == (s, method)
+    assert (moment.grid_size is None) == (method == "analytic")
+    assert moment == abs_moment(StdGaussian(2), s, method=method)
+    assert report.gamma == report.envelope.b_f + report.envelope.b_g * moment.value
+    assert f"moment method: {method}" in report.notes
+
+
 def test_report_extra_notes_threading():
     report = check_threshold_model(make_threshold(), extra_notes="reference note")
     assert "reference note" in report.notes

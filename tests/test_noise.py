@@ -352,6 +352,22 @@ def test_analytic_gaussian_moments():
         abs_moment(StdGaussian(2), 3.0, method="analytic")
 
 
+@pytest.mark.parametrize("s, method", [
+    (0.3, "analytic"), (1.0, "analytic"), (1.5, "quadrature"), (2.0, "analytic"),
+    (3.0, "quadrature"),
+])
+def test_moment_method_names_the_closed_forms(s, method):
+    spec = StdGaussian(2)
+    assert spec.moment_method(s) == method
+    assert Expol2().moment_method(s) == "quadrature"
+    est = abs_moment(spec, s, method=method)
+    assert est.method == method
+    assert est.value == pytest.approx(abs_moment(spec, s, "quadrature").value, rel=1e-11)
+    if method == "quadrature":
+        with pytest.raises(ValueError, match="s <= 1 and s = 2 only"):
+            abs_moment(spec, s, method="analytic")
+
+
 def test_monte_carlo_agrees_with_quadrature():
     quad = abs_moment(Expol2(), 1.0, method="quadrature")
     mc = abs_moment(
