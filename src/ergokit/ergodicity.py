@@ -185,43 +185,47 @@ def _bekk_envelope(model):
     )
 
 
-def _upper_hull(points):
-    """Upper convex hull of (r, v) points sorted by r (monotone chain)."""
-    pts = sorted(points)
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (r1, v1), (r2, v2) = hull[-2], hull[-1]
-            cross = (r2 - r1) * (p[1] - v1) - (p[0] - r1) * (v2 - v1)
-            if cross >= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
+def _bridge_slope(radii, values, mid):
+    """Slope of the upper-hull edge of the (r, v) samples that spans `mid`,
+    from a sample with r <= mid to one with r > mid; None if a side is empty.
+
+    Alternates tangents: from a left sample to the right samples (largest
+    slope), then from that right sample back to the left ones (smallest
+    slope).  Each pair's line is at least as high at `mid` as the last, and
+    the loop stops once that height stops rising strictly, which also ends
+    it on collinear samples."""
+    left = radii <= mid
+    r_l, v_l, r_r, v_r = radii[left], values[left], radii[~left], values[~left]
+    if not (r_l.size and r_r.size):
+        return None
+    i, height = int(np.argmax(v_l)), -math.inf
+    while True:
+        j = int(np.argmax((v_r - v_l[i]) / (r_r - r_l[i])))
+        i = int(np.argmin((v_r[j] - v_l) / (r_r[j] - r_l)))
+        b = (v_r[j] - v_l[i]) / (r_r[j] - r_l[i])
+        step = v_l[i] + b * (mid - r_l[i])
+        if not step > height:
+            return float(b)
+        height = step
 
 
 def _fit_linear_envelope(radii, values, mid, floor_a):
-    """Smallest line a + b * r lying above all (r, v) samples.
+    """Smallest line a + b * r lying above all (r, v) samples (arrays).
 
-    Candidate slopes come from the upper convex hull edges (plus the flat
-    line and the through-origin ray); for each slope the exact minimal
-    intercept is recomputed, and the line minimizing the average bound over
-    the shell (evaluated at the shell midpoint `mid`) wins.  Ties prefer the
-    smaller slope.  Positive floors keep the envelope inside the type
-    invariants; they only ever raise the line.
+    Candidate slopes are the flat line, the through-origin ray max v/r and
+    the hull edge spanning `mid` (_bridge_slope), clamped at 0; for each the
+    exact minimal intercept is recomputed, and the line minimizing the
+    average bound over the shell (evaluated at the shell midpoint `mid`)
+    wins.  Ties prefer the smaller slope.  Positive floors keep the envelope
+    inside the type invariants; they only ever raise the line.
     """
-    hull = _upper_hull(zip(radii, values))
-    slopes = {0.0}
-    slopes.add(max(v / r for r, v in zip(radii, values)))
-    for (r1, v1), (r2, v2) in zip(hull, hull[1:]):
-        if r2 > r1:
-            slopes.add(max(0.0, (v2 - v1) / (r2 - r1)))
+    slopes = {0.0, float(np.max(values / radii))}
+    bridge = _bridge_slope(radii, values, mid)
+    if bridge is not None:
+        slopes.add(max(0.0, bridge))
     best = None
-    r_arr = np.asarray(radii)
-    v_arr = np.asarray(values)
     for b in sorted(slopes):
-        a = max(0.0, float(np.max(v_arr - b * r_arr)))
+        a = max(0.0, float(np.max(values - b * radii)))
         key = (a + b * mid, b)
         if best is None or key < best[0]:
             best = (key, a, b)
@@ -273,12 +277,12 @@ def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
     rng = np.random.default_rng(seed)
     xs = _sample_shell(rng, model.dim, s, m_ball, radius, n_samples)
     f_x, g_x = model.lane_terms(xs)
-    radii = s_norms(xs, s, axis=1).tolist()
-    f_vals = s_norms(f_x, s, axis=1).tolist()
-    g_vals = induced_norm_bounds(g_x, s).tolist()
-    if max(f_vals) <= 0.0:
+    radii = s_norms(xs, s, axis=1)
+    f_vals = s_norms(f_x, s, axis=1)
+    g_vals = induced_norm_bounds(g_x, s)
+    if np.max(f_vals) <= 0.0:
         raise ValueError("degenerate shell sample: f vanishes on every draw")
-    if max(g_vals) <= 0.0:
+    if np.max(g_vals) <= 0.0:
         raise ValueError("degenerate shell sample: g vanishes on every draw")
     mid = 0.5 * (m_ball + radius)
     a_f, b_f = _fit_linear_envelope(radii, f_vals, mid, 0.0)
