@@ -5,10 +5,11 @@ The drift side verifies gamma = b_f + b_g * E[||e||_s] < 1 for envelope
 constants (a_f, b_f, a_g, b_g) bounding ||f(x)||_s and the induced s-norm
 of g(x) outside the ball {||x||_s <= M}, with the moment taken at the
 envelope's own s on one path for both families (_report): the noise law's
-closed form where it has one at s, quadrature otherwise.  The structural side
-checks that the volatility's singular set is thin enough for the chain to
-smooth it out.  Everything here is a sufficient condition: a failed check
-never demonstrates non-ergodicity.
+closed form where it has one at s, quadrature otherwise.  A shell envelope
+is a line fit by alternating tangents to exact draws from the shell
+{M < ||x||_s <= R}.  The structural side checks that the volatility's
+singular set is thin enough for the chain to smooth it out.  Everything here
+is a sufficient condition: a failed check never demonstrates non-ergodicity.
 """
 
 import math
@@ -28,14 +29,7 @@ from .models import (
     eval_f,
     g_determinant,
 )
-from .noise import (
-    _MAX_PROPOSALS_PER_DRAW,
-    Expol2,
-    StdGaussian,
-    _box_rejection,
-    abs_moment,
-    sample,
-)
+from .noise import Expol2, StdGaussian, abs_moment, sample
 from .norms import (
     frobenius_norm,
     induced_norm_bounds,
@@ -185,79 +179,56 @@ def _bekk_envelope(model):
     )
 
 
-def _bridge_slope(radii, values, mid):
-    """Slope of the upper-hull edge of the (r, v) samples that spans `mid`,
-    from a sample with r <= mid to one with r > mid; None if a side is empty.
-
-    Alternates tangents: from a left sample to the right samples (largest
-    slope), then from that right sample back to the left ones (smallest
-    slope).  Each pair's line is at least as high at `mid` as the last, and
-    the loop stops once that height stops rising strictly, which also ends
-    it on collinear samples."""
-    left = radii <= mid
-    r_l, v_l, r_r, v_r = radii[left], values[left], radii[~left], values[~left]
-    if not (r_l.size and r_r.size):
-        return None
-    i, height = int(np.argmax(v_l)), -math.inf
-    while True:
-        j = int(np.argmax((v_r - v_l[i]) / (r_r - r_l[i])))
-        i = int(np.argmin((v_r[j] - v_l) / (r_r[j] - r_l)))
-        b = (v_r[j] - v_l[i]) / (r_r[j] - r_l[i])
-        step = v_l[i] + b * (mid - r_l[i])
-        if not step > height:
-            return float(b)
-        height = step
-
-
 def _fit_linear_envelope(radii, values, mid, floor_a):
-    """Smallest line a + b * r lying above all (r, v) samples (arrays).
+    """Lowest line a + b * r at the shell midpoint `mid` lying above all the
+    (r, v) samples (arrays), over the slopes 0, max v/r and that of the
+    upper-hull edge spanning `mid`, each clamped at 0 and given its least
+    intercept a >= 0; ties prefer the smaller slope.  The positive floors
+    keep the envelope inside the type invariants and only ever raise it.
 
-    Candidate slopes are the flat line, the through-origin ray max v/r and
-    the hull edge spanning `mid` (_bridge_slope), clamped at 0; for each the
-    exact minimal intercept is recomputed, and the line minimizing the
-    average bound over the shell (evaluated at the shell midpoint `mid`)
-    wins.  Ties prefer the smaller slope.  Positive floors keep the envelope
-    inside the type invariants; they only ever raise the line.
+    The edge joins a sample with r <= mid to one with r > mid.  Tangents
+    alternate between the sides (from a left sample the largest slope to the
+    right ones, from that one the smallest slope back) while the line's
+    height at `mid` rises strictly, which also ends them on collinear samples.
     """
     slopes = {0.0, float(np.max(values / radii))}
-    bridge = _bridge_slope(radii, values, mid)
-    if bridge is not None:
-        slopes.add(max(0.0, bridge))
-    best = None
-    for b in sorted(slopes):
-        a = max(0.0, float(np.max(values - b * radii)))
-        key = (a + b * mid, b)
-        if best is None or key < best[0]:
-            best = (key, a, b)
-    _, a, b = best
+    left = radii <= mid
+    r_l, v_l, r_r, v_r = radii[left], values[left], radii[~left], values[~left]
+    if r_l.size and r_r.size:
+        i, height = int(np.argmax(v_l)), -math.inf
+        while True:
+            j = int(np.argmax((v_r - v_l[i]) / (r_r - r_l[i])))
+            i = int(np.argmin((v_r[j] - v_l) / (r_r[j] - r_l)))
+            b = (v_r[j] - v_l[i]) / (r_r[j] - r_l[i])
+            at_mid = v_l[i] + b * (mid - r_l[i])
+            if not at_mid > height:
+                break
+            height = at_mid
+        slopes.add(max(0.0, float(b)))
+    lines = [(max(0.0, float(np.max(values - b * radii))), b) for b in slopes]
+    a, b = min(lines, key=lambda line: (line[0] + line[1] * mid, line[1]))
     return max(a, floor_a), max(b, _ENVELOPE_FLOOR)
 
 
 def _sample_shell(rng, dim, s, m_ball, radius, n_samples):
-    """Uniform draws from the shell {m_ball < ||x||_s <= radius} by box
-    rejection; the box halfwidth is radius^(1/s) in the pseudonorm regime.
-
-    A proposal lands in the shell with probability
-    p = Gamma(1 + 1/s)^dim / Gamma(1 + dim/s) * (1 - (m_ball/radius)^k), with
-    k = dim/s below s = 1 and k = dim from 1 up; p is computed in logs and
-    checked against the proposal budget before anything is drawn, because
-    it collapses (and the halfwidth overflows) as s -> 0."""
-    k = dim / s if s < 1.0 else dim
-    log_p = (dim * math.lgamma(1.0 + 1.0 / s) - math.lgamma(1.0 + dim / s)
-             + math.log1p(-(m_ball / radius) ** k))
-    if not log_p >= -math.log(_MAX_PROPOSALS_PER_DRAW):
-        raise ValueError(
-            f"cannot sample the shell at s={s:g}: a box proposal lands in it with "
-            f"probability 10^{log_p / math.log(10.0):.3g}, so a draw would take "
-            f"more than the budget of {_MAX_PROPOSALS_PER_DRAW:g} proposals"
-        )
-    half = radius if s >= 1.0 else radius ** (1.0 / s)
-
-    def in_shell(cand):
-        norms = s_norms(cand, s, axis=1)
-        return (norms > m_ball) & (norms <= radius)
-
-    return _box_rejection(rng, n_samples, dim, half, in_shell)
+    """Exact uniform draws from the shell {m_ball < ||x||_s <= radius}; call
+    under np.errstate.  In the homogeneous norm (sum |x_i|^s)^(1/s), whose
+    s-th power is the pseudonorm below s = 1, the shell is (lo, hi].  A
+    uniform point is rho * g / (sum |g_i|^s)^(1/s) (Barthe, Guedon, Mendelson
+    & Naor, Ann. Probab. 33, 2005) for g_i = +-Gamma(1 + 1/s)^(1/s) * U(0, 1),
+    of density ~ exp(-|t|^s) and scaled in logs by the row's largest |g_i| so
+    no power overflows, and rho of density ~ rho^(dim - 1) on [lo, hi]."""
+    lo, hi = (m_ball, radius) if s >= 1.0 else np.power((m_ball, radius), 1.0 / s)
+    if not math.isfinite(hi):
+        raise ValueError(f"cannot sample the shell at s={s:g}: its outer radius "
+                         f"{radius:g}^(1/s) is not a finite double")
+    u = rng.uniform(-1.0, 1.0, (n_samples, dim))
+    log_g = (np.log(rng.standard_gamma(1.0 + 1.0 / s, (n_samples, dim))) / s
+             + np.log(np.abs(u)))
+    g = np.sign(u) * np.exp(log_g - np.max(log_g, axis=1, keepdims=True))
+    c = (lo / hi) ** dim
+    rho = hi * (c + (1.0 - c) * rng.random(n_samples)) ** (1.0 / dim)
+    return g * (rho / np.sum(np.abs(g) ** s, axis=1) ** (1.0 / s))[:, None]
 
 
 def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
@@ -265,7 +236,9 @@ def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
 
     The result is advisory: a sampled supremum is not a bound, so the
     envelope is marked shell_estimated and can never support a
-    sufficient_condition_met verdict.
+    sufficient_condition_met verdict.  Raises ValueError naming s when the
+    draws' outer radius, or a sample's radius, f or g norm, is not a finite
+    double; they are computed with numpy warnings off.
     """
     s = float(s)
     if s <= 0:
@@ -275,11 +248,15 @@ def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
     if n_samples < 10 ** 3:
         raise ValueError("need at least 1000 shell samples")
     rng = np.random.default_rng(seed)
-    xs = _sample_shell(rng, model.dim, s, m_ball, radius, n_samples)
-    f_x, g_x = model.lane_terms(xs)
-    radii = s_norms(xs, s, axis=1)
-    f_vals = s_norms(f_x, s, axis=1)
-    g_vals = induced_norm_bounds(g_x, s)
+    with np.errstate(all="ignore"):
+        xs = _sample_shell(rng, model.dim, s, m_ball, radius, n_samples)
+        f_x, g_x = model.lane_terms(xs)
+        radii = s_norms(xs, s, axis=1)
+        f_vals = s_norms(f_x, s, axis=1)
+        g_vals = induced_norm_bounds(g_x, s)
+    if not all(np.all(np.isfinite(v)) for v in (radii, f_vals, g_vals)):
+        raise ValueError(f"cannot fit the shell envelope at s={s:g}: a sample's "
+                         "radius, f norm or g norm is not a finite double")
     if np.max(f_vals) <= 0.0:
         raise ValueError("degenerate shell sample: f vanishes on every draw")
     if np.max(g_vals) <= 0.0:

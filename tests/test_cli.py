@@ -211,8 +211,9 @@ def test_noise_dimension_mismatch_exits_1(tmp_path, capsys, command):
     argv = [command, path, "--out", str(out / "report.json" if command == "check" else out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "noise has dim 3 but the model has dim 2 at $.simulation" in err
+    assert "noise has dim 3 but the model has dim 2 at $.noise.dim" in err
     assert not out.exists()
+
 
 def test_moments_quadrature_band(capsys):
     assert main(["moments", "--noise", "expol2", "--s", "1"]) == 0
@@ -244,6 +245,14 @@ def test_moments_analytic_rejects_expol2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_moments_analytic_gaussian_s2_at_high_dim(capsys):
+    assert main(["moments", "--noise", "gaussian", "--s", "2",
+                 "--method", "analytic", "--dim", "343"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["value"] == pytest.approx(math.sqrt(343.0), rel=1e-3)
+
+
 def _shell_check_doc(s):
     return {**builtin_configs()["example2-ergodic"],
             "checks": {"s": s, "envelope": "shell"}}
@@ -262,7 +271,7 @@ def test_pseudonorm_moments_and_checks_run_at_small_s(tmp_path, capsys):
     assert report["noise_moment"]["s"] == 0.4
     assert code == {"sufficient_condition_met": 0, "condition_failed": 2,
                     "inconclusive": 3}[report["verdict"]]
-    # Inside the shell sampler's proposal budget (acceptance 0.092).
+    # The pseudonorm shell envelope at s = 0.4 fails the drift bound.
     assert code == 2
     assert err == ""
 
@@ -297,17 +306,53 @@ def test_numeric_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("s", [0.05, 0.001])
-def test_shell_envelope_beyond_the_proposal_budget_fails_fast(tmp_path, capsys, s):
-    # A box proposal lands in the shell with probability 7.3e-12 at s = 0.05
-    # (the sampler would run for minutes) and 10^-600 at s = 0.001 (the box
-    # halfwidth 100^(1/s) overflows); both are refused before any draw.
+def test_shell_envelope_at_small_s(tmp_path, capsys, s):
+    # Shell draws are exact, so s = 0.05 gets a verdict; at s = 0.001 the
+    # outer radius 100^(1/s) of the homogeneous norm is not a finite double
+    # and the envelope is refused before any draw.
     path = write_config(tmp_path, _shell_check_doc(s))
-    assert main(["check", path]) == 1
+    code = main(["check", path])
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert f"s={s:g}" in err
-    assert "OverflowError" not in err and "numeric failure" not in err
+    if s == 0.001:
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"s={s:g}" in err
+        assert "OverflowError" not in err and "numeric failure" not in err
+    else:
+        assert code == 2 and err == ""
+        assert json.loads(out)["verdict"] == "condition_failed"
+
+
+# Name -> (argv, exit code); ("check", s) runs example2-ergodic with a shell
+# envelope at s.
+_STDERR_COMMANDS = {
+    "check-shell-s0.05": (("check", 0.05), 2),
+    "check-shell-s0.4": (("check", 0.4), 2),
+    "check-shell-s1": (("check", 1.0), 3),
+    "check-shell-s2": (("check", 2.0), 3),
+    "check-shell-s3": (("check", 3.0), 3),
+    "check-shell-s200": (("check", 200.0), 1),
+    "reproduce-bekk-demo": (("reproduce", "bekk-demo", "--out", "bundle"), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STDERR_COMMANDS))
+def test_stderr_is_empty_or_one_error_line(tmp_path, name):
+    # A separate process, so that warnings reach stderr as a user sees them.
+    argv, code = _STDERR_COMMANDS[name]
+    if argv[0] == "check":
+        argv = ("check", write_config(tmp_path, _shell_check_doc(argv[1])))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergokit.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "ERGOKIT_SEED"}
+    proc = subprocess.run([sys.executable, "-m", "ergokit.cli", *argv],
+                          env={**env, "PYTHONPATH": src}, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    if code == 1:
+        assert proc.stderr.startswith(("error:", "config error:"))
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    else:
+        assert proc.stderr == ""
 
 
 def _bekk_checks_doc(checks):

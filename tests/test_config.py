@@ -101,9 +101,16 @@ def test_value_type_errors_carry_paths():
 
 
 def test_noise_dimension_mismatch_is_a_config_error():
+    # The noise section is at fault, also when the simulation section is
+    # invalid too; a matching explicit dim is accepted.
     doc = ergodic_doc()
-    with pytest.raises(ConfigError, match=r"noise has dim 3 .* at \$\.simulation$"):
-        validate_config({**doc, "noise": {"kind": "gaussian", "dim": 3}})
+    bad_sim = {**doc["simulation"], "snapshots": [20000]}
+    for dim, sim in ((3, doc["simulation"]), (1, bad_sim), (3, bad_sim)):
+        with pytest.raises(ConfigError, match=rf"noise has dim {dim} but the model has "
+                                              r"dim 2 at \$\.noise\.dim$"):
+            validate_config({**doc, "noise": {"kind": "gaussian", "dim": dim},
+                             "simulation": sim})
+    assert validate_config({**doc, "noise": {"kind": "gaussian", "dim": 2}})["noise"].dim == 2
 
 
 def test_analytic_envelope_at_the_wrong_s_is_a_config_error():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergokit.ergodicity import (
+    _ENVELOPE_FLOOR,
     CheckResult,
     DriftEnvelope,
     VERDICT_FAILED,
     VERDICT_INCONCLUSIVE,
     VERDICT_MET,
+    _fit_linear_envelope,
+    _sample_shell,
     bekk_degeneracy,
     bekk_gamma,
     check_bekk_model,
@@ -468,6 +472,127 @@ def test_shell_estimate_validation():
     with pytest.raises(ValueError, match="vanishes"):
         shell_estimate_envelope(silent, s=1.0, m_ball=1.0, radius=10.0,
                                 n_samples=1000, seed=0)
+    # At s = 0.001 the outer radius 100^(1/s) overflows; at s = 200 the
+    # powers |x_i|^200 in the radii do.  Both are one ValueError naming s,
+    # and no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (0.001, 200.0):
+            with pytest.raises(ValueError, match=f"s={s:g}:"):
+                shell_estimate_envelope(m, s=s, m_ball=1.0, radius=100.0,
+                                        n_samples=1000, seed=0)
+
+
+_MID = 50.5
+_fit_samples = st.lists(
+    st.tuples(st.floats(1.0, 100.0, exclude_min=True), st.floats(0.0, 1e3)),
+    min_size=1, max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_fit_samples, floor_a=st.sampled_from([0.0, _ENVELOPE_FLOOR]))
+@example(samples=[(r, 0.3 * r) for r in (1.5, 7.0, 20.0, _MID, 64.0, 99.0)], floor_a=0.0)
+@example(samples=[(2.0, 1.0), (9.0, 4.0), (30.0, 2.0), (50.0, 8.0)], floor_a=0.0)
+@example(samples=[(51.0, 1.0), (60.0, 9.0), (75.0, 3.0), (99.0, 12.0)], floor_a=0.0)
+@example(samples=[(10.0, 3.0), (_MID, 20.0), (90.0, 4.0)], floor_a=0.0)
+@example(samples=[(r, 5.0) for r in (3.0, 40.0, _MID, 80.0)], floor_a=_ENVELOPE_FLOOR)
+@example(samples=[(r, 0.0) for r in (3.0, 40.0, 80.0)], floor_a=_ENVELOPE_FLOOR)
+@example(samples=[(10.0, 2.0), (90.0, 30.0)], floor_a=0.0)
+def test_fit_is_the_lp_optimum_over_pairwise_slopes(samples, floor_a):
+    # The fitted line lies above every sample, and no line through two
+    # samples, the flat line or the through-origin ray (each with its least
+    # intercept a >= 0) is lower at the midpoint beyond the floors' slack.
+    r, v = (np.array(column) for column in zip(*samples))
+    a, b = _fit_linear_envelope(r, v, _MID, floor_a)
+    assert a >= floor_a and b >= _ENVELOPE_FLOOR
+    assert np.all(a + b * r >= v - 1e-12 * (v + b * r))
+    slopes = {0.0, float(np.max(v / r))}
+    slopes |= {max(0.0, (vj - vi) / (rj - ri))
+               for ri, vi in samples for rj, vj in samples if rj > ri}
+    best = min(max(0.0, float(np.max(v - c * r))) + c * _MID for c in slopes)
+    slack = floor_a + _ENVELOPE_FLOOR * _MID + 1e-12 * (1.0 + float(np.max(v)))
+    assert a + b * _MID <= best + slack
+
+
+def _hull_fit(radii, values, mid, floor_a):
+    """The envelope fit as a monotone-chain upper hull over every edge slope,
+    the reference the two-tangent fit must reproduce bit for bit."""
+    hull = []
+    for p in sorted(zip(radii.tolist(), values.tolist())):
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  - (p[0] - hull[-2][0]) * (hull[-1][1] - hull[-2][1])) >= 0.0:
+            hull.pop()
+        hull.append(p)
+    slopes = {0.0, float(np.max(values / radii))}
+    slopes |= {max(0.0, (v2 - v1) / (r2 - r1))
+               for (r1, v1), (r2, v2) in zip(hull, hull[1:]) if r2 > r1}
+    best = min(((max(0.0, float(np.max(values - b * radii))), b) for b in sorted(slopes)),
+               key=lambda line: (line[0] + line[1] * mid, line[1]))
+    return max(best[0], floor_a), max(best[1], _ENVELOPE_FLOOR)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7, 1.0, 1.5, 2.0, 3.0])
+def test_fit_matches_the_hull_fit_on_shell_samples(s):
+    rng = np.random.default_rng(int(s * 10))
+    for seed in range(8):
+        c = rng.uniform(-0.5, 0.5, 11)
+        model = ThresholdAffine2D(a=(c[0], c[1]), b_mat=((c[2], c[3]), (c[4], c[5])),
+                                  d_main=((c[6], c[7]), (c[8], c[9])), d_c=(c[10], 0.2),
+                                  d_const=(1.0, -0.5))
+        with np.errstate(all="ignore"):
+            xs = _sample_shell(np.random.default_rng(seed), 2, s, 1.0, 100.0, 1000)
+        f_x, g_x = model.lane_terms(xs)
+        radii = s_norms(xs, s, axis=1)
+        for values, floor_a in ((s_norms(f_x, s, axis=1), 0.0),
+                                (induced_norm_bounds(g_x, s), _ENVELOPE_FLOOR)):
+            want = _hull_fit(radii, values, _MID, floor_a)
+            assert _fit_linear_envelope(radii, values, _MID, floor_a) == want
+
+
+def _ks_statistic(values, cdf):
+    """Kolmogorov-Smirnov distance between the sample and a continuous cdf."""
+    u = np.sort(cdf(np.asarray(values)))
+    k = np.arange(1, u.size + 1)
+    return max(np.max(k / u.size - u), np.max(u - (k - 1) / u.size))
+
+
+# Critical value of the KS distance at level 1% for n draws: 1.63 / sqrt(n).
+_KS_1PCT = 1.63
+
+
+@pytest.mark.parametrize("m_ball", [1.0, 30.0])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("s", [0.0067, 0.01, 0.05, 0.4, 1.0, 2.0, 3.0])
+def test_shell_draws_are_finite_in_the_shell_with_the_uniform_radius(s, dim, m_ball):
+    n = 4000
+    with np.errstate(all="ignore"):
+        xs = _sample_shell(np.random.default_rng(2026), dim, s, m_ball, 100.0, n)
+    assert xs.shape == (n, dim) and np.all(np.isfinite(xs))
+    radii = s_norms(xs, s, axis=1)
+    assert np.all(radii > m_ball) and np.all(radii <= 100.0)
+    # The homogeneous radius (sum |x_i|^s)^(1/s) has density proportional to
+    # rho^(dim - 1) on the shell (lo, hi] of that norm.
+    if s >= 1.0:
+        rho, lo, hi = radii, m_ball, 100.0
+    else:
+        rho, lo, hi = radii ** (1.0 / s), m_ball ** (1.0 / s), 100.0 ** (1.0 / s)
+    c = (lo / hi) ** dim
+    dist = _ks_statistic(rho, lambda p: ((p / hi) ** dim - c) / (1.0 - c))
+    assert dist < _KS_1PCT / math.sqrt(n)
+
+
+def test_shell_draw_directions_follow_the_cone_measure():
+    # In the plane, |x_1| / ||x||_1 is uniform on [0, 1] at s = 1, and the
+    # angle of x is uniform at s = 2.
+    n = 4000
+    xs = _sample_shell(np.random.default_rng(2026), 2, 1.0, 1.0, 100.0, n)
+    share = np.abs(xs[:, 0]) / np.sum(np.abs(xs), axis=1)
+    assert _ks_statistic(share, lambda u: u) < _KS_1PCT / math.sqrt(n)
+    xs = _sample_shell(np.random.default_rng(2026), 2, 2.0, 1.0, 100.0, n)
+    angle = np.arctan2(xs[:, 1], xs[:, 0])
+    dist = _ks_statistic(angle, lambda t: (t + math.pi) / (2.0 * math.pi))
+    assert dist < _KS_1PCT / math.sqrt(n)
 
 
 def test_empirical_drift_matches_displayed_bound():

@@ -53,6 +53,21 @@ bekk-demo-shell-s2 was frozen while BEKK lanes were still stepped, and shell
 samples still evaluated, one state at a time through eval_f and eval_g, before
 both moved to the lane form (lane_kernel / lane_terms); the lane form must
 reproduce the per-state envelope bit for bit.
+
+Both shell-s2 reports were then re-frozen when the shell sampler moved from
+box rejection to exact draws (a generalized-Gaussian direction times a radius
+of density proportional to r^(d-1)): the same seed now gives other samples,
+so the fitted envelope and gamma move.  The envelope fit itself (the hull
+edge spanning the shell midpoint, found by alternating tangents) reproduced
+every hash on the box-rejection samples first.  Verdicts and exit codes are
+unchanged:
+
+    check example2-ergodic-shell-s2 (gamma 0.6700780001412574
+    -> 0.6685468150025289, exit 3)
+      report.json  78c1521455a4... -> 19c33bfc44da...
+    check bekk-demo-shell-s2 (gamma 1.6504941310109376
+    -> 1.6476284394436786, exit 2)
+      report.json  29e69a3ef3e9... -> 97535b917c46...
 """
 
 import hashlib
@@ -137,7 +152,7 @@ CHECK_GOLDEN = {
     "bekk-demo": (builtin_configs()["bekk-demo"], 2,
                   "73335c2898823d358a025cf1d4ffb577da713ba8e6c42233bb03e6b6e30bc359"),
     "bekk-demo-shell-s2": (BEKK_SHELL_S2, 2,
-                           "29e69a3ef3e98ddbd2aed5254f03d945de49d30a5b5e8a74a816873947a34bee"),
+                           "97535b917c462aab6765295c826efa4270217d12b45f5ed8ba8a624be4010e16"),
     "example2-ergodic": (builtin_configs()["example2-ergodic"], 0,
                          "5c6196acd4d3ce99dc197f07864f35781a50685e473b3b4594a092be31a7da11"),
     "bekk-demo-B-identity": (BEKK_B_IDENTITY, 2,
@@ -145,7 +160,7 @@ CHECK_GOLDEN = {
     "bekk-demo-B-zero": (BEKK_B_ZERO, 2,
                          "a4a216c550b02918cdf026f7350ea2990ec042cc274ef99d70b8cbc8791f5fcd"),
     "example2-ergodic-shell-s2": (SHELL_S2, 3,
-                                  "78c1521455a42139b0dd3947913cea815d97a39f00365e151f548025bd5225d1"),
+                                  "19c33bfc44da650ee455cc0fad01306dd721a716a9b9d2bc39b21ceef025ef5c"),
     "example2-ergodic-signed": (ERGODIC_SIGNED, 0,
                                 "a567268bb1872d21da390fd49907da08b6aa1dc577c826dc2643ad8f5fdeeac8"),
 }

@@ -352,6 +352,20 @@ def test_analytic_gaussian_moments():
         abs_moment(StdGaussian(2), 3.0, method="analytic")
 
 
+def test_chi_mean_closed_form_at_every_dim():
+    # Up to dim 342 the gamma ratio itself, bit for bit; from 343 on, where
+    # Gamma((dim + 1) / 2) overflows, a value within 1e-12 of mpmath.
+    for dim in range(1, 343):
+        want = math.sqrt(2.0) * math.gamma((dim + 1.0) / 2.0) / math.gamma(dim / 2.0)
+        assert StdGaussian(dim).analytic_abs_moment(2.0) == want
+    mpmath = pytest.importorskip("mpmath")
+    for dim in (343, 10_000):
+        with mpmath.workdps(40):
+            ref = float(mpmath.sqrt(2) * mpmath.gamma(mpmath.mpf(dim + 1) / 2)
+                        / mpmath.gamma(mpmath.mpf(dim) / 2))
+        assert StdGaussian(dim).analytic_abs_moment(2.0) == pytest.approx(ref, rel=1e-12)
+
+
 @pytest.mark.parametrize("s, method", [
     (0.3, "analytic"), (1.0, "analytic"), (1.5, "quadrature"), (2.0, "analytic"),
     (3.0, "quadrature"),

@@ -105,3 +105,34 @@ def test_private_name_check_flags_only_unreferenced_names():
 def test_no_unreferenced_private_names():
     sources = {path.stem: path.read_text() for path in SOURCES}
     assert unreferenced_private_names(sources) == []
+
+
+def private_package_imports(source):
+    """(line, name) of each underscore name, or underscore module, that a
+    module imports from the package (a relative or `ergokit` import)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = (node.module or "").split(".")
+        if node.level == 0 and module[0] != "ergokit":
+            continue
+        for name in [*module, *(alias.name for alias in node.names)]:
+            if name.startswith("_") and not name.startswith("__"):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_private_import_check_flags_only_private_package_names():
+    source = (
+        "from os import _exit\nfrom . import __version__, _helpers\n"
+        "from .noise import _box_rejection, sample\nfrom ergokit.models import _Spec\n"
+        "from ._impl import run\nfrom numpy.random import _pickle\n"
+    )
+    assert private_package_imports(source) == [
+        (2, "_helpers"), (3, "_box_rejection"), (4, "_Spec"), (5, "_impl")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    assert private_package_imports(path.read_text()) == []
