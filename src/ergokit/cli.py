@@ -135,16 +135,25 @@ def _snapshot_csv(summary, seed, cfg_hash):
 
 
 def _trajectory_csv(paths, seed, cfg_hash):
+    """Yield the text of trajectories.csv in pieces: the header line, the
+    rows of one path at a time, then the provenance footer.
+
+    Each path is filled in by one `%` over its flattened states, so the
+    dump never holds more than one path's text.
+    """
     dim = paths[0].states.shape[1]
-    header = ",".join(["traj_id", "t"] + [f"x_{j + 1}" for j in range(dim)])
+    yield ",".join(["traj_id", "t"] + [f"x_{j + 1}" for j in range(dim)]) + "\n"
     # Simulation never keeps a non-finite state, so %.17g prints each value
     # exactly as format_float would.
-    row_format = "%d,%d," + ",".join(["%.17g"] * dim)
-    lines = [header]
+    values = ",%.17g" * dim + "\n"
+    tails = []  # tails[t] is row t's template after the path id
     for i, p in enumerate(paths):
-        lines.extend(row_format % (i, t, *row) for t, row in enumerate(p.states.tolist()))
-    lines.append(provenance_comment(seed, cfg_hash))
-    return "\n".join(lines) + "\n"
+        rows = p.states.shape[0]
+        tails.extend(f",{t}{values}" for t in range(len(tails), rows))
+        traj_id = str(i)
+        template = traj_id + traj_id.join(tails[:rows])
+        yield template % tuple(p.states.ravel().tolist())
+    yield provenance_comment(seed, cfg_hash) + "\n"
 
 
 def _simulation_verdict_lines(report, summary, cfg):

@@ -344,7 +344,12 @@ def provenance_comment(master_seed, cfg_hash):
 
 
 def write_text_atomic(path, text):
-    """Write via a temp file and rename, so readers never see partial files."""
+    """Write via a temp file and rename, so readers never see partial files.
+
+    `text` is a str or an iterable of str pieces; pieces are written as they
+    come and never joined.  If writing fails, or the iterable raises, the
+    temp file is removed and an existing file at `path` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ergokit-")
     try:
@@ -353,7 +358,7 @@ def write_text_atomic(path, text):
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,18 +1,30 @@
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ergokit
 
 from ergokit.cli import _trajectory_csv, main
-from ergokit.config import builtin_configs, format_float, validate_config
+from ergokit.config import (
+    builtin_configs,
+    format_float,
+    provenance_comment,
+    validate_config,
+    write_text_atomic,
+)
 from ergokit.models import ThresholdAffine2D
 from ergokit.noise import Expol2
-from ergokit.simulate import SimulationConfig, run_trajectories
+from ergokit.simulate import PathResult, SimulationConfig, run_trajectories
 
 
 @pytest.fixture(autouse=True)
@@ -468,6 +480,64 @@ def test_trajectory_dump_of_lanes_that_overflow_to_inf():
     for i, p in enumerate(paths):
         for t, row in enumerate(p.states.tolist()):
             want.append(",".join([str(i), str(t), *map(format_float, row)]))
-    got = _trajectory_csv(paths, 11, "0" * 64).split("\n")
+    got = "".join(_trajectory_csv(paths, 11, "0" * 64)).split("\n")
     assert got[:-2] == want
     assert not any("null" in line or "inf" in line for line in got[:-2])
+
+
+# Signed zeros, the smallest subnormal, the largest doubles, a value %.17g
+# prints with an exponent on each side, and integral floats.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                1e17, 1e-5, 1.0, -2.0]
+
+
+@st.composite
+def _path_sets(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return [PathResult(states=draw(arrays(np.float64, (rows, dim), elements=finite)),
+                       diverged=False)
+            for rows in lengths]
+
+
+def _edge_paths(dim):
+    values = _EDGE_VALUES[:len(_EDGE_VALUES) // dim * dim]
+    return [PathResult(states=np.reshape(values, (-1, dim)), diverged=False),
+            PathResult(states=np.full((1, dim), 3.0), diverged=False)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths=_path_sets())
+@example(paths=_edge_paths(1))
+@example(paths=_edge_paths(2))
+@example(paths=_edge_paths(3))
+def test_trajectory_dump_prints_each_cell_as_format_float(paths):
+    dim = paths[0].states.shape[1]
+    want = [",".join(["traj_id", "t"] + [f"x_{j + 1}" for j in range(dim)])]
+    for i, p in enumerate(paths):
+        for t, row in enumerate(p.states.tolist()):
+            want.append(",".join([str(i), str(t), *map(format_float, row)]))
+    want.append(provenance_comment(7, "ab" * 32))
+    assert "".join(_trajectory_csv(paths, 7, "ab" * 32)) == "\n".join(want) + "\n"
+
+
+def test_trajectory_dump_memory_does_not_grow_with_the_run(tmp_path):
+    # A 100 x 999-step unit-root run where 64 paths are censored mid-run:
+    # 75,227 rows, 3.5 MB of text.  Writing it holds one path's text at a
+    # time, far below the dump's size.
+    doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
+    doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
+    doc["simulation"].update(n_traj=100, T=999, snapshots=[100, 999],
+                             divergence_threshold=1e6, seed=20260814)
+    paths = run_trajectories(validate_config(doc)["simulation"])
+    target = tmp_path / "trajectories.csv"
+    tracemalloc.start()
+    try:
+        write_text_atomic(str(target), _trajectory_csv(paths, 20260814, "0" * 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(p.states.shape[0] for p in paths) == 75_227
+    assert target.stat().st_size > 3 << 20
+    assert peak < 1 << 20

@@ -228,6 +228,31 @@ def test_write_text_atomic_gives_the_mode_open_would(tmp_path, umask, mode):
     assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
+def test_write_text_atomic_writes_pieces(tmp_path):
+    target, plain = tmp_path / "out.txt", tmp_path / "plain.txt"
+    pieces = ["traj_id,t\n", "", "0,0\n" * 50_000, "# footer\n"]
+    write_text_atomic(str(target), iter(pieces))
+    with open(plain, "w"):
+        pass
+    assert target.read_text() == "".join(pieces)
+    assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+
+def test_write_text_atomic_keeps_the_old_file_when_the_pieces_raise(tmp_path):
+    target = tmp_path / "out.txt"
+    write_text_atomic(str(target), "old\n")
+
+    def pieces():
+        yield "new\n" * 50_000
+        raise RuntimeError("no more pieces")
+
+    with pytest.raises(RuntimeError, match="no more pieces"):
+        write_text_atomic(str(target), pieces())
+    assert target.read_text() == "old\n"
+    leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".ergokit-")]
+    assert leftovers == []
+
+
 def test_report_and_summary_serialize():
     parsed = validate_config(ergodic_doc())
     report = check_threshold_model(parsed["model"], noise_spec=parsed["noise"],
