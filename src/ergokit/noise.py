@@ -4,12 +4,13 @@ Every sampling routine takes a caller-owned numpy Generator; nothing in this
 module holds generator state beyond the draw sources a caller asks for, so
 distinct generators may be used from any number of threads.  A noise law
 draws only through its draw_source, which hands out one sample in pieces
-of any sizes, and sample() takes it in one piece; Expol2 sources replay the
-rejection rounds piece by piece, so they hold O(piece) draws.  The one-time
-normalization constants are cached with compute-once semantics.  Every
-quadrature moment and the Expol2 normalization use one fixed rule with no
-refinement, Gauss-Legendre on panels graded towards the kink at the origin
-(_graded_rule); only a custom density's normalization refines (_custom_z).
+of any sizes, and sample() takes it in one piece; Expol2 and
+BoundedCustomDensity sources replay the rejection rounds piece by piece, so
+every source holds O(piece) draws.  The one-time normalization constants
+are cached with compute-once semantics.  Every quadrature moment and the
+Expol2 normalization use one fixed rule with no refinement, Gauss-Legendre
+on panels graded towards the kink at the origin (_graded_rule); only a
+custom density's normalization refines (_custom_z).
 """
 
 import functools
@@ -43,9 +44,13 @@ _MAX_PROPOSALS_PER_DRAW = 10 ** 6
 
 # A rejection round of at most this many proposals is drawn whole from the one
 # generator; a larger round that a piece does not use up is split (see
-# _Expol2Stream).  Smaller rounds would split more often, each split costing
+# _RejectionStream).  Smaller rounds would split more often, each split costing
 # a generator copy; larger ones would leave more accepted values waiting.
 _WHOLE_ROUND = 2048
+
+# A custom density's rounds propose at least this many rows, so that a low
+# acceptance rate hits the proposal budget quickly, not in rounds of one row.
+_CUSTOM_MIN_ROUND = 1024
 
 
 class _NoiseSpec:
@@ -122,7 +127,7 @@ class Expol2(_NoiseSpec):
     dim = 2
 
     def draw_source(self, rng, count):
-        return _Expol2Stream(rng, count, 2)
+        return _RejectionStream(rng, count, 2, 1, EXPOL2_BOX, _expol2_mask)
 
     def density(self, x):
         z = _expol2_z()
@@ -155,15 +160,18 @@ class BoundedCustomDensity(_NoiseSpec):
             raise ValueError("envelope_constant must be positive")
 
     def draw_source(self, rng, count):
-        def accept(u):
-            v = rng.uniform(0.0, 1.0, len(u))
-            dens = np.array([math.exp(self.log_unnormalized_density(row)) for row in u])
-            if np.any(dens > self.envelope_constant * (1.0 + 1e-12)):
-                raise ValueError("unnormalized density exceeds the declared envelope")
-            return v * self.envelope_constant <= dens
+        return _RejectionStream(rng, count, self.dim, self.dim, self.box_halfwidth,
+                                self._mask, _CUSTOM_MIN_ROUND)
 
-        rows = _box_rejection(rng, count, self.dim, self.box_halfwidth, accept)
-        return _SampleSlices(rows)
+    def _mask(self, u, v):
+        """Accepted values among the flat proposal rows u, given uniforms v."""
+        dens = np.array([math.exp(self.log_unnormalized_density(row))
+                         for row in u.reshape(-1, self.dim)])
+        # Written so that NaN fails it too: it would never be accepted.
+        if not np.all(dens <= self.envelope_constant * (1.0 + 1e-12)):
+            raise ValueError("unnormalized density is not a finite number or "
+                             "exceeds the declared envelope")
+        return np.repeat(v * self.envelope_constant <= dens, self.dim)
 
     def density(self, x):
         return math.exp(self.log_unnormalized_density(x)) / _custom_z(self)
@@ -279,6 +287,11 @@ def _expol2_unnormalized(u):
     return np.exp(np.negative(t, out=t), out=t)
 
 
+def _expol2_mask(u, v):
+    """Accepted Expol2 proposals u, given uniforms v (the envelope is 1)."""
+    return v <= _expol2_unnormalized(u)
+
+
 @functools.lru_cache(maxsize=1)
 def _expol2_z():
     """Per-coordinate normalization of exp(-(u^2-1)^2), cached once."""
@@ -311,6 +324,10 @@ class _DrawSource:
     take(m) returns the next m rows, and the pieces concatenate bit for bit
     to the sample drawn at once."""
 
+    # Slots make each source one small object; a simulation holds one per
+    # lane.
+    __slots__ = ("left",)
+
     def __init__(self, count):
         self.left = count
 
@@ -320,18 +337,6 @@ class _DrawSource:
         rows = self._next(m)
         self.left -= m
         return rows
-
-
-class _SampleSlices(_DrawSource):
-    """Draw source over a sample drawn whole up front."""
-
-    def __init__(self, draws):
-        super().__init__(len(draws))
-        self._draws = draws
-
-    def _next(self, m):
-        start = len(self._draws) - self.left
-        return self._draws[start:start + m]
 
 
 class _GaussianDraws(_DrawSource):
@@ -346,26 +351,40 @@ class _GaussianDraws(_DrawSource):
         return self._rng.standard_normal((m, self._dim))
 
 
-class _Expol2Stream(_DrawSource):
-    """`count` rows of `width` Expol2 coordinates drawn by rejection, in pieces.
+class _RejectionStream(_DrawSource):
+    """`count` rows of `width` values drawn by rejection, in pieces.
 
-    A round proposes one value per unfilled slot: k proposal uniforms, then
-    k acceptance uniforms, one 64-bit output per uniform; accepted values
-    fill the slots in proposal order, `proposals` counts them all, and the
-    next round starts where they end.  A round drawn whole reads both from
-    one generator.  A round too large to draw whole
-    that this piece does not use up is split: its acceptance uniforms come
-    from a copy advanced past the k proposals, both are read a chunk at a
-    time, and when the round is used up the copy, which then stands where
-    the round ends, becomes the generator (and the old one the spare for
-    the next copy).  Accepted values a piece does not need wait in
-    `_ready`, so a source holds O(piece) values.
+    A proposal is `per` values uniform on [-box, box] (one Expol2
+    coordinate, or one row of a custom density), and mask(u, v) is the
+    boolean mask of the accepted values among the flat proposals u, given one
+    acceptance uniform per proposal in v.  A round makes one proposal per
+    unfilled slot of `per` values, but at least `min_round`: k proposals
+    (k * per uniforms), then k acceptance uniforms, one 64-bit output per
+    uniform; accepted values fill the slots in proposal order, `proposals`
+    counts them all, and the next round starts where they end.  Accepted
+    values beyond the last slot are never handed out.  A round drawn whole
+    reads both from one generator.  A round too large to draw whole that
+    this piece does not use up is split: its acceptance uniforms come from a
+    copy advanced past the proposals, both are read a chunk at a time, and
+    when the round is used up the copy, which then stands where the round
+    ends, becomes the generator (and the old one the spare for the next
+    copy).  Accepted values a piece does not need wait in `_ready`, so a
+    source holds O(piece) values.
     """
 
-    def __init__(self, rng, count, width):
+    __slots__ = ("_width", "_per", "_box", "_mask", "_min_round", "_total", "_budget",
+                 "_rng", "_accept", "_spare", "_round_left", "_filled", "_ready",
+                 "proposals")
+
+    def __init__(self, rng, count, width, per, box, mask, min_round=0):
         super().__init__(count)
         self._width = width
+        self._per = per
+        self._box = box
+        self._mask = mask
+        self._min_round = min_round
         self._total = count * width
+        self._budget = _MAX_PROPOSALS_PER_DRAW * (self._total // per)
         self._rng = rng
         self._accept = rng  # the acceptance-uniform generator of the round
         self._spare = None  # a generator free to become the next copy
@@ -393,59 +412,38 @@ class _Expol2Stream(_DrawSource):
         """Read the next chunk of proposals into `_ready`, which is empty;
         `need` more values are wanted by this piece."""
         if not self._round_left:
-            k = self._total - self._filled
+            to_come = self._total - self._filled
+            k = max(to_come // self._per, self._min_round)
             self._round_left = k
             self.proposals += k
-            # With need == k this piece takes every value still to come, so
-            # it uses the round up.  advance(k) skips exactly k 64-bit
-            # outputs on these bit generators.
+            # With need == to_come this piece takes every value still to
+            # come, so it uses the round up.  advance(n) skips exactly n
+            # 64-bit outputs on these bit generators.
             bits = self._rng.bit_generator
             advanceable = (np.random.PCG64, np.random.PCG64DXSM)
-            if k > _WHOLE_ROUND and need < k and isinstance(bits, advanceable):
+            if k > _WHOLE_ROUND and need < to_come and isinstance(bits, advanceable):
                 if self._spare is None:
                     self._spare = np.random.Generator(type(bits)(0))
                 self._accept, self._spare = self._spare, None
                 self._accept.bit_generator.state = bits.state
-                self._accept.bit_generator.advance(k)
+                self._accept.bit_generator.advance(k * self._per)
         k = self._round_left
         if self._accept is not self._rng:
-            # About a third of the proposals are accepted (Z / 6 = 0.329).
-            k = min(k, 3 * need + 256)
-        u = self._rng.uniform(-EXPOL2_BOX, EXPOL2_BOX, k)
+            # Three proposals per value wanted, plus a margin: Expol2 accepts
+            # about a third (Z / 6 = 0.329), a custom law at its own rate.
+            # The chunk size sets only how many chunks a piece reads, never
+            # a value.
+            k = min(k, 3 * need // self._per + 256)
+        u = self._rng.uniform(-self._box, self._box, k * self._per)
         v = self._accept.uniform(0.0, 1.0, k)
-        self._ready = u[v <= _expol2_unnormalized(u)]
+        self._ready = u[self._mask(u, v)]
         self._filled += self._ready.size
         self._round_left -= k
         if not self._round_left:
             if self._accept is not self._rng:
                 self._rng, self._spare = self._accept, self._rng
-            if self.proposals > _MAX_PROPOSALS_PER_DRAW * self._total:
+            if self.proposals > self._budget:
                 raise ValueError("rejection sampler exceeded the proposal budget")
-
-
-def _box_rejection(rng, count, dim, halfwidth, accept):
-    """`count` rows of proposals uniform on [-halfwidth, halfwidth]^dim, kept
-    where the mask accept(proposals) holds.
-
-    Rounds propose at least 1024 points so that low acceptance rates hit the
-    proposal budget quickly instead of degenerating into scalar rounds;
-    surplus accepted values beyond `count` are discarded deterministically.
-    accept may draw from rng after the proposals.
-    """
-    out = np.empty((count, dim))
-    filled = 0
-    proposals = 0
-    while filled < count:
-        k = max(count - filled, 1024)
-        cand = rng.uniform(-halfwidth, halfwidth, (k, dim))
-        accepted = cand[accept(cand)]
-        take = min(accepted.shape[0], count - filled)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-        proposals += k
-        if proposals > _MAX_PROPOSALS_PER_DRAW * count:
-            raise ValueError("rejection sampler exceeded the proposal budget")
-    return out
 
 
 def sample(spec, rng, count):
@@ -461,9 +459,10 @@ def draw_source(spec, rng, count):
 
     source.take(m) returns the next m draws as an (m, dim) array, and pieces
     taken in any sizes that add up to count concatenate bit for bit to
-    sample(spec, rng, count).  Expol2 and Gaussian sources hold O(m) draws;
-    other laws are sampled whole when the source is made.  The source draws
-    from rng, which it leaves at an unspecified position.
+    sample(spec, rng, count).  Every source holds O(m) draws, and a fault
+    of the law's density or proposal budget raises on the take that meets
+    it.  The source draws from rng, which it leaves at an unspecified
+    position.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

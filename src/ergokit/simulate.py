@@ -12,9 +12,8 @@ Each lane takes its draws block by block from a noise draw source.
 run_trajectories and simulate_path keep whole paths in one block, so they
 hold O(n_traj * horizon) states.  simulate_ensemble runs blocks of
 _BLOCK_STEPS steps and keeps only the snapshot rows and divergence steps,
-so it holds O(n_traj * _BLOCK_STEPS) states whatever the horizon
-(BoundedCustomDensity noise still draws each lane's whole sample at once).
-Both give bit-identical results.
+so it holds O(n_traj * _BLOCK_STEPS) states whatever the horizon.  Both
+give bit-identical results.
 """
 
 import math

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ergokit import noise
 from ergokit.noise import (
+    EXPOL2_BOX,
     BoundedCustomDensity,
     Expol2,
     MomentEstimate,
@@ -16,7 +17,8 @@ from ergokit.noise import (
     density,
     draw_source,
     sample,
-    _Expol2Stream,
+    _RejectionStream,
+    _expol2_mask,
     _expol2_z,
     _gauss_legendre,
 )
@@ -104,7 +106,7 @@ def test_sample_rejects_bad_count():
 def test_rejection_acceptance_rate():
     rng = np.random.default_rng(107)
     want = 33000  # enough accepted values for ~1e5 proposals
-    stream = _Expol2Stream(rng, want, 1)
+    stream = _RejectionStream(rng, want, 1, 1, EXPOL2_BOX, _expol2_mask)
     stream.take(want)
     assert stream.proposals >= 10 ** 5
     rate = want / stream.proposals
@@ -121,7 +123,7 @@ def test_rejection_guard_trips_for_misconfigured_density():
     with pytest.raises(ValueError):
         sample(spec, np.random.default_rng(0), 1)
     with pytest.raises(ValueError):
-        draw_source(spec, np.random.default_rng(0), 1)
+        draw_source(spec, np.random.default_rng(0), 1).take(1)
 
 
 def test_rejection_guard_trips_for_a_density_above_its_envelope():
@@ -131,9 +133,25 @@ def test_rejection_guard_trips_for_a_density_above_its_envelope():
         box_halfwidth=1.0,
         envelope_constant=1.0,
     )
-    for draw in (sample, draw_source):
-        with pytest.raises(ValueError, match="exceeds the declared envelope"):
-            draw(spec, np.random.default_rng(0), 10)
+    with pytest.raises(ValueError, match="exceeds the declared envelope"):
+        sample(spec, np.random.default_rng(0), 10)
+    with pytest.raises(ValueError, match="exceeds the declared envelope"):
+        draw_source(spec, np.random.default_rng(0), 10).take(10)
+
+
+def test_rejection_guard_refuses_a_nan_density_at_once():
+    # NaN never passes the envelope test, so no proposal would be accepted
+    # and 1,000 draws would run 10^9 proposals before the budget trips.
+    spec = BoundedCustomDensity(
+        dim=1,
+        log_unnormalized_density=lambda x: math.nan,
+        box_halfwidth=1.0,
+        envelope_constant=1.0,
+    )
+    source = draw_source(spec, np.random.default_rng(0), 1000)
+    with pytest.raises(ValueError, match="not a finite number or exceeds"):
+        source.take(1000)
+    assert source.proposals == 1024  # one round
 
 
 def _reference_expol2(rng, count):
@@ -154,6 +172,23 @@ def _reference_expol2(rng, count):
         filled += accepted.size
         ends.append(filled)
     return out, proposals, ends
+
+
+def _reference_custom(spec, rng, count):
+    """The custom law's rejection loop as written before it was streamed:
+    rounds of at least 1024 rows drawn whole, surplus accepted rows dropped."""
+    out = np.empty((count, spec.dim))
+    filled = 0
+    while filled < count:
+        k = max(count - filled, 1024)
+        cand = rng.uniform(-spec.box_halfwidth, spec.box_halfwidth, (k, spec.dim))
+        v = rng.uniform(0.0, 1.0, k)
+        dens = np.array([math.exp(spec.log_unnormalized_density(row)) for row in cand])
+        accepted = cand[v * spec.envelope_constant <= dens]
+        take = min(len(accepted), count - filled)
+        out[filled:filled + take] = accepted[:take]
+        filled += take
+    return out
 
 
 def _generator(seed, start):
@@ -184,7 +219,8 @@ _starts = st.sampled_from(("none", "uniform", "int32"))
 def test_expol2_stream_replays_the_rejection_rounds(count, seed, start, data,
                                                     at_round_ends):
     want, proposals, ends = _reference_expol2(_generator(seed, start), count)
-    whole = _Expol2Stream(_generator(seed, start), count, 1)
+    whole = _RejectionStream(_generator(seed, start), count, 1, 1, EXPOL2_BOX,
+                             _expol2_mask)
     assert np.array_equal(whole.take(count).ravel(), want)
     assert whole.proposals == proposals
     if data is None:
@@ -195,7 +231,8 @@ def test_expol2_stream_replays_the_rejection_rounds(count, seed, start, data,
         # Pieces that end exactly where a round's values end, or one off.
         cuts += [e + d for e in ends for d in (-1, 0, 1)]
     cuts = [c for c in cuts if 0 < c < count]
-    stream = _Expol2Stream(_generator(seed, start), count, 1)
+    stream = _RejectionStream(_generator(seed, start), count, 1, 1, EXPOL2_BOX,
+                              _expol2_mask)
     pieces = _pieces(stream.take, cuts, count)
     assert np.array_equal(np.concatenate(pieces).ravel(), want)
     assert stream.proposals == proposals
@@ -214,14 +251,19 @@ _SOURCE_SPECS = {
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(sorted(_SOURCE_SPECS)), count=st.integers(1, 6000),
        seed=_seeds, start=_starts, data=st.data())
+# A custom round of more than _WHOLE_ROUND rows is split across pieces.
+@example(name="custom", count=2500, seed=5, start="int32", data=None)
 def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, data):
     spec = _SOURCE_SPECS[name]
-    if name == "custom":
+    if name == "custom" and data is not None:
         count = min(count, 400)  # its density runs in Python, row by row
     # sample() is itself one piece of a source, so the reference is drawn
-    # without one, except for the custom law, which is sampled whole.
+    # without one.
     rng = _generator(seed, start)
-    cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
+    if data is None:
+        cuts = [1, 1000, count - 1]
+    else:
+        cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
     if name == "gaussian":
         want = rng.standard_normal((count, spec.dim))
     elif name == "expol2":
@@ -230,7 +272,7 @@ def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, 
         # Pieces that end on a round boundary, in whole draws of 2 values.
         cuts += [e // 2 for e in ends] + [(e + 1) // 2 for e in ends]
     else:
-        want = sample(spec, rng, count)
+        want = _reference_custom(spec, rng, count)
     cuts = [c for c in cuts if 0 < c < count]
     source = draw_source(spec, _generator(seed, start), count)
     got = np.concatenate(_pieces(source.take, cuts, count))
@@ -239,6 +281,24 @@ def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, 
     assert source.left == 0
     with pytest.raises(ValueError, match="cannot take"):
         source.take(1)
+
+
+@pytest.mark.parametrize("name", ["expol2", "custom"])
+def test_rounds_are_drawn_whole_when_the_generator_cannot_advance(name):
+    # MT19937 has no advance(), so no round is split; 3,000 draws still make
+    # a first round of more than _WHOLE_ROUND proposals.
+    spec, count = _SOURCE_SPECS[name], 3000
+
+    def rng():
+        return np.random.Generator(np.random.MT19937(11))
+
+    if name == "expol2":
+        want = _reference_expol2(rng(), 2 * count)[0].reshape(count, 2)
+    else:
+        want = _reference_custom(spec, rng(), count)
+    source = draw_source(spec, rng(), count)
+    got = np.concatenate(_pieces(source.take, [1, 1000, count - 1], count))
+    assert np.array_equal(got, want)
 
 
 def test_expol2_stream_keeps_the_proposal_budget(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergokit.models import AffineMap, BekkArch, GenericModel, ThresholdAffine2D, step
-from ergokit.noise import Expol2, StdGaussian, sample
+from ergokit.noise import BoundedCustomDensity, Expol2, StdGaussian, sample
 from ergokit.simulate import (
     _BLOCK_STEPS,
     SimulationConfig,
@@ -405,12 +405,23 @@ def test_streamed_ensemble_matches_whole_paths_threshold():
     assert got.diverged_count == 13 and got.snapshots[-1].count == 0
 
 
-def test_streamed_ensemble_memory_does_not_grow_with_horizon():
+_FLAT_CUSTOM = BoundedCustomDensity(dim=2, log_unnormalized_density=lambda x: 0.0,
+                                    box_halfwidth=3.0, envelope_constant=1.0)
+
+
+@pytest.mark.parametrize("noise, n_traj, horizons", [
     # 50 lanes over the trajectory dump cap at both horizons.  Whole paths
     # would take 50 * (T + 1) * 2 * 8 bytes: 1.6 MB and 16 MB.
+    (Expol2(), 50, (2_000, 20_000)),
+    # A flat law accepts every proposal, so its Python density stays cheap.
+    # Both horizons' first rounds exceed _WHOLE_ROUND, so both are split;
+    # whole samples would take 0.48 MB and 3.2 MB.
+    (_FLAT_CUSTOM, 10, (3_000, 20_000)),
+], ids=["expol2", "custom"])
+def test_streamed_ensemble_memory_does_not_grow_with_horizon(noise, n_traj, horizons):
     def peak(horizon):
-        cfg = SimulationConfig(model=make_threshold(), noise=Expol2(),
-                               x0=(0.0, 0.0), horizon=horizon, n_traj=50,
+        cfg = SimulationConfig(model=make_threshold(), noise=noise,
+                               x0=(0.0, 0.0), horizon=horizon, n_traj=n_traj,
                                snapshot_times=(horizon // 2, horizon),
                                master_seed=4, divergence_threshold=1e9)
         tracemalloc.start()
@@ -423,7 +434,7 @@ def test_streamed_ensemble_memory_does_not_grow_with_horizon():
     # The first run also pays one-time allocations, such as numpy's lazy
     # imports behind np.quantile; measure warm runs only.
     peak(1_100)
-    short, long = peak(2_000), peak(20_000)
+    short, long = map(peak, horizons)
     assert short < 2_000_000
     # The margin covers a second generator per lane while a large rejection
     # round is split (about 9% here), which depends on n_traj, not on T.
