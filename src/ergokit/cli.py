@@ -43,7 +43,7 @@ from .ergodicity import (
 )
 from .models import ThresholdAffine2D
 from .noise import Expol2, StdGaussian, abs_moment
-from .simulate import aggregate_ensemble, run_trajectories, simulate_ensemble
+from .simulate import simulate_ensemble
 
 _EXIT_BY_VERDICT = {VERDICT_MET: 0, VERDICT_FAILED: 2, VERDICT_INCONCLUSIVE: 3}
 
@@ -169,27 +169,27 @@ def _simulation_verdict_lines(report, summary, cfg):
     ]
 
 
+def _dumps_trajectories(cfg):
+    """Whether a run is small enough for trajectories.csv; only such a run
+    keeps whole paths, and every larger one streams."""
+    return cfg.n_traj * (cfg.horizon + 1) <= _TRAJECTORY_DUMP_ROW_CAP
+
+
 def _write_simulation_artifacts(out_dir, parsed, doc):
     cfg = parsed["simulation"]
     cfg_hash = config_hash(doc)
     os.makedirs(out_dir, exist_ok=True)
-    # Whole paths are kept only for the trajectory dump; a larger run streams.
-    paths = None
-    if cfg.n_traj * (cfg.horizon + 1) <= _TRAJECTORY_DUMP_ROW_CAP:
-        paths = run_trajectories(cfg)
-        summary = aggregate_ensemble(cfg, paths)
-    else:
-        summary = simulate_ensemble(cfg)
+    summary = simulate_ensemble(cfg, keep_paths=_dumps_trajectories(cfg))
     report = _build_report(parsed)
 
     write_text_atomic(
         os.path.join(out_dir, "snapshots.csv"),
         _snapshot_csv(summary, cfg.master_seed, cfg_hash),
     )
-    if paths is not None:
+    if summary.paths is not None:
         write_text_atomic(
             os.path.join(out_dir, "trajectories.csv"),
-            _trajectory_csv(paths, cfg.master_seed, cfg_hash),
+            _trajectory_csv(summary.paths, cfg.master_seed, cfg_hash),
         )
     write_text_atomic(
         os.path.join(out_dir, "summary.json"),

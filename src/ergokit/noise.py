@@ -154,10 +154,11 @@ class BoundedCustomDensity(_NoiseSpec):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.box_halfwidth <= 0:
-            raise ValueError("box_halfwidth must be positive")
-        if self.envelope_constant <= 0:
-            raise ValueError("envelope_constant must be positive")
+        # Written so that NaN fails them too.
+        if not 0 < self.box_halfwidth < math.inf:
+            raise ValueError("box_halfwidth must be positive and finite")
+        if not 0 < self.envelope_constant < math.inf:
+            raise ValueError("envelope_constant must be positive and finite")
 
     def draw_source(self, rng, count):
         return _RejectionStream(rng, count, self.dim, self.dim, self.box_halfwidth,
@@ -165,8 +166,11 @@ class BoundedCustomDensity(_NoiseSpec):
 
     def _mask(self, u, v):
         """Accepted values among the flat proposal rows u, given uniforms v."""
-        dens = np.array([math.exp(self.log_unnormalized_density(row))
-                         for row in u.reshape(-1, self.dim)])
+        logs = [self.log_unnormalized_density(row) for row in u.reshape(-1, self.dim)]
+        try:
+            dens = np.array([math.exp(v) for v in logs])
+        except OverflowError:  # above the largest double, so above the envelope
+            dens = np.array([math.inf])
         # Written so that NaN fails it too: it would never be accepted.
         if not np.all(dens <= self.envelope_constant * (1.0 + 1e-12)):
             raise ValueError("unnormalized density is not a finite number or "

@@ -8,12 +8,14 @@ step; a single path is a one-lane run of it.  Diverged trajectories are
 censored at their first offending step, never stepped again, and excluded
 from later snapshot statistics while staying in the divergence counts.
 
-Each lane takes its draws block by block from a noise draw source.
-run_trajectories and simulate_path keep whole paths in one block, so they
-hold O(n_traj * horizon) states.  simulate_ensemble runs blocks of
-_BLOCK_STEPS steps and keeps only the snapshot rows and divergence steps,
-so it holds O(n_traj * _BLOCK_STEPS) states whatever the horizon.  Both
-give bit-identical results.
+Every run goes through one recurrence: blocks of _BLOCK_STEPS steps, each
+lane taking its draws block by block from a noise draw source, with the
+snapshot rows gathered as the lanes pass the snapshot times; no later pass
+aggregates whole paths.  simulate_ensemble(cfg) keeps only those rows and
+the divergence steps, so it holds O(n_traj * _BLOCK_STEPS) states whatever
+the horizon; simulate_ensemble(cfg, keep_paths=True), and so
+run_trajectories and simulate_path, also keep whole paths, O(n_traj *
+horizon) states.  Both give bit-identical summaries.
 """
 
 import math
@@ -31,7 +33,7 @@ _MIX2 = 0x94D049BB133111EB
 
 DEFAULT_DIVERGENCE_THRESHOLD = 1e9
 
-# Time steps per block of a run that keeps no whole paths.
+# Time steps per block of the recurrence.
 _BLOCK_STEPS = 1024
 
 
@@ -108,10 +110,10 @@ class PathResult:
 
     A non-finite state truncates the path before the offending step; a
     finite state beyond the divergence threshold is kept as the last row.
-    In both cases `divergence_step` is the first offending t.  `states` may
-    be a view into a buffer shared with the other paths of its ensemble, so
-    an ensemble of PathResults holds O(n_traj * horizon) states; an ensemble
-    summary that needs no whole paths comes from simulate_ensemble instead.
+    In both cases `divergence_step` is the first offending t.  `states` is a
+    view into the (n_traj, horizon + 1, dim) buffer of its ensemble, which a
+    kept run fills block by block, so kept paths hold O(n_traj * horizon)
+    states; simulate_ensemble without keep_paths holds none of them.
     """
 
     states: np.ndarray
@@ -138,9 +140,11 @@ class EnsembleSummary:
     """Snapshot statistics plus divergence bookkeeping for one ensemble.
 
     `snapshot_samples[k]` holds the contributing states at snapshot k
-    (trajectories censored before that time are excluded); counts satisfy
-    diverged_count + (contributing at the last snapshot) = n_traj only when
-    every divergence happens before that snapshot, so both are reported.
+    (trajectories censored at or before that time are excluded); counts
+    satisfy diverged_count + (contributing at the last snapshot) = n_traj
+    only when every divergence happens by that snapshot, so both are
+    reported.  `paths` holds one PathResult per trajectory when the run kept
+    whole paths, and is None otherwise.
     """
 
     n_traj: int
@@ -148,6 +152,7 @@ class EnsembleSummary:
     snapshot_samples: tuple
     diverged_count: int
     divergence_steps: tuple
+    paths: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -166,49 +171,44 @@ def simulate_path(model, noise_spec, x0, horizon, seed,
                   divergence_threshold=None):
     """Simulate one path of length horizon+1 from the seeded noise stream.
 
-    This is a one-lane run of the ensemble recurrence.  A non-finite state
-    (including one produced by a non-finite f or g) truncates the path before
-    the offending step; with a threshold, the first state whose l1 norm
-    exceeds it is kept as the final row.
+    This is a one-lane kept run of the ensemble recurrence.  A non-finite
+    state (including one produced by a non-finite f or g) truncates the path
+    before the offending step; with a threshold, the first state whose l1
+    norm exceeds it is kept as the final row.
     """
     return _run_lanes(model, noise_spec, x0, horizon, (seed,),
-                      divergence_threshold)[0]
-
-
-def _seeds(cfg):
-    return [mix64(cfg.master_seed, i) for i in range(cfg.n_traj)]
+                      divergence_threshold, keep_paths=True)[2][0]
 
 
 def run_trajectories(cfg):
-    """All ensemble paths in index order, stepped together.  Whole paths are
-    kept, so this holds O(n_traj * horizon) states; simulate_ensemble does
-    not."""
-    return _run_lanes(cfg.model, cfg.noise, cfg.x0, cfg.horizon, _seeds(cfg),
-                      cfg.divergence_threshold)
+    """All ensemble paths in index order: simulate_ensemble(cfg,
+    keep_paths=True).paths, so O(n_traj * horizon) states."""
+    return simulate_ensemble(cfg, keep_paths=True).paths
 
 
 def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
-               snapshot_times=None):
+               snapshot_times=(), keep_paths=False):
     """One path per seed, with the censoring rules of `simulate_path`.
 
     Each lane draws from its own stream: its start when x0 is callable, then
-    its horizon draws, taken one block of steps at a time.  Lane i lives in
-    buf[i]: row 0 is its start, and row s holds the block's draw s-1 until
-    step s overwrites it with the state.
+    its horizon draws, taken one block of at most _BLOCK_STEPS steps at a
+    time.  Lane i lives in row i of the block window: window row 0 is its
+    state at the block's start, and row s holds the block's draw s-1 until
+    step s overwrites it with the state.  A kept run's window is
+    buf[:, t0:t0 + steps + 1] of one (n, horizon + 1, dim) buffer; otherwise
+    one (n, block + 1, dim) buffer is reused by every block.
 
-    Without snapshot_times the block is the whole horizon, and the result is
-    one PathResult per seed, whose states are a view of the rows it keeps.
-    With them, blocks are _BLOCK_STEPS long and nothing else of a path is
-    kept: the result is (snapshot samples, divergence steps), where sample k
-    holds the states at snapshot_times[k] of the lanes still live then, in
-    lane order.
+    Returns (samples, divergence steps, paths).  Sample k holds the states at
+    snapshot_times[k] of the lanes still live then, in lane order: a lane
+    leaves every snapshot at and after its divergence step.  paths is None
+    unless keep_paths, and then one PathResult per seed, whose states are a
+    view of the rows it keeps.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    keep_paths = snapshot_times is None
-    block = horizon if keep_paths else min(horizon, _BLOCK_STEPS)
+    block = min(horizon, _BLOCK_STEPS)
     n = len(seeds)
-    buf = np.empty((n, block + 1, model.dim))
+    buf = np.empty((n, (horizon if keep_paths else block) + 1, model.dim))
     takes = []
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
@@ -224,9 +224,9 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
     rows = [horizon + 1] * n
     bad_steps = [None] * n
     lanes = np.arange(n)
-    live = slice(None)  # indexes the live lanes of buf; all of them at first
+    live = slice(None)  # indexes the live lanes of a window; all at first
     x = buf[:, 0].copy()
-    snapshot_at = {t: k for k, t in enumerate(snapshot_times or ())}
+    snapshot_at = {t: k for k, t in enumerate(snapshot_times)}
     samples = [np.empty((0, model.dim))] * len(snapshot_at)
     if 0 in snapshot_at:
         samples[snapshot_at[0]] = x.copy()
@@ -234,12 +234,13 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, horizon, block):
             steps = min(block, horizon - t0)
+            window = buf[:, t0:t0 + steps + 1] if keep_paths else buf
             for i in lanes:
-                buf[i, 1:steps + 1] = takes[i](steps)
+                window[i, 1:steps + 1] = takes[i](steps)
             for s in range(1, steps + 1):
                 t = t0 + s
-                x = kernel(x, buf[live, s])
-                buf[live, s] = x
+                x = kernel(x, window[live, s])
+                window[live, s] = x
                 # The l1 norm summed left to right over the coordinates,
                 # which np.sum does not promise.
                 a = np.abs(x)
@@ -263,28 +264,29 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
                     samples[snapshot_at[t]] = x.copy()
             if not len(lanes):
                 break
-    if not keep_paths:
-        return tuple(samples), tuple(bad_steps)
-    return tuple(
-        PathResult(
-            states=buf[i, :rows[i]],
-            diverged=bad_steps[i] is not None,
-            divergence_step=bad_steps[i],
-        )
+    paths = tuple(
+        PathResult(states=buf[i, :rows[i]], diverged=bad_steps[i] is not None,
+                   divergence_step=bad_steps[i])
         for i in range(n)
-    )
+    ) if keep_paths else None
+    return tuple(samples), tuple(bad_steps), paths
 
 
-def _snapshot_rows(paths, time):
-    rows = [
-        p.states[time]
-        for p in paths
-        if p.divergence_step is None or time < p.divergence_step
-    ]
-    if rows:
-        return np.array(rows)
-    dim = paths[0].states.shape[1]
-    return np.empty((0, dim))
+def _quantiles(values, qs):
+    """np.quantile(values, qs) of a 1-D array without NaN, written out step
+    by step as numpy's default linear method computes it, so the bits agree;
+    the first np.quantile call of a run imports numpy.ma, about 15 ms and
+    2 MiB."""
+    n = values.size
+    v = (n - 1) * np.asarray(qs)
+    lo = np.floor(v)
+    hi = lo + 1
+    lo[v >= n - 1] = hi[v >= n - 1] = -1  # the largest value
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    ordered = np.sort(values)
+    a, b, t = ordered[lo], ordered[hi], v - lo
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
 
 
 def _snapshot_stats(time, rows):
@@ -297,7 +299,7 @@ def _snapshot_stats(time, rows):
             norm_mean=nan, norm_q10=nan, norm_q50=nan, norm_q90=nan,
         )
     norms = np.sum(np.abs(rows), axis=1)
-    q10, q50, q90 = np.quantile(norms, (0.1, 0.5, 0.9))
+    q10, q50, q90 = _quantiles(norms, (0.1, 0.5, 0.9))
     return SnapshotStats(
         time=time,
         count=count,
@@ -310,7 +312,19 @@ def _snapshot_stats(time, rows):
     )
 
 
-def _summary(cfg, samples, steps):
+def simulate_ensemble(cfg, keep_paths=False):
+    """Ensemble summary as a pure function of the configuration.
+
+    The lanes advance in blocks of _BLOCK_STEPS steps and gather their
+    snapshot rows as they go, so the ensemble holds O(n_traj * _BLOCK_STEPS)
+    states whatever its horizon.  With keep_paths the summary's `paths` also
+    holds every whole path, O(n_traj * horizon) states; nothing else in the
+    summary changes.
+    """
+    seeds = [mix64(cfg.master_seed, i) for i in range(cfg.n_traj)]
+    samples, steps, paths = _run_lanes(cfg.model, cfg.noise, cfg.x0, cfg.horizon,
+                                       seeds, cfg.divergence_threshold,
+                                       cfg.snapshot_times, keep_paths)
     return EnsembleSummary(
         n_traj=cfg.n_traj,
         snapshots=tuple(
@@ -319,27 +333,8 @@ def _summary(cfg, samples, steps):
         snapshot_samples=samples,
         diverged_count=sum(1 for s in steps if s is not None),
         divergence_steps=steps,
+        paths=paths,
     )
-
-
-def aggregate_ensemble(cfg, paths):
-    """Gather-then-reduce in index order so aggregation is order-free."""
-    samples = tuple(_snapshot_rows(paths, t) for t in cfg.snapshot_times)
-    return _summary(cfg, samples, tuple(p.divergence_step for p in paths))
-
-
-def simulate_ensemble(cfg):
-    """Ensemble summary as a pure function of the configuration.
-
-    Equal to aggregate_ensemble(cfg, run_trajectories(cfg)), but the lanes
-    advance in blocks of _BLOCK_STEPS steps and keep only their snapshot
-    rows and divergence steps, so the ensemble holds O(n_traj * _BLOCK_STEPS)
-    states whatever its horizon.
-    """
-    samples, steps = _run_lanes(cfg.model, cfg.noise, cfg.x0, cfg.horizon,
-                                _seeds(cfg), cfg.divergence_threshold,
-                                cfg.snapshot_times)
-    return _summary(cfg, samples, steps)
 
 
 def snapshot_distance(sample_a, sample_b):

@@ -39,12 +39,7 @@ from ergokit.norms import (
     psd_sqrt,
     vector_s_norm,
 )
-from ergokit.simulate import (
-    aggregate_ensemble,
-    run_trajectories,
-    simulate_ensemble,
-    snapshot_distance,
-)
+from ergokit.simulate import simulate_ensemble, snapshot_distance
 
 
 def _lines(results):
@@ -230,8 +225,8 @@ def test_criterion_6_simulation_dichotomy():
     start = time.monotonic()
     ergodic = validate_config(builtin_configs()["example2-ergodic"])
     cfg = ergodic["simulation"]
-    paths = run_trajectories(cfg)
-    summary = aggregate_ensemble(cfg, paths)
+    summary = simulate_ensemble(cfg, keep_paths=True)
+    paths = summary.paths
     norms = np.array([np.sum(np.abs(p.states), axis=1) for p in paths])
     mean_norm = norms.mean(axis=0)
     anchor = mean_norm[1000]

@@ -24,7 +24,7 @@ from ergokit.config import (
 )
 from ergokit.models import ThresholdAffine2D
 from ergokit.noise import Expol2
-from ergokit.simulate import PathResult, SimulationConfig, run_trajectories
+from ergokit.simulate import _BLOCK_STEPS, PathResult, SimulationConfig, run_trajectories
 
 
 @pytest.fixture(autouse=True)
@@ -139,16 +139,21 @@ def test_analytic_envelope_at_the_wrong_s_fails_before_simulating(
     doc["checks"] = {"s": 2, "envelope": "analytic"}
     path = write_config(tmp_path, doc)
 
-    def run_trajectories(*args, **kwargs):
+    def simulate_ensemble(*args, **kwargs):
         raise AssertionError("simulated before validating the checks")
 
-    monkeypatch.setattr("ergokit.cli.run_trajectories", run_trajectories)
+    monkeypatch.setattr("ergokit.cli.simulate_ensemble", simulate_ensemble)
     out = tmp_path / "out"
     assert main(["simulate", path, "--out", str(out)]) == 1
     assert "s=1" in capsys.readouterr().err
     assert not out.exists()
     assert main(["check", path]) == 1
     assert "$.checks.s" in capsys.readouterr().err
+    # Control: with valid checks the command does reach the patched call.
+    doc["checks"] = {"s": 1, "envelope": "analytic"}
+    valid = write_config(tmp_path, doc, "valid.json")
+    with pytest.raises(AssertionError, match="simulated before validating"):
+        main(["simulate", valid, "--out", str(tmp_path / "valid")])
 
 
 def test_check_out_file_matches_stdout(tmp_path, capsys):
@@ -459,6 +464,47 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_simulate_does_not_load_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma on its first call, about 15 ms and 2 MiB
+    # of a run; the snapshot quantiles are computed without it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ergokit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    path = write_config(tmp_path, small_threshold_doc())
+    code = ("import sys, ergokit.cli; "
+            f"ergokit.cli.main(['simulate', {path!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "False"
+
+
+def test_the_trajectory_dump_changes_no_other_artifact(tmp_path, monkeypatch):
+    # 30 threshold paths over two blocks of the recurrence, 21 of them
+    # censored, two after the block boundary.  A streamed run (cap 0) and a
+    # run that keeps whole paths for the dump (the default cap) write the
+    # same snapshots, summary and verdict.
+    doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
+    doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
+    horizon = _BLOCK_STEPS + 100
+    doc["simulation"].update(n_traj=30, T=horizon, snapshots=[100, _BLOCK_STEPS, horizon],
+                             divergence_threshold=1e6, seed=7)
+    path = write_config(tmp_path, doc)
+    streamed, kept = tmp_path / "streamed", tmp_path / "kept"
+    with monkeypatch.context() as patch:
+        patch.setattr("ergokit.cli._TRAJECTORY_DUMP_ROW_CAP", 0)
+        assert main(["simulate", path, "--out", str(streamed)]) == 0
+    assert main(["simulate", path, "--out", str(kept)]) == 0
+    shared = ["snapshots.csv", "summary.json", "verdict.txt"]
+    assert sorted(os.listdir(streamed)) == shared
+    assert sorted(os.listdir(kept)) == sorted(shared + ["trajectories.csv"])
+    for name in shared:
+        assert (streamed / name).read_bytes() == (kept / name).read_bytes()
+    steps = json.loads((kept / "summary.json").read_text())["divergence_steps"]
+    censored = [t for t in steps if t is not None]
+    assert len(censored) == 21
+    assert sum(t > _BLOCK_STEPS for t in censored) == 2
 
 
 def test_trajectory_dump_of_lanes_that_overflow_to_inf():

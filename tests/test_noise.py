@@ -154,6 +154,37 @@ def test_rejection_guard_refuses_a_nan_density_at_once():
     assert source.proposals == 1024  # one round
 
 
+def test_rejection_guard_refuses_a_density_beyond_the_largest_double_at_once():
+    # math.exp overflows above about 709.78; such a density exceeds every
+    # finite envelope, so it is refused like one, not with an OverflowError.
+    spec = BoundedCustomDensity(
+        dim=1,
+        log_unnormalized_density=lambda x: 1000.0,
+        box_halfwidth=1.0,
+        envelope_constant=1.0,
+    )
+    source = draw_source(spec, np.random.default_rng(0), 10)
+    with pytest.raises(ValueError, match="exceeds the declared envelope"):
+        source.take(10)
+    assert source.proposals == 1024  # one round
+
+
+# An infinite envelope accepts no proposal, so every draw would run the whole
+# proposal budget; a non-finite box used to fail inside numpy at the first
+# draw, and a NaN one passed the old `<= 0` test.
+@pytest.mark.parametrize("field, value", [
+    ("envelope_constant", math.inf),
+    ("envelope_constant", math.nan),
+    ("box_halfwidth", math.inf),
+    ("box_halfwidth", math.nan),
+])
+def test_custom_density_refuses_a_non_finite_constant(field, value):
+    args = dict(dim=1, log_unnormalized_density=lambda x: 0.0,
+                box_halfwidth=1.0, envelope_constant=1.0)
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        BoundedCustomDensity(**{**args, field: value})
+
+
 def _reference_expol2(rng, count):
     """The Expol2 rejection loop as written before draw sources: (values,
     proposals, values accepted by the end of each round)."""

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ergokit.models import AffineMap, BekkArch, GenericModel, ThresholdAffine2D, step
 from ergokit.noise import BoundedCustomDensity, Expol2, StdGaussian, sample
 from ergokit.simulate import (
     _BLOCK_STEPS,
+    EnsembleSummary,
     SimulationConfig,
-    aggregate_ensemble,
+    _quantiles,
+    _snapshot_stats,
     estimate_stationary_moments,
     mix64,
     run_trajectories,
@@ -49,19 +52,22 @@ def test_mix64_reference_values():
     assert len(seeds) == 1000
 
 
-def test_simulate_path_matches_step_composition():
+# The longer horizon writes the path through three block windows, with
+# Expol2 rounds split across the block boundaries.
+@pytest.mark.parametrize("horizon", [50, 2 * _BLOCK_STEPS + 3])
+def test_simulate_path_matches_step_composition(horizon):
     m = make_threshold()
-    res = simulate_path(m, Expol2(), (0.5, -0.25), 50, seed=123)
-    assert res.states.shape == (51, 2)
+    res = simulate_path(m, Expol2(), (0.5, -0.25), horizon, seed=123)
+    assert res.states.shape == (horizon + 1, 2)
     assert not res.diverged
     # Reconstruct with the generic step operator and the same draws.
     rng = np.random.default_rng(123)
-    draws = sample(Expol2(), rng, 50)
+    draws = sample(Expol2(), rng, horizon)
     x = np.array([0.5, -0.25])
-    for t in range(1, 51):
+    for t in range(1, horizon + 1):
         x = step(m, x, draws[t - 1])
         assert np.array_equal(res.states[t], x)
-    again = simulate_path(m, Expol2(), (0.5, -0.25), 50, seed=123)
+    again = simulate_path(m, Expol2(), (0.5, -0.25), horizon, seed=123)
     assert np.array_equal(res.states, again.states)
 
 
@@ -286,14 +292,14 @@ def test_censored_lanes_are_not_stepped(threshold):
                            x0=lambda rng: rng.uniform(-2.0, 2.0, 1), horizon=60,
                            n_traj=20, snapshot_times=(60,), master_seed=17,
                            divergence_threshold=threshold)
-    paths = run_trajectories(cfg)
+    summary = simulate_ensemble(cfg, keep_paths=True)
+    paths = summary.paths
     steps = [p.divergence_step for p in paths]
     diverged = sum(s is not None for s in steps)
     assert 0 < diverged < len(paths)
     assert max(s for s in steps if s is not None) < 20
     # Each lane takes a step at each t up to its divergence step or the horizon.
     assert len(calls) == sum(60 if s is None else s for s in steps)
-    summary = aggregate_ensemble(cfg, paths)
     assert summary.diverged_count == diverged
     assert summary.snapshots[-1].count == len(paths) - diverged
 
@@ -355,6 +361,25 @@ def _counter_step(x):
 _COUNTER = GenericModel(2, _counter_step, lambda x: np.diag((0.0, 1e-3)))
 
 
+def _gathered_summary(cfg, paths):
+    """Summary of whole paths by the censoring rule, written out: a path
+    leaves every snapshot at and after its divergence step."""
+    samples = []
+    for time in cfg.snapshot_times:
+        rows = [p.states[time] for p in paths
+                if p.divergence_step is None or time < p.divergence_step]
+        samples.append(np.array(rows) if rows else np.empty((0, cfg.model.dim)))
+    steps = tuple(p.divergence_step for p in paths)
+    return EnsembleSummary(
+        n_traj=len(paths),
+        snapshots=tuple(_snapshot_stats(t, rows)
+                        for t, rows in zip(cfg.snapshot_times, samples)),
+        snapshot_samples=tuple(samples),
+        diverged_count=sum(s is not None for s in steps),
+        divergence_steps=steps,
+    )
+
+
 def _assert_same_summary(got, want):
     assert got.n_traj == want.n_traj
     assert got.divergence_steps == want.divergence_steps
@@ -376,8 +401,10 @@ def test_streamed_ensemble_matches_whole_paths(noise):
         snapshot_times=(0, 1, _B - 2, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 52),
         master_seed=23, divergence_threshold=1100.5,
     )
-    paths = run_trajectories(cfg)
-    want = aggregate_ensemble(cfg, paths)
+    whole = simulate_ensemble(cfg, keep_paths=True)
+    paths = whole.paths
+    want = _gathered_summary(cfg, paths)
+    _assert_same_summary(whole, want)
     steps = [p.divergence_step for p in paths]
     # Lanes censored on both sides of the first block boundary, both ways.
     truncated = {p.divergence_step for p in paths if p.diverged
@@ -401,7 +428,10 @@ def test_streamed_ensemble_matches_whole_paths_threshold():
                                snapshot_times=(5, _B, 2 * _B + 1, 3 * _B + 7),
                                master_seed=99, divergence_threshold=threshold)
         got = simulate_ensemble(cfg)
-        _assert_same_summary(got, aggregate_ensemble(cfg, run_trajectories(cfg)))
+        whole = simulate_ensemble(cfg, keep_paths=True)
+        assert got.paths is None
+        _assert_same_summary(whole, _gathered_summary(cfg, whole.paths))
+        _assert_same_summary(got, _gathered_summary(cfg, whole.paths))
     assert got.diverged_count == 13 and got.snapshots[-1].count == 0
 
 
@@ -558,6 +588,24 @@ def test_snapshot_distance_matches_scipy():
         want = max(float(stats.ks_2samp(a[:, j], b[:, j]).statistic)
                    for j in range(2))
         assert snapshot_distance(a, b) == want
+
+
+# Snapshot l1 norms: nonnegative, possibly inf, never NaN.
+_NORMS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.integers(1, 300).flatmap(lambda n: arrays(np.float64, n, elements=_NORMS)))
+@example(values=np.array([2.0]))
+@example(values=np.array([np.inf]))
+@example(values=np.array([1.0, 1.0, 3.0, 3.0, 3.0, np.inf, np.inf]))
+@example(values=np.linspace(0.0, 1.0, 11))
+def test_quantiles_match_numpy_bit_for_bit(values):
+    qs = (0.1, 0.5, 0.9)
+    with np.errstate(invalid="ignore"):
+        want = np.quantile(values, qs)
+        got = _quantiles(values, qs)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_snapshot_distance_edges():
