@@ -6,11 +6,13 @@ distinct generators may be used from any number of threads.  A noise law
 draws only through its draw_source, which hands out one sample in pieces
 of any sizes, and sample() takes it in one piece; Expol2 and
 BoundedCustomDensity sources replay the rejection rounds piece by piece, so
-every source holds O(piece) draws.  The one-time normalization constants
-are cached with compute-once semantics.  Every quadrature moment and the
-Expol2 normalization use one fixed rule with no refinement, Gauss-Legendre
-on panels graded towards the kink at the origin (_graded_rule); only a
-custom density's normalization refines (_custom_z).
+every source holds O(piece) draws.  Their proposals are Generator.random()
+doubles scaled in place as Generator.uniform scales them: uniform's values,
+without its temporaries.  The one-time normalization constants are cached
+with compute-once semantics.  Every quadrature moment and the Expol2
+normalization use one fixed rule with no refinement, Gauss-Legendre on
+panels graded towards the kink at the origin (_graded_rule); only a custom
+density's normalization refines (_custom_z).
 """
 
 import functools
@@ -154,9 +156,12 @@ class BoundedCustomDensity(_NoiseSpec):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        # Written so that NaN fails them too.
-        if not 0 < self.box_halfwidth < math.inf:
-            raise ValueError("box_halfwidth must be positive and finite")
+        # Written so that NaN fails them too.  Proposals are scaled by the
+        # box width 2 * box_halfwidth, which is finite up to half the largest
+        # double.
+        if not 0 < self.box_halfwidth <= np.finfo(float).max / 2:
+            raise ValueError("box_halfwidth must be positive and finite, and so "
+                             "must the box width 2 * box_halfwidth")
         if not 0 < self.envelope_constant < math.inf:
             raise ValueError("envelope_constant must be positive and finite")
 
@@ -285,8 +290,10 @@ def _graded_rule(box, depth):
 
 
 def _expol2_unnormalized(u):
-    # Updated in place, so the heap grows by fewer temporaries of u's size.
-    t = np.asarray(u * u - 1.0)
+    # One scratch array updated in place, so the heap grows by no other
+    # temporary of u's size.
+    t = np.asarray(u * u)
+    t -= 1.0
     t *= t
     return np.exp(np.negative(t, out=t), out=t)
 
@@ -359,21 +366,23 @@ class _RejectionStream(_DrawSource):
     """`count` rows of `width` values drawn by rejection, in pieces.
 
     A proposal is `per` values uniform on [-box, box] (one Expol2
-    coordinate, or one row of a custom density), and mask(u, v) is the
-    boolean mask of the accepted values among the flat proposals u, given one
-    acceptance uniform per proposal in v.  A round makes one proposal per
-    unfilled slot of `per` values, but at least `min_round`: k proposals
-    (k * per uniforms), then k acceptance uniforms, one 64-bit output per
-    uniform; accepted values fill the slots in proposal order, `proposals`
-    counts them all, and the next round starts where they end.  Accepted
-    values beyond the last slot are never handed out.  A round drawn whole
-    reads both from one generator.  A round too large to draw whole that
-    this piece does not use up is split: its acceptance uniforms come from a
-    copy advanced past the proposals, both are read a chunk at a time, and
-    when the round is used up the copy, which then stands where the round
-    ends, becomes the generator (and the old one the spare for the next
-    copy).  Accepted values a piece does not need wait in `_ready`, so a
-    source holds O(piece) values.
+    coordinate, or one row of a custom density), drawn as random() doubles
+    r scaled to r * (2 * box) - box, which is how uniform(-box, box) rounds
+    them; an acceptance uniform is random(), which equals uniform(0, 1).
+    mask(u, v) is the boolean mask of the accepted values among the flat
+    proposals u, given one acceptance uniform per proposal in v.  A round
+    makes one proposal per unfilled slot of `per` values, but at least
+    `min_round`: k proposals (k * per uniforms), then k acceptance uniforms,
+    one 64-bit output per uniform; accepted values fill the slots in
+    proposal order, `proposals` counts them all, and the next round starts
+    where they end.  Accepted values beyond the last slot are never handed
+    out.  A round drawn whole reads both from one generator.  A round too
+    large to draw whole that this piece does not use up is split: its
+    acceptance uniforms come from a copy advanced past the proposals, both
+    are read a chunk at a time, and when the round is used up the copy,
+    which then stands where the round ends, becomes the generator (and the
+    old one the spare for the next copy).  Accepted values a piece does not
+    need wait in `_ready`, so a source holds O(piece) values.
     """
 
     __slots__ = ("_width", "_per", "_box", "_mask", "_min_round", "_total", "_budget",
@@ -438,9 +447,13 @@ class _RejectionStream(_DrawSource):
             # The chunk size sets only how many chunks a piece reads, never
             # a value.
             k = min(k, 3 * need // self._per + 256)
-        u = self._rng.uniform(-self._box, self._box, k * self._per)
-        v = self._accept.uniform(0.0, 1.0, k)
-        self._ready = u[self._mask(u, v)]
+        # Scaled in place as uniform(-box, box) scales random(): the same
+        # bits, without uniform's temporaries.
+        u = self._rng.random(k * self._per)
+        u *= 2 * self._box
+        u -= self._box
+        v = self._accept.random(k)  # uniform(0, 1)
+        self._ready = u.compress(self._mask(u, v))
         self._filled += self._ready.size
         self._round_left -= k
         if not self._round_left:

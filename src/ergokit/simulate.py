@@ -193,10 +193,11 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
     Each lane draws from its own stream: its start when x0 is callable, then
     its horizon draws, taken one block of at most _BLOCK_STEPS steps at a
     time.  Lane i lives in row i of the block window: window row 0 is its
-    state at the block's start, and row s holds the block's draw s-1 until
-    step s overwrites it with the state.  A kept run's window is
+    state at the block's start, and row s holds the block's draw s-1, which
+    a kept run's step s overwrites with the state.  A kept run's window is
     buf[:, t0:t0 + steps + 1] of one (n, horizon + 1, dim) buffer; otherwise
-    one (n, block + 1, dim) buffer is reused by every block.
+    one (n, block + 1, dim) buffer is reused by every block, and holds only
+    draws past row 0.
 
     Returns (samples, divergence steps, paths).  Sample k holds the states at
     snapshot_times[k] of the lanes still live then, in lane order: a lane
@@ -240,14 +241,16 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
             for s in range(1, steps + 1):
                 t = t0 + s
                 x = kernel(x, window[live, s])
-                window[live, s] = x
+                if keep_paths:  # a streamed run never reads a state back
+                    window[live, s] = x
                 # The l1 norm summed left to right over the coordinates,
                 # which np.sum does not promise.
                 a = np.abs(x)
                 l1 = a[:, 0]
                 for j in range(1, a.shape[1]):
                     l1 = l1 + a[:, j]
-                if not (l1 <= limit).all():
+                # The maximum is NaN if any norm is.
+                if not np.maximum.reduce(l1) <= limit:
                     # A finite state whose norm alone overflows lives on.
                     truncated = ~np.all(np.isfinite(x), axis=1)
                     kept = ~truncated & (l1 > threshold)
@@ -298,18 +301,22 @@ def _snapshot_stats(time, rows):
             time=time, count=0, mean=(nan,) * dim, second_moment=(nan,) * dim,
             norm_mean=nan, norm_q10=nan, norm_q50=nan, norm_q90=nan,
         )
-    norms = np.sum(np.abs(rows), axis=1)
-    q10, q50, q90 = _quantiles(norms, (0.1, 0.5, 0.9))
-    return SnapshotStats(
-        time=time,
-        count=count,
-        mean=tuple(float(v) for v in np.mean(rows, axis=0)),
-        second_moment=tuple(float(v) for v in np.mean(rows ** 2, axis=0)),
-        norm_mean=float(np.mean(norms)),
-        norm_q10=float(q10),
-        norm_q50=float(q50),
-        norm_q90=float(q90),
-    )
+    # Without a threshold, live states may be finite but near the largest
+    # double; their moments are then inf or NaN (inf - inf), which is their
+    # value, not a fault.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sum(np.abs(rows), axis=1)
+        q10, q50, q90 = _quantiles(norms, (0.1, 0.5, 0.9))
+        return SnapshotStats(
+            time=time,
+            count=count,
+            mean=tuple(float(v) for v in np.mean(rows, axis=0)),
+            second_moment=tuple(float(v) for v in np.mean(rows ** 2, axis=0)),
+            norm_mean=float(np.mean(norms)),
+            norm_q10=float(q10),
+            norm_q50=float(q50),
+            norm_q90=float(q90),
+        )
 
 
 def simulate_ensemble(cfg, keep_paths=False):

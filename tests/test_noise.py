@@ -185,6 +185,38 @@ def test_custom_density_refuses_a_non_finite_constant(field, value):
         BoundedCustomDensity(**{**args, field: value})
 
 
+@pytest.mark.parametrize("box", [1e308, 0.9 * np.finfo(float).max])
+def test_custom_density_refuses_a_box_whose_width_overflows(box):
+    # Proposals are random() doubles scaled by the width 2 * box_halfwidth,
+    # which must be finite, so half the largest double is the widest box.
+    with pytest.raises(ValueError, match="box width 2 \\* box_halfwidth"):
+        BoundedCustomDensity(dim=1, log_unnormalized_density=lambda x: 0.0,
+                             box_halfwidth=box, envelope_constant=1.0)
+    BoundedCustomDensity(dim=1, log_unnormalized_density=lambda x: 0.0,
+                         box_halfwidth=np.finfo(float).max / 2, envelope_constant=1.0)
+
+
+_BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                   np.random.Philox, np.random.SFC64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.sampled_from(_BIT_GENERATORS), seed=st.integers(0, 2 ** 64 - 1),
+       count=st.integers(0, 3000),
+       box=st.floats(min_value=5e-324, max_value=np.finfo(float).max / 2))
+@example(bits=np.random.PCG64, seed=0, count=100, box=EXPOL2_BOX)
+def test_scaled_random_doubles_are_uniform_bit_for_bit(bits, seed, count, box):
+    # The rejection stream proposes random() doubles scaled in place; this
+    # is the identity with numpy's uniform that keeps its draws unchanged.
+    want = np.random.Generator(bits(seed)).uniform(-box, box, count)
+    u = np.random.Generator(bits(seed)).random(count)
+    u *= 2 * box
+    u -= box
+    assert np.array_equal(u, want)
+    assert np.array_equal(np.random.Generator(bits(seed)).random(count),
+                          np.random.Generator(bits(seed)).uniform(0.0, 1.0, count))
+
+
 def _reference_expol2(rng, count):
     """The Expol2 rejection loop as written before draw sources: (values,
     proposals, values accepted by the end of each round)."""

@@ -260,6 +260,18 @@ def test_ensemble_lane_truncates_while_others_live_on():
         assert np.all(np.isfinite(p.states))
 
 
+def test_snapshot_stats_of_states_near_the_largest_double_do_not_warn():
+    # Live lanes without a threshold may be finite with an inf l1 norm; their
+    # moments overflow to inf and inf - inf interpolates a NaN quantile, and
+    # the suite turns any RuntimeWarning into an error.
+    rows = np.array([[1e308, 1e308], [1e308, 1e308], [-1e308, -1e308], [1.0, 1.0]])
+    stats = _snapshot_stats(5, rows)
+    assert stats.mean == (math.inf, math.inf)
+    assert stats.second_moment == (math.inf, math.inf)
+    assert stats.norm_mean == math.inf
+    assert math.isnan(stats.norm_q50)
+
+
 @pytest.mark.parametrize("threshold", [1e6, None])
 def test_bekk_ensemble_censors_divergence(threshold):
     # f = 3x and g of order 2|x|: every lane explodes from its drawn start
