@@ -33,8 +33,6 @@ from .noise import Expol2, StdGaussian, abs_moment, sample
 from .norms import (
     frobenius_norm,
     induced_norm_bounds,
-    matrix_col_sum_norm,
-    operator_norm,
     s_norms,
     vector_s_norm,
 )
@@ -139,23 +137,22 @@ class ErgodicityReport:
 
 
 def threshold_envelope(model):
-    """Global drift envelope for the threshold family, from the coefficient
-    column sums (s = 1; the bounds hold for every x, so M = 1 is valid).
+    """Global drift envelope for the threshold family, from the coefficients'
+    induced norm bounds (s = 1; the bounds hold for every x, so M = 1 is valid).
 
     On C the volatility's state-scaled part is diag(d_c), elsewhere d_main,
-    so b_g is the larger of their column-sum norms."""
+    so b_g is the larger of their bounds."""
     if not isinstance(model, ThresholdAffine2D):
         raise ValueError("threshold_envelope expects a ThresholdAffine2D model")
     s = model.analytic_envelope_s
-    d31, d32 = model.d_c
-    on_c = ((d31, 0.0), (0.0, d32))
+    b_f, b_main, b_c = induced_norm_bounds(
+        (model.b_mat, model.d_main, np.diag(model.d_c)), s).tolist()
     return DriftEnvelope(
         s=s,
         a_f=vector_s_norm(model.a, s),
-        b_f=matrix_col_sum_norm(model.b_mat, s),
+        b_f=b_f,
         a_g=max(vector_s_norm(model.d_const, s), _ENVELOPE_FLOOR),
-        b_g=max(matrix_col_sum_norm(model.d_main, s),
-                matrix_col_sum_norm(on_c, s), _ENVELOPE_FLOOR),
+        b_g=max(b_main, b_c, _ENVELOPE_FLOOR),
         m_ball=1.0,
         source=SOURCE_ANALYTIC_THRESHOLD,
     )
@@ -163,15 +160,15 @@ def threshold_envelope(model):
 
 def _bekk_envelope(model):
     """Global drift envelope for BEKK with an affine f at s = 2 (M = 1): b_f, a_f
-    are the operator norm of f's matrix and its offset norm, and the Frobenius
-    identity bounds the volatility by a_g = sqrt(tr B), b_g = |||A|||_F."""
+    are the largest singular value of f's matrix and its offset norm, and the
+    Frobenius identity bounds the volatility by a_g = sqrt(tr B), b_g = |||A|||_F."""
     if not isinstance(model.f, AffineMap):
         raise ValueError("an explicit envelope is required when f is not an affine map")
     s = model.analytic_envelope_s
     return DriftEnvelope(
         s=s,
         a_f=math.hypot(*model.f.offset),
-        b_f=operator_norm(model.f.matrix, s),
+        b_f=float(induced_norm_bounds((model.f.matrix,), s)[0]),
         a_g=max(math.sqrt(max(float(np.trace(model.b_mat)), 0.0)), _ENVELOPE_FLOOR),
         b_g=max(frobenius_norm(model.a_mat), _ENVELOPE_FLOOR),
         m_ball=1.0,
@@ -435,11 +432,9 @@ def check_bekk_model(model, noise_spec=None, envelope=None, extra_notes=""):
     if not isinstance(model, BekkArch):
         raise ValueError("check_bekk_model expects a BekkArch model")
     envelope = envelope or _bekk_envelope(model)
-    w, _ = bekk_b_eigenvalues(model.b_mat)
+    (w_min, _), _ = bekk_b_eigenvalues(model.b_mat)
     checks = [
-        CheckResult(
-            name="b_psd", passed=True, witnesses=(("min_eigenvalue", float(np.min(w))),)
-        )
+        CheckResult(name="b_psd", passed=True, witnesses=(("min_eigenvalue", w_min),))
     ]
     kind, normal = bekk_line_normal(model.a_mat, model.b_mat)
     c1, c2 = normal if kind == REGION_ON_L else (float("nan"), float("nan"))

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .norms import frobenius_norm, symmetric_eigh
+from .norms import frobenius_norm
 
 # Relative tolerance of the symmetry and PSD checks on BEKK b_mat.
 _B_REL_TOL = 1e-10
@@ -243,16 +243,24 @@ class AffineMap:
 
 
 def bekk_b_eigenvalues(b_mat):
-    """(eigenvalues, 1 + ||b_mat||_F) of a BEKK b_mat; raises unless it is
-    symmetric positive semidefinite within 1e-10 of that scale."""
+    """((smaller, larger) eigenvalue, 1 + ||b_mat||_F) of a BEKK b_mat with
+    off-diagonal (b12 + b21) / 2, as in BekkArch._m_terms; raises unless it is
+    symmetric positive semidefinite within 1e-10 of that scale.  They are
+    mean -/+ hypot(half-difference, off-diagonal): the one farther from zero
+    from that sum, the other as det / it, which does not cancel."""
     b = np.asarray(b_mat, dtype=float)
     scale = 1.0 + frobenius_norm(b)
     if frobenius_norm(b - b.T) > _B_REL_TOL * scale:
         raise ValueError("b_mat must be symmetric")
-    w, _ = symmetric_eigh(b)
-    if float(np.min(w)) < -_B_REL_TOL * scale:
+    ((b11, b12), (b21, b22)) = b.tolist()
+    off = (b12 + b21) / 2.0
+    mean, radius = (b11 + b22) / 2.0, math.hypot((b11 - b22) / 2.0, off)
+    far = mean + math.copysign(radius, mean)
+    near = (b11 * b22 - off * off) / far if far else 0.0
+    smaller, larger = sorted((near, far))
+    if smaller < -_B_REL_TOL * scale:
         raise ValueError("b_mat must be positive semidefinite")
-    return w, scale
+    return (smaller, larger), scale
 
 
 @dataclass(frozen=True)
@@ -407,12 +415,11 @@ def bekk_line_normal(a_mat, b_mat):
     c1 = a11 sqrt(b22) - sigma a21 sqrt(b11),
     c2 = a12 sqrt(b22) - sigma a22 sqrt(b11),
     and sigma = sign(b12) resolves the rank-one factorization sign
-    (sigma = +1 when b12 = 0).
+    (sigma = +1 when b12 = 0), with b12 read as (b12 + b21) / 2.
     """
     b = np.asarray(b_mat, dtype=float)
     a = np.asarray(a_mat, dtype=float)
-    w, scale = bekk_b_eigenvalues(b)
-    w_min, w_max = float(np.min(w)), float(np.max(w))
+    (w_min, w_max), scale = bekk_b_eigenvalues(b)
     tol_eig = _B_REL_TOL * scale
     if w_min > tol_eig:
         return REGION_EVERYWHERE_REGULAR, None
@@ -421,7 +428,7 @@ def bekk_line_normal(a_mat, b_mat):
         return REGION_EVERYWHERE_SINGULAR, None
     b11 = max(float(b[0, 0]), 0.0)
     b22 = max(float(b[1, 1]), 0.0)
-    sigma = -1.0 if b[0, 1] < 0.0 else 1.0
+    sigma = -1.0 if b[0, 1] + b[1, 0] < 0.0 else 1.0
     r11 = math.sqrt(b11)
     r22 = math.sqrt(b22)
     c1 = a[0, 0] * r22 - sigma * a[1, 0] * r11

@@ -56,9 +56,8 @@ def induced_norm_bounds(mats, s):
     if s == 2.0 and m.shape[1] == 2:
         a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
         return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2.0
-    a = np.abs(m)
-    col = np.max(np.sum(a, axis=1), axis=1)
-    row = np.max(np.sum(a, axis=2), axis=1)
+    col = np.max(s_norms(m, 1.0, axis=1), axis=1)
+    row = np.max(s_norms(m, 1.0, axis=2), axis=1)
     return col ** (1.0 / s) * row ** (1.0 - 1.0 / s)
 
 
@@ -73,10 +72,8 @@ def operator_norm(a_mat, p):
     m = np.asarray(a_mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if p == 1:
-        return float(np.max(np.sum(np.abs(m), axis=0)))
-    if p == math.inf:
-        return float(np.max(np.sum(np.abs(m), axis=1)))
+    if p in (1, math.inf):  # the largest column or row sum
+        return float(np.max(s_norms(m, 1.0, axis=0 if p == 1 else 1)))
     if p == 2:
         w, _ = symmetric_eigh(m.T @ m)
         return float(math.sqrt(max(0.0, float(np.max(w)))))

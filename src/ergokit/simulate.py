@@ -277,9 +277,10 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
 
 def _quantiles(values, qs):
     """np.quantile(values, qs) of a 1-D array without NaN, written out step
-    by step as numpy's default linear method computes it, so the bits agree;
-    the first np.quantile call of a run imports numpy.ma, about 15 ms and
-    2 MiB."""
+    by step as numpy's default linear method computes it, so the bits agree,
+    except that equal neighbours give their value where numpy gives NaN for
+    inf - inf; the first np.quantile call of a run imports numpy.ma, about
+    15 ms and 2 MiB."""
     n = values.size
     v = (n - 1) * np.asarray(qs)
     lo = np.floor(v)
@@ -289,7 +290,7 @@ def _quantiles(values, qs):
     ordered = np.sort(values)
     a, b, t = ordered[lo], ordered[hi], v - lo
     d = b - a
-    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    return np.where(a == b, a, np.where(t >= 0.5, b - d * (1 - t), a + d * t))
 
 
 def _snapshot_stats(time, rows):

@@ -44,6 +44,7 @@ from ergokit.norms import (
     frobenius_norm,
     induced_norm_bounds,
     matrix_col_sum_norm,
+    operator_norm,
     s_norms,
     vector_s_norm,
 )
@@ -131,11 +132,33 @@ def test_threshold_envelope_holds_on_lane_blocks(lead, c, states):
                           d_main=((d11, c[5]), c[6:8]), d_c=c[8:10],
                           d_const=(d41, c[10]))
     env = threshold_envelope(m)
+    # At s = 1 the induced norm bounds are the column sums, bit for bit.
+    assert env.b_f == matrix_col_sum_norm(m.b_mat, 1.0)
+    assert env.b_g == max(matrix_col_sum_norm(m.d_main, 1.0),
+                          matrix_col_sum_norm(np.diag(m.d_c), 1.0), _ENVELOPE_FLOOR)
     x = np.array(states)
     f, g = m.lane_terms(x)
     nx = s_norms(x, 1.0, axis=1)
     assert np.all(s_norms(f, 1.0, axis=1) <= (env.a_f + env.b_f * nx) * _SLACK)
     assert np.all(induced_norm_bounds(g, 1.0) <= (env.a_g + env.b_g * nx) * _SLACK)
+
+
+# Zero or large enough that the Gram matrix A^T A, from which
+# operator_norm(., 2) takes the largest singular value, does not underflow.
+_sv_entry = st.one_of(st.just(0.0), st.floats(1e-100, 2.0), st.floats(-2.0, -1e-100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=st.lists(_sv_entry, min_size=4, max_size=4))
+@example(f=[0.4, 0.0, 0.0, 0.4])
+@example(f=[1.0, 1.0, 1.0, 1.0])
+@example(f=[2.0, -2.0, 2.0, -2.0])
+def test_bekk_envelope_b_f_is_the_largest_singular_value(f):
+    # The closed form agrees with LAPACK's eigenvalue of A^T A to 4 ulps.
+    m = BekkArch(f=AffineMap((f[0:2], f[2:4]), (0.0, 0.0)),
+                 a_mat=((1.0, 0.0), (0.0, 1.0)), b_mat=((1.0, 0.0), (0.0, 1.0)))
+    want = operator_norm(m.f.matrix, 2)
+    assert abs(check_bekk_model(m).envelope.b_f - want) <= 4 * np.spacing(want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -73,6 +73,7 @@ unchanged:
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from ergokit.cli import main
@@ -125,9 +126,10 @@ GOLDEN = {
 
 
 # `check` on built-in configs.  With their analytic envelopes, the BEKK report
-# runs b_f through operator_norm and the min_eigenvalue witness through
-# symmetric_eigh; the shell-s2 case runs the s = 2 noise moment and the
-# shell envelope's induced norm bounds.
+# takes b_f from induced_norm_bounds at s = 2 and the min_eigenvalue witness
+# from the closed-form spectrum of bekk_b_eigenvalues (both froze their hashes
+# through LAPACK's eigh, which gave the same bits here); the shell-s2 case
+# runs the s = 2 noise moment and the shell envelope's induced norm bounds.
 # Name -> (config, exit code, report.json sha256).
 SHELL_S2 = {**builtin_configs()["example2-ergodic"],
             "checks": {"s": 2.0, "envelope": "shell"}}
@@ -166,15 +168,37 @@ CHECK_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CHECK_GOLDEN))
-def test_check_report_matches_golden_hash(tmp_path, capsys, name):
-    doc, code, digest = CHECK_GOLDEN[name]
+def _check_report_hash(tmp_path, doc, code):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     report = tmp_path / "report.json"
     assert main(["check", str(config), "--out", str(report)]) == code
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_GOLDEN))
+def test_check_report_matches_golden_hash(tmp_path, capsys, name):
+    doc, code, digest = CHECK_GOLDEN[name]
+    assert _check_report_hash(tmp_path, doc, code) == digest
     capsys.readouterr()
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def test_no_command_calls_lapack(tmp_path, capsys, monkeypatch):
+    # With numpy's eigen and singular value routines refusing, every check
+    # golden and `reproduce bekk-demo` keep their exit codes and reports.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for name, (doc, code, digest) in sorted(CHECK_GOLDEN.items()):
+        (tmp_path / name).mkdir()
+        assert _check_report_hash(tmp_path / name, doc, code) == digest, name
+    out = tmp_path / "bekk-demo-bundle"
+    assert main(["reproduce", "bekk-demo", "--out", str(out)]) == 0
+    report = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert report == CHECK_GOLDEN["bekk-demo"][2]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

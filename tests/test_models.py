@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergokit.models import (
+    _B_REL_TOL,
     AffineMap,
     BekkArch,
     GenericModel,
     ThresholdAffine2D,
+    bekk_b_eigenvalues,
     bekk_line_normal,
     classify_region,
     eval_f,
@@ -183,6 +185,39 @@ def test_bekk_closed_form_root(b_kind, q, a, x, off_line):
     assert frobenius_norm(g @ g - full) <= 1e-12 * scale
     want = full[0, 0] * full[1, 1] - full[0, 1] * full[1, 0]
     assert abs(g_determinant(m, x) - want) <= 1e-12 * scale ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b_kind=st.sampled_from(("full", "rank_one", "zero", "diagonal", "near_symmetric")),
+    q=st.tuples(_pair, _pair),
+    scale=st.floats(1e-6, 1e6),
+    skew=st.floats(-1.0, 1.0),
+)
+@example(b_kind="rank_one", q=((1.0, 1.0), (0.0, 0.0)), scale=1.0, skew=0.0)
+@example(b_kind="diagonal", q=((0.0, 2.0), (0.0, 0.0)), scale=1e6, skew=0.0)
+def test_bekk_b_eigenvalues_match_the_lapack_oracle(b_kind, q, scale, skew):
+    # The closed-form spectrum against numpy's eigvalsh of the matrix with
+    # the averaged off-diagonal it reads.  near_symmetric moves b12 by up to
+    # half the symmetry tolerance.
+    q = np.array(q)
+    b = {"full": q @ q.T, "rank_one": np.outer(q[0], q[0]), "zero": np.zeros((2, 2)),
+         "diagonal": np.diag(np.abs(q[0])), "near_symmetric": q @ q.T}[b_kind] * scale
+    if b_kind == "near_symmetric":
+        b[0, 1] += skew * _B_REL_TOL * (1.0 + frobenius_norm(b)) / 2.0
+    (smaller, larger), norm_scale = bekk_b_eigenvalues(b)
+    assert norm_scale == 1.0 + frobenius_norm(b)
+    want = np.linalg.eigvalsh((b + b.T) / 2.0)
+    ulps = 4 * np.spacing(1.0 + np.sum(np.abs(b)))
+    assert smaller <= larger
+    assert abs(smaller - want[0]) <= ulps
+    assert abs(larger - want[1]) <= ulps
+
+
+def test_bekk_b_eigenvalues_do_not_cancel():
+    # mean - radius would round the smaller eigenvalue here to 0.
+    assert bekk_b_eigenvalues(((1.0, 0.0), (0.0, 1e-300))) == ((1e-300, 1.0), 2.0)
+    assert bekk_b_eigenvalues(((1e-300, 0.0), (0.0, 1.0))) == ((1e-300, 1.0), 2.0)
 
 
 def test_bekk_closed_form_root_examples():

@@ -136,3 +136,35 @@ def test_private_import_check_flags_only_private_package_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_names_imported_across_modules(path):
     assert private_package_imports(path.read_text()) == []
+
+
+def linalg_references(source):
+    """Lines of the code (not the docstrings or comments) of a module that
+    name `linalg`: an import of it or from it, a name or an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [*(node.module or "").split("."), *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        else:
+            names = [getattr(node, "attr", None), getattr(node, "id", None)]
+        if "linalg" in names:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_linalg_check_flags_only_code_naming_linalg():
+    source = (
+        '"""Uses numpy.linalg nowhere."""\nimport numpy.linalg\n'
+        "from numpy.linalg import eigh\nfrom numpy import linalg as la\n"
+        "x = np.linalg.svd  # linalg\nlinalg = la\ny = np.sum\n"
+    )
+    assert linalg_references(source) == [2, 3, 4, 5, 6]
+
+
+# LAPACK stays behind norms.py: no other module may reach numpy.linalg.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "norms.py"],
+                         ids=lambda p: p.name)
+def test_only_norms_names_linalg(path):
+    assert linalg_references(path.read_text()) == []
