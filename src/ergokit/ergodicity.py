@@ -276,13 +276,6 @@ def drift_gamma(envelope, moment):
     return envelope.b_f + envelope.b_g * moment.value
 
 
-def bekk_gamma(b_f, a_mat, moment2):
-    """Drift coefficient for the BEKK family: b_f + |||A|||_F * E[||e||_2]."""
-    if float(moment2.s) != 2.0:
-        raise ValueError(f"bekk gamma needs an s=2 moment, got s={moment2.s}")
-    return float(b_f) + frobenius_norm(a_mat) * moment2.value
-
-
 def check_coefexpol(model):
     """Non-degeneracy of the constant volatility column against both
     state-scaled columns: d11*d42 - d21*d41 != 0 and d31*d42 - d32*d41 != 0."""
@@ -313,10 +306,6 @@ def _check_d_main_nonsingular(model):
         passed=abs(det) > tol,
         witnesses=(("det_d_main", det),),
     )
-
-
-# (kind, normal) of the set where det(B + (Ax)(Ax)^T) vanishes.
-bekk_degeneracy = bekk_line_normal
 
 
 def probe_skeleton_reachability(model, seeds, horizon):
@@ -427,8 +416,9 @@ def check_threshold_model(model, noise_spec=None, envelope=None, extra_notes="")
 def check_bekk_model(model, noise_spec=None, envelope=None, extra_notes=""):
     """Full sufficient-condition report for a BekkArch model: the PSD,
     degeneracy-locus and skeleton-escape checks, then _report (StdGaussian(2)
-    and _bekk_envelope by default, where gamma equals bekk_gamma; an explicit
-    envelope, required when f is not affine, is checked at its own s)."""
+    and _bekk_envelope by default, where gamma is
+    b_f + |||A|||_F * E[||e||_2]; an explicit envelope, required when f is
+    not affine, is checked at its own s)."""
     if not isinstance(model, BekkArch):
         raise ValueError("check_bekk_model expects a BekkArch model")
     envelope = envelope or _bekk_envelope(model)

@@ -83,15 +83,6 @@ class _ModelSpec:
         raise ValueError("classify_region supports ThresholdAffine2D and BekkArch only")
 
 
-def _lane_loop(f, g):
-    """GenericModel's lane kernel: f(x) + g(x) @ u one lane at a time."""
-
-    def step(x, u):
-        return np.array([f(xi) + g(xi) @ ui for xi, ui in zip(x, u)])
-
-    return step
-
-
 def _callable_value(fn, x, shape, name, finite=True):
     out = np.asarray(fn(x), dtype=float)
     if out.shape != shape or (finite and not np.all(np.isfinite(out))):
@@ -123,22 +114,26 @@ class GenericModel(_ModelSpec):
         return _callable_value(self.g, x, (self.dim, self.dim), "g")
 
     def lane_kernel(self):
-        return _lane_loop(
-            partial(_callable_value, self.f, shape=(self.dim,), name="f", finite=False),
-            partial(_callable_value, self.g, shape=(self.dim,) * 2, name="g", finite=False),
-        )
+        """f(x) + g(x) @ u one lane at a time."""
+        f = partial(_callable_value, self.f, shape=(self.dim,), name="f", finite=False)
+        g = partial(_callable_value, self.g, shape=(self.dim,) * 2, name="g", finite=False)
+
+        def step(x, u):
+            return np.array([f(xi) + g(xi) @ ui for xi, ui in zip(x, u)])
+
+        return step
 
 
 @dataclass(frozen=True)
 class ThresholdAffine2D(_ModelSpec):
     """Bivariate threshold model with affine mean and switching volatility.
 
-    The mean is a + b_mat @ x.  The volatility matrix keeps only its first
-    column on the closed quadrant C = {x <= 0, y <= 0} (entries
-    d_c[0] * x + d_const[0] and d_c[1] * y + d_const[1]); elsewhere the main
-    2x2 block d_main scales column 1 by x and column 2 by y, and d_const is
-    still added to the first column.  The matrix is therefore singular on C
-    by construction and discontinuous on the boundary of C.
+    The mean is the AffineMap x -> a + b_mat @ x.  The volatility matrix
+    keeps only its first column on the closed quadrant C = {x <= 0, y <= 0}
+    (entries d_c[0] * x + d_const[0] and d_c[1] * y + d_const[1]); elsewhere
+    the main 2x2 block d_main scales column 1 by x and column 2 by y, and
+    d_const is still added to the first column.  The matrix is therefore
+    singular on C by construction and discontinuous on the boundary of C.
     """
 
     a: tuple
@@ -162,16 +157,14 @@ class ThresholdAffine2D(_ModelSpec):
         """Closure (x1, x2) -> (f1, f2, g11, g12, g21, g22): the family's
         arithmetic, with g in row-major order, over equal-shape arrays of
         lane coordinates."""
-        a1, a2 = self.a
-        ((b11, b12), (b21, b22)) = self.b_mat
+        mean = AffineMap(self.b_mat, self.a)
         ((d11, d12), (d21, d22)) = self.d_main
         d31, d32 = self.d_c
         d41, d42 = self.d_const
 
         def terms(x1, x2):
             c = _in_c(x1, x2)
-            f1 = a1 + b11 * x1 + b12 * x2
-            f2 = a2 + b21 * x1 + b22 * x2
+            f1, f2 = mean.columns(x1, x2)
             # On C only the first column survives: d_c scales it, g12 = g22 = 0.
             g11 = np.where(c, d31 * x1, d11 * x1) + d41
             g12 = np.where(c, 0.0, d12 * x2)
@@ -245,11 +238,15 @@ class AffineMap:
 def bekk_b_eigenvalues(b_mat):
     """((smaller, larger) eigenvalue, 1 + ||b_mat||_F) of a BEKK b_mat with
     off-diagonal (b12 + b21) / 2, as in BekkArch._m_terms; raises unless it is
-    symmetric positive semidefinite within 1e-10 of that scale.  They are
-    mean -/+ hypot(half-difference, off-diagonal): the one farther from zero
-    from that sum, the other as det / it, which does not cancel."""
+    symmetric positive semidefinite within 1e-10 of that scale, and unless
+    that scale is finite, which keeps every product of two entries finite.
+    They are mean -/+ hypot(half-difference, off-diagonal): the one farther
+    from zero from that sum, the other as det / it, which does not cancel."""
     b = np.asarray(b_mat, dtype=float)
-    scale = 1.0 + frobenius_norm(b)
+    with np.errstate(over="ignore"):
+        scale = 1.0 + frobenius_norm(b)
+    if not math.isfinite(scale):
+        raise ValueError("b_mat is too large: 1 + ||b_mat||_F overflows")
     if frobenius_norm(b - b.T) > _B_REL_TOL * scale:
         raise ValueError("b_mat must be symmetric")
     ((b11, b12), (b21, b22)) = b.tolist()

@@ -6,13 +6,15 @@ distinct generators may be used from any number of threads.  A noise law
 draws only through its draw_source, which hands out one sample in pieces
 of any sizes, and sample() takes it in one piece; Expol2 and
 BoundedCustomDensity sources replay the rejection rounds piece by piece, so
-every source holds O(piece) draws.  Their proposals are Generator.random()
-doubles scaled in place as Generator.uniform scales them: uniform's values,
-without its temporaries.  The one-time normalization constants are cached
-with compute-once semantics.  Every quadrature moment and the Expol2
-normalization use one fixed rule with no refinement, Gauss-Legendre on
-panels graded towards the kink at the origin (_graded_rule); only a custom
-density's normalization refines (_custom_z).
+every source holds O(piece) draws; a round is drawn whole when the piece
+uses it up or the generator cannot advance(), and split otherwise.  Their
+proposals are Generator.random() doubles scaled in place as
+Generator.uniform scales them: uniform's values, without its temporaries.
+The one-time normalization constants are cached with compute-once
+semantics.  Every quadrature moment and the Expol2 normalization use one
+fixed rule with no refinement, Gauss-Legendre on panels graded towards the
+kink at the origin (_graded_rule); only a custom density's normalization
+refines (_custom_z).
 """
 
 import functools
@@ -43,12 +45,6 @@ _LINE_DEPTH = 40
 _TENSOR_DEPTH = 6
 
 _MAX_PROPOSALS_PER_DRAW = 10 ** 6
-
-# A rejection round of at most this many proposals is drawn whole from the one
-# generator; a larger round that a piece does not use up is split (see
-# _RejectionStream).  Smaller rounds would split more often, each split costing
-# a generator copy; larger ones would leave more accepted values waiting.
-_WHOLE_ROUND = 2048
 
 # A custom density's rounds propose at least this many rows, so that a low
 # acceptance rate hits the proposal budget quickly, not in rounds of one row.
@@ -376,13 +372,14 @@ class _RejectionStream(_DrawSource):
     one 64-bit output per uniform; accepted values fill the slots in
     proposal order, `proposals` counts them all, and the next round starts
     where they end.  Accepted values beyond the last slot are never handed
-    out.  A round drawn whole reads both from one generator.  A round too
-    large to draw whole that this piece does not use up is split: its
-    acceptance uniforms come from a copy advanced past the proposals, both
-    are read a chunk at a time, and when the round is used up the copy,
-    which then stands where the round ends, becomes the generator (and the
-    old one the spare for the next copy).  Accepted values a piece does not
-    need wait in `_ready`, so a source holds O(piece) values.
+    out.  A round that this piece uses up, or any round of a generator
+    without advance() (only PCG64 and PCG64DXSM have it), is drawn whole,
+    both from one generator.  Any other round is split: its acceptance
+    uniforms come from a copy advanced past the proposals, both are read a
+    chunk at a time, and when the round is used up the copy, which then
+    stands where the round ends, becomes the generator (and the old one the
+    spare for the next copy).  Accepted values a piece does not need wait
+    in `_ready`, so a source holds O(piece) values.
     """
 
     __slots__ = ("_width", "_per", "_box", "_mask", "_min_round", "_total", "_budget",
@@ -434,7 +431,7 @@ class _RejectionStream(_DrawSource):
             # 64-bit outputs on these bit generators.
             bits = self._rng.bit_generator
             advanceable = (np.random.PCG64, np.random.PCG64DXSM)
-            if k > _WHOLE_ROUND and need < to_come and isinstance(bits, advanceable):
+            if need < to_come and isinstance(bits, advanceable):
                 if self._spare is None:
                     self._spare = np.random.Generator(type(bits)(0))
                 self._accept, self._spare = self._spare, None

@@ -276,11 +276,13 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
 
 
 def _quantiles(values, qs):
-    """np.quantile(values, qs) of a 1-D array without NaN, written out step
-    by step as numpy's default linear method computes it, so the bits agree,
-    except that equal neighbours give their value where numpy gives NaN for
-    inf - inf; the first np.quantile call of a run imports numpy.ma, about
-    15 ms and 2 MiB."""
+    """np.quantile(values, qs) of a 1-D array of norms (no NaN, no -0.0),
+    written out step by step as numpy's default linear method computes it,
+    so the bits agree wherever numpy's value is not NaN.  Beside an inf
+    neighbour, where numpy may give NaN (inf - inf, or inf * 0), the
+    quantile is the lower neighbour a where the weight t of the upper one is
+    0, and the upper neighbour b where b is inf.  The first np.quantile call
+    of a run imports numpy.ma, about 15 ms and 2 MiB."""
     n = values.size
     v = (n - 1) * np.asarray(qs)
     lo = np.floor(v)
@@ -290,7 +292,8 @@ def _quantiles(values, qs):
     ordered = np.sort(values)
     a, b, t = ordered[lo], ordered[hi], v - lo
     d = b - a
-    return np.where(a == b, a, np.where(t >= 0.5, b - d * (1 - t), a + d * t))
+    lerp = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    return np.where(t == 0, a, np.where(np.isinf(b), b, lerp))
 
 
 def _snapshot_stats(time, rows):

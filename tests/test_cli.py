@@ -400,6 +400,15 @@ def test_bekk_checks_run_at_the_envelope_s(tmp_path, capsys, name):
     assert report["verdict"] == "condition_failed"
 
 
+def test_check_refuses_a_bekk_b_whose_products_overflow(tmp_path, capsys):
+    doc = copy.deepcopy(builtin_configs()["bekk-demo"])
+    doc["model"]["B"] = [[1e200, 1e200], [1e200, 1e200]]
+    assert main(["check", write_config(tmp_path, doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: b_mat") and err.count("\n") == 1
+
+
 def test_bekk_simulate_with_an_s1_shell_envelope(tmp_path, capsys):
     path = write_config(tmp_path, _bekk_checks_doc(_BEKK_AT_OTHER_S["shell-s1"]))
     out = tmp_path / "out"

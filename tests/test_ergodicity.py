@@ -15,8 +15,6 @@ from ergokit.ergodicity import (
     VERDICT_MET,
     _fit_linear_envelope,
     _sample_shell,
-    bekk_degeneracy,
-    bekk_gamma,
     check_bekk_model,
     check_coefexpol,
     check_threshold_model,
@@ -336,15 +334,14 @@ def test_verdict_invariant_on_generated_reports():
 
 
 def test_bekk_gamma_closed_forms():
-    mom = abs_moment(StdGaussian(2), 2.0, method="analytic")
-    assert mom.value == pytest.approx(E_L2_GAUSS, rel=1e-14)
-    gamma = bekk_gamma(0.3, ((0.3, 0.0), (0.0, 0.3)), mom)
-    assert gamma == pytest.approx(0.3 + 0.3 * math.sqrt(math.pi), rel=1e-12)
-    gamma2 = bekk_gamma(0.5, ((1.0, 0.0), (0.0, 1.0)), mom)
-    assert gamma2 == pytest.approx(0.5 + math.sqrt(math.pi), rel=1e-12)
-    with pytest.raises(ValueError):
-        bekk_gamma(0.3, ((0.3, 0.0), (0.0, 0.3)),
-                   MomentEstimate(value=1.0, std_error=0.0, method="quadrature", s=1.0))
+    # gamma = b_f + |||A|||_F * E||e||_2 with b_f = scale_f, |||A|||_F =
+    # sqrt(2) scale_a and E||e||_2 = sqrt(pi / 2).
+    report = check_bekk_model(make_bekk())
+    assert report.noise_moment.value == pytest.approx(E_L2_GAUSS, rel=1e-14)
+    assert report.gamma == pytest.approx(0.3 + 0.3 * math.sqrt(math.pi), rel=1e-12)
+    for scale_f in (0.5, 1.0):
+        gamma = check_bekk_model(make_bekk(scale_f=scale_f, scale_a=1.0)).gamma
+        assert gamma == pytest.approx(scale_f + math.sqrt(math.pi), rel=1e-12)
 
 
 def test_bekk_report_ergodic():
@@ -401,23 +398,20 @@ def test_bekk_report_everywhere_singular():
 def test_bekk_degeneracy_kinds():
     eye = ((1.0, 0.0), (0.0, 1.0))
     ones = ((1.0, 1.0), (1.0, 1.0))
-    assert bekk_degeneracy(eye, eye) == (REGION_EVERYWHERE_REGULAR, None)
-    kind, (c1, c2) = bekk_degeneracy(eye, ones)
+    assert bekk_line_normal(eye, eye) == (REGION_EVERYWHERE_REGULAR, None)
+    kind, (c1, c2) = bekk_line_normal(eye, ones)
     assert kind == REGION_ON_L
     # Normal proportional to (1, -1): the line is {x1 = x2}.
     assert c1 == pytest.approx(-c2, rel=1e-12)
-    assert bekk_degeneracy(ones, ones) == (REGION_EVERYWHERE_SINGULAR, None)
-    assert bekk_degeneracy(eye, ((0.0, 0.0), (0.0, 0.0))) == (
+    assert bekk_line_normal(ones, ones) == (REGION_EVERYWHERE_SINGULAR, None)
+    assert bekk_line_normal(eye, ((0.0, 0.0), (0.0, 0.0))) == (
         REGION_EVERYWHERE_SINGULAR, None)
-    # The exported name is the one classification of models.bekk_line_normal.
-    for b_mat in (eye, ones, ((0.0, 0.0), (0.0, 0.0))):
-        assert bekk_degeneracy(eye, b_mat) == bekk_line_normal(eye, b_mat)
 
 
 def test_bekk_on_line_determinants_vanish():
     model = make_bekk(scale_f=0.4, scale_a=1.0, b_mat=((1.0, 1.0), (1.0, 1.0)),
                       offset=(1.0, 0.0))
-    kind, (c1, c2) = bekk_degeneracy(model.a_mat, model.b_mat)
+    kind, (c1, c2) = bekk_line_normal(model.a_mat, model.b_mat)
     assert kind == REGION_ON_L
     scale = math.hypot(c1, c2)
     direction = np.array([-c2 / scale, c1 / scale])

@@ -220,6 +220,24 @@ def test_bekk_b_eigenvalues_do_not_cancel():
     assert bekk_b_eigenvalues(((1e-300, 0.0), (0.0, 1.0))) == ((1e-300, 1.0), 2.0)
 
 
+@pytest.mark.parametrize("scale", [1e200, 2.0 ** 600])
+def test_bekk_refuses_a_b_mat_whose_products_overflow(scale):
+    # b11 * b22 and ||b_mat||_F^2 overflow: the tolerances 1e-10 (1 +
+    # ||b_mat||_F) would be inf and det b_mat inf - inf.  Refused, without a
+    # numpy warning (the suite turns RuntimeWarning into an error).
+    b = ((scale, scale), (scale, scale))
+    with pytest.raises(ValueError, match="b_mat"):
+        bekk_b_eigenvalues(b)
+    with pytest.raises(ValueError, match="b_mat"):
+        make_bekk(b_mat=b)
+
+
+def test_bekk_accepts_a_large_b_mat_whose_products_are_finite():
+    # 4 * (6e153)^2 = 1.44e308 is below the largest double.
+    m = make_bekk(b_mat=((6e153, 6e153), (6e153, 6e153)))
+    assert np.all(np.isfinite(eval_g(m, (1.0, -1.0))))
+
+
 def test_bekk_closed_form_root_examples():
     zero = make_bekk(a_mat=((0.0, 0.0), (0.0, 0.0)), b_mat=((0.0, 0.0), (0.0, 0.0)))
     assert np.array_equal(eval_g(zero, (3.0, -1.0)), np.zeros((2, 2)))

@@ -277,7 +277,7 @@ _starts = st.sampled_from(("none", "uniform", "int32"))
 @settings(max_examples=150, deadline=None)
 @given(count=st.integers(1, 12000), seed=_seeds, start=_starts,
        data=st.data(), at_round_ends=st.booleans())
-# Rounds of more than _WHOLE_ROUND proposals are split across a piece.
+# Rounds that the first pieces do not use up are split across them.
 @example(count=9000, seed=5, start="int32", data=None, at_round_ends=True)
 def test_expol2_stream_replays_the_rejection_rounds(count, seed, start, data,
                                                     at_round_ends):
@@ -314,7 +314,7 @@ _SOURCE_SPECS = {
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(sorted(_SOURCE_SPECS)), count=st.integers(1, 6000),
        seed=_seeds, start=_starts, data=st.data())
-# A custom round of more than _WHOLE_ROUND rows is split across pieces.
+# A custom round that a piece does not use up is split across pieces.
 @example(name="custom", count=2500, seed=5, start="int32", data=None)
 def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, data):
     spec = _SOURCE_SPECS[name]
@@ -348,8 +348,8 @@ def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, 
 
 @pytest.mark.parametrize("name", ["expol2", "custom"])
 def test_rounds_are_drawn_whole_when_the_generator_cannot_advance(name):
-    # MT19937 has no advance(), so no round is split; 3,000 draws still make
-    # a first round of more than _WHOLE_ROUND proposals.
+    # MT19937 has no advance(), so no round is split, although the first
+    # pieces do not use up the rounds they start.
     spec, count = _SOURCE_SPECS[name], 3000
 
     def rng():

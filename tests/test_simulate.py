@@ -457,7 +457,7 @@ _FLAT_CUSTOM = BoundedCustomDensity(dim=2, log_unnormalized_density=lambda x: 0.
     # would take 50 * (T + 1) * 2 * 8 bytes: 1.6 MB and 16 MB.
     (Expol2(), 50, (2_000, 20_000)),
     # A flat law accepts every proposal, so its Python density stays cheap.
-    # Both horizons' first rounds exceed _WHOLE_ROUND, so both are split;
+    # No block uses up its lanes' first rounds, so both horizons split them;
     # whole samples would take 0.48 MB and 3.2 MB.
     (_FLAT_CUSTOM, 10, (3_000, 20_000)),
 ], ids=["expol2", "custom"])
@@ -613,14 +613,22 @@ _NORMS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=True)
 @example(values=np.array([np.inf]))
 @example(values=np.array([1.0, 1.0, 3.0, 3.0, 3.0, np.inf, np.inf]))
 @example(values=np.linspace(0.0, 1.0, 11))
+# An inf upper neighbour: numpy gives inf - inf at t >= 0.5 and
+# a + inf * 0 where (n - 1) q is an integer.
+@example(values=np.array([np.inf, 0.0]))
+@example(values=np.array([0.0, 1.0, np.inf]))
+@example(values=np.array([0.0, 0.0] + [np.inf] * 9))
 def test_quantiles_match_numpy_bit_for_bit(values):
-    # The values hold no NaN, so numpy's result is NaN only where both
-    # neighbours are inf (inf - inf); the quantile there is inf.
+    # The values hold no NaN, so numpy's result is NaN only beside an inf
+    # neighbour.  The quantile there is the lower neighbour where (n - 1) q
+    # is an integer (its weight is 1), and inf otherwise.
     qs = (0.1, 0.5, 0.9)
     with np.errstate(invalid="ignore"):
         want = np.quantile(values, qs)
         got = _quantiles(values, qs)
-    want[np.isnan(want)] = np.inf
+    v = (values.size - 1) * np.array(qs)
+    lower = np.sort(values)[np.floor(v).astype(int)]
+    want = np.where(np.isnan(want), np.where(v == np.floor(v), lower, np.inf), want)
     assert got.tobytes() == want.tobytes()
 
 

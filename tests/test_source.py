@@ -168,3 +168,28 @@ def test_linalg_check_flags_only_code_naming_linalg():
                          ids=lambda p: p.name)
 def test_only_norms_names_linalg(path):
     assert linalg_references(path.read_text()) == []
+
+
+def name_aliases(source):
+    """(line, name) of each top-level statement that binds a name to another
+    bare name (`x = y`), a second name for one concept."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Name):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def test_alias_check_flags_only_bare_name_bindings():
+    source = (
+        "from .models import step\nadvance = step\n_LIMIT = 3\nx: int = _LIMIT\n"
+        "y = step(1)\nz = np.pi\nu = v = step\na, b = pair\n\ndef f():\n    w = step\n"
+    )
+    assert name_aliases(source) == [(2, "advance"), (4, "x"), (7, "u"), (7, "v")]
+
+
+# One name per concept: no module re-exports a name under a second one.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_top_level_aliases(path):
+    assert name_aliases(path.read_text()) == []
