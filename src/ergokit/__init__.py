@@ -26,10 +26,6 @@ from .models import (
     GenericModel,
     ThresholdAffine2D,
     bekk_line_normal,
-    classify_region,
-    eval_f,
-    eval_g,
-    g_determinant,
     iterate,
     step,
 )
@@ -76,14 +72,10 @@ __all__ = [
     "check_bekk_model",
     "check_coefexpol",
     "check_threshold_model",
-    "classify_region",
     "drift_gamma",
     "empirical_drift_check",
     "estimate_stationary_moments",
-    "eval_f",
-    "eval_g",
     "frobenius_norm",
-    "g_determinant",
     "iterate",
     "matrix_col_sum_norm",
     "mix64",

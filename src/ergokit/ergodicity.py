@@ -26,8 +26,6 @@ from .models import (
     ThresholdAffine2D,
     bekk_b_eigenvalues,
     bekk_line_normal,
-    eval_f,
-    g_determinant,
 )
 from .noise import Expol2, StdGaussian, abs_moment, sample
 from .norms import (
@@ -141,21 +139,23 @@ def threshold_envelope(model):
     induced norm bounds (s = 1; the bounds hold for every x, so M = 1 is valid).
 
     On C the volatility's state-scaled part is diag(d_c), elsewhere d_main,
-    so b_g is the larger of their bounds."""
+    so b_g is the larger of their bounds.  A norm that overflows is inf,
+    without a numpy warning, and DriftEnvelope refuses it."""
     if not isinstance(model, ThresholdAffine2D):
         raise ValueError("threshold_envelope expects a ThresholdAffine2D model")
     s = model.analytic_envelope_s
-    b_f, b_main, b_c = induced_norm_bounds(
-        (model.b_mat, model.d_main, np.diag(model.d_c)), s).tolist()
-    return DriftEnvelope(
-        s=s,
-        a_f=vector_s_norm(model.a, s),
-        b_f=b_f,
-        a_g=max(vector_s_norm(model.d_const, s), _ENVELOPE_FLOOR),
-        b_g=max(b_main, b_c, _ENVELOPE_FLOOR),
-        m_ball=1.0,
-        source=SOURCE_ANALYTIC_THRESHOLD,
-    )
+    with np.errstate(over="ignore"):
+        b_f, b_main, b_c = induced_norm_bounds(
+            (model.b_mat, model.d_main, np.diag(model.d_c)), s).tolist()
+        return DriftEnvelope(
+            s=s,
+            a_f=vector_s_norm(model.a, s),
+            b_f=b_f,
+            a_g=max(vector_s_norm(model.d_const, s), _ENVELOPE_FLOOR),
+            b_g=max(b_main, b_c, _ENVELOPE_FLOOR),
+            m_ball=1.0,
+            source=SOURCE_ANALYTIC_THRESHOLD,
+        )
 
 
 def _bekk_envelope(model):
@@ -322,8 +322,8 @@ def probe_skeleton_reachability(model, seeds, horizon):
         x = np.asarray(seed, dtype=float)
         probe = SkeletonProbe(start=tuple(float(v) for v in x), escaped=False)
         for t in range(1, horizon + 1):
-            x = eval_f(model, x)
-            det = g_determinant(model, x)
+            x = model.eval_f(x)
+            det = model.g_determinant(x)
             bound = 1e-8 * (1.0 + float(np.dot(x, x)))
             if abs(det) > bound:
                 probe = SkeletonProbe(

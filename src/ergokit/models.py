@@ -50,31 +50,36 @@ def _as_2x2(values, name):
 class _ModelSpec:
     """Base of every model family.
 
-    Each family supplies eval_f, eval_g and lane_kernel().  lane_kernel()
-    returns the family's step in lane form: a closure (X, U) -> X' that
-    advances k states at once, with X, U and X' (k, dim) float arrays whose
-    row i is one lane's state, draw and next state.  It must not modify X or
-    U, and row i of X' may depend only on row i of X and U.  It is the one
-    implementation that both `step` (one lane) and the ensemble recurrence in
-    `simulate` (every live lane) run.
+    Each family supplies lane_terms and lane_kernel.  lane_kernel() returns
+    the family's step in lane form: a closure (X, U) -> X' that advances k
+    states at once, with X, U and X' (k, dim) float arrays whose row i is one
+    lane's state, draw and next state.  It must not modify X or U, and row i
+    of X' may depend only on row i of X and U.  It is the one implementation
+    that both `step` (one lane) and the ensemble recurrence in `simulate`
+    (every live lane) run.
 
     lane_terms(X) evaluates f and g in the same lane form: a (k, dim) block
-    whose row i equals eval_f(X[i]) and a (k, dim, dim) block whose entry i
-    equals eval_g(X[i]), bit for bit.  The default below calls eval_f and
-    eval_g once per row, so it keeps their validation; the built-in families
-    compute each block with one array expression.  ThresholdAffine2D has no
-    other form: its eval_f, eval_g and g_determinant read the single row of
-    lane_terms.  BekkArch keeps a scalar eval_g, the closed-form root of one
-    state, as the reference its lane root is tested against.
+    whose row i is f(X[i]) and a (k, dim, dim) block whose entry i is
+    g(X[i]).  eval_f and eval_g read row 0 of lane_terms of one state, so a
+    built-in family writes its f and g once, as array expressions over lane
+    coordinates.  GenericModel is the other way round: its eval_f and eval_g
+    validate the callables' values, and its lane_terms calls them row by row.
     """
 
-    def lane_terms(self, x):
-        f = np.empty((len(x), self.dim))
-        g = np.empty((len(x), self.dim, self.dim))
-        for i, xi in enumerate(x):
-            f[i] = self.eval_f(xi)
-            g[i] = self.eval_g(xi)
-        return f, g
+    def _one_state(self, x):
+        """(f(x), g(x)), row 0 of lane_terms.  Overflow gives non-finite
+        entries rather than a warning, as in `step`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, g = self.lane_terms(np.asarray(x, dtype=float)[None])
+        return f[0], g[0]
+
+    def eval_f(self, x):
+        """Mean map f(x) as a length-dim array."""
+        return self._one_state(x)[0]
+
+    def eval_g(self, x):
+        """Volatility matrix g(x) as a dim x dim array."""
+        return self._one_state(x)[1]
 
     def g_determinant(self, x):
         raise ValueError("g_determinant supports ThresholdAffine2D and BekkArch only")
@@ -112,6 +117,15 @@ class GenericModel(_ModelSpec):
 
     def eval_g(self, x):
         return _callable_value(self.g, x, (self.dim, self.dim), "g")
+
+    def lane_terms(self, x):
+        """eval_f and eval_g once per row, so that their validation holds."""
+        f = np.empty((len(x), self.dim))
+        g = np.empty((len(x), self.dim, self.dim))
+        for i, xi in enumerate(x):
+            f[i] = self.eval_f(xi)
+            g[i] = self.eval_g(xi)
+        return f, g
 
     def lane_kernel(self):
         """f(x) + g(x) @ u one lane at a time."""
@@ -174,12 +188,6 @@ class ThresholdAffine2D(_ModelSpec):
 
         return terms
 
-    def eval_f(self, x):
-        return self.lane_terms(np.asarray(x, dtype=float)[None])[0][0]
-
-    def eval_g(self, x):
-        return self.lane_terms(np.asarray(x, dtype=float)[None])[1][0]
-
     def lane_terms(self, x):
         f1, f2, g11, g12, g21, g22 = self._terms()(x[:, 0], x[:, 1])
         return (np.stack((f1, f2), axis=1),
@@ -199,10 +207,13 @@ class ThresholdAffine2D(_ModelSpec):
         return step
 
     def g_determinant(self, x):
+        """det g(x), zero on C."""
         ((g11, g12), (g21, g22)) = self.eval_g(x).tolist()
         return g11 * g22 - g12 * g21
 
     def classify_region(self, x):
+        """Total classification of the state: "C" (the closed quadrant),
+        "D1" ({x = 0, y > 0}), "D2" ({x > 0, y = 0}) or "complement_of_C"."""
         x1, x2 = float(x[0]), float(x[1])
         if _in_c(x1, x2):
             return REGION_C
@@ -235,6 +246,16 @@ class AffineMap:
         return np.array(self.columns(float(x[0]), float(x[1])))
 
 
+def _finite_scale(m, name):
+    """1 + ||m||_F, computed without a numpy warning; raises if it overflows,
+    which keeps every product of two entries of m finite."""
+    with np.errstate(over="ignore"):
+        scale = 1.0 + frobenius_norm(m)
+    if not math.isfinite(scale):
+        raise ValueError(f"{name} is too large: 1 + ||{name}||_F overflows")
+    return scale
+
+
 def bekk_b_eigenvalues(b_mat):
     """((smaller, larger) eigenvalue, 1 + ||b_mat||_F) of a BEKK b_mat with
     off-diagonal (b12 + b21) / 2, as in BekkArch._m_terms; raises unless it is
@@ -243,10 +264,7 @@ def bekk_b_eigenvalues(b_mat):
     They are mean -/+ hypot(half-difference, off-diagonal): the one farther
     from zero from that sum, the other as det / it, which does not cancel."""
     b = np.asarray(b_mat, dtype=float)
-    with np.errstate(over="ignore"):
-        scale = 1.0 + frobenius_norm(b)
-    if not math.isfinite(scale):
-        raise ValueError("b_mat is too large: 1 + ||b_mat||_F overflows")
+    scale = _finite_scale(b, "b_mat")
     if frobenius_norm(b - b.T) > _B_REL_TOL * scale:
         raise ValueError("b_mat must be symmetric")
     ((b11, b12), (b21, b22)) = b.tolist()
@@ -266,7 +284,8 @@ class BekkArch(_ModelSpec):
 
     The volatility matrix is the PSD square root of
     b_mat + (a_mat @ x)(a_mat @ x)^T; b_mat must be symmetric positive
-    semidefinite but is allowed to be singular.
+    semidefinite but is allowed to be singular.  Both matrices must have a
+    finite 1 + ||.||_F.
     """
 
     f: Callable
@@ -280,10 +299,8 @@ class BekkArch(_ModelSpec):
     def __post_init__(self):
         object.__setattr__(self, "a_mat", _as_2x2(self.a_mat, "a_mat"))
         object.__setattr__(self, "b_mat", _as_2x2(self.b_mat, "b_mat"))
+        _finite_scale(self.a_mat, "a_mat")
         bekk_b_eigenvalues(self.b_mat)
-
-    def eval_f(self, x):
-        return np.asarray(self.f(x), dtype=float)
 
     def _m_terms(self, x1, x2):
         """(m11, m12, m22, det M) of M = b_mat + v v^T with v = a_mat @ x,
@@ -299,21 +316,12 @@ class BekkArch(_ModelSpec):
         det = det_b + (b11 * v2 * v2 + b22 * v1 * v1 - 2.0 * b12 * v1 * v2)
         return b11 + v1 * v1, b12 + v1 * v2, b22 + v2 * v2, det
 
-    def eval_g(self, x):
-        """The PSD root of M in closed form, (M + sqrt(det M) I) /
-        sqrt(tr M + 2 sqrt(det M)); zero when M = 0.  An overflowing state
-        gives non-finite entries rather than an error."""
-        m11, m12, m22, det = self._m_terms(float(x[0]), float(x[1]))
-        r = math.sqrt(max(det, 0.0))
-        t = math.sqrt(max(m11 + m22 + 2.0 * r, 0.0))
-        if t == 0.0:
-            return np.zeros((2, 2))
-        return np.array([[(m11 + r) / t, m12 / t], [m12 / t, (m22 + r) / t]])
-
     def lane_terms(self, x):
-        """eval_f and eval_g of every row of x: an AffineMap f on the lane
-        columns, any other f once per row, and the root of eval_g with the
-        zero matrix wherever t == 0."""
+        """f and g of every row of x: an AffineMap f on the lane columns, any
+        other f once per row, and g the PSD root of M in closed form,
+        (M + sqrt(det M) I) / sqrt(t) with t = tr M + 2 sqrt(det M), and the
+        zero matrix where t == 0 (M = 0).  An overflowing lane gives
+        non-finite entries."""
         x1, x2 = x[:, 0], x[:, 1]
         f = np.empty_like(x)
         if isinstance(self.f, AffineMap):
@@ -348,6 +356,10 @@ class BekkArch(_ModelSpec):
         return self._m_terms(float(x[0]), float(x[1]))[3]
 
     def classify_region(self, x):
+        """Total classification of the state: "everywhere_regular" /
+        "everywhere_singular" when the degeneracy class of bekk_line_normal
+        does not depend on x, else "on_L" / "off_L" with a scale-invariant
+        membership test (so positive rescaling never changes the tag)."""
         kind, normal = bekk_line_normal(self.a_mat, self.b_mat)
         if kind != REGION_ON_L:
             return kind
@@ -362,16 +374,6 @@ def _in_c(x1, x2):
     # C is closed: its boundary belongs to the region.  `&` so that lane
     # arrays give an elementwise mask.
     return (x1 <= 0.0) & (x2 <= 0.0)
-
-
-def eval_f(model, x):
-    """Mean map f(x) as a length-dim array."""
-    return model.eval_f(x)
-
-
-def eval_g(model, x):
-    """Volatility matrix g(x) as a dim x dim array."""
-    return model.eval_g(x)
 
 
 def step(model, x, u):
@@ -392,11 +394,6 @@ def iterate(model, x0, controls):
     for u in controls:
         x = step(model, x, u)
     return x
-
-
-def g_determinant(model, x):
-    """det g(x) for ThresholdAffine2D, det(b_mat + (Ax)(Ax)^T) for BekkArch."""
-    return model.g_determinant(x)
 
 
 def bekk_line_normal(a_mat, b_mat):
@@ -434,15 +431,3 @@ def bekk_line_normal(a_mat, b_mat):
     if abs(c1) <= tol_c and abs(c2) <= tol_c:
         return REGION_EVERYWHERE_SINGULAR, None
     return REGION_ON_L, (c1, c2)
-
-
-def classify_region(model, x):
-    """Total classification of the state for the two built-in families.
-
-    ThresholdAffine2D: "C" (closed quadrant), "D1" ({x = 0, y > 0}),
-    "D2" ({x > 0, y = 0}) or "complement_of_C".  BekkArch:
-    "everywhere_regular" / "everywhere_singular" when the degeneracy class
-    does not depend on x, else "on_L" / "off_L" with a scale-invariant
-    membership test (so positive rescaling never changes the tag).
-    """
-    return model.classify_region(x)

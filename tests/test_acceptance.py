@@ -29,8 +29,6 @@ from ergokit.models import (
     AffineMap,
     BekkArch,
     ThresholdAffine2D,
-    eval_g,
-    g_determinant,
 )
 from ergokit.noise import Expol2, abs_moment
 from ergokit.norms import (
@@ -163,7 +161,7 @@ def test_criterion_4_psd_sqrt_and_frobenius_identity():
         x = rng.uniform(-3.0, 3.0, 2)
         model = BekkArch(f=AffineMap(((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0)),
                          a_mat=tuple(map(tuple, a)), b_mat=tuple(map(tuple, b)))
-        g = eval_g(model, x)
+        g = model.eval_g(x)
         lhs = frobenius_norm(g) ** 2
         rhs = float(np.trace(b) + (a @ x) @ (a @ x))
         err = abs(lhs - rhs) / (1.0 + rhs)
@@ -192,7 +190,7 @@ def test_criterion_5_bekk_degeneracy():
                          b_mat=tuple(map(tuple, b)))
         v = a @ x
         direct = float(np.linalg.det(b + np.outer(v, v)))
-        closed = g_determinant(model, x)
+        closed = model.g_determinant(x)
         err = abs(direct - closed) / (1.0 + max(abs(direct), abs(closed)))
         worst = max(worst, err)
         agree = agree and err <= 1e-10
@@ -208,7 +206,7 @@ def test_criterion_5_bekk_degeneracy():
     direction = np.array([1.0, 1.0]) / math.sqrt(2.0)
     for _ in range(100):
         p = rng.uniform(-100.0, 100.0) * direction
-        det = g_determinant(demo, p)
+        det = demo.g_determinant(p)
         on_line_ok = on_line_ok and abs(det) <= 1e-8 * (1.0 + float(p @ p))
     failed = _lines([
         (f"closed-form vs direct determinant within 1e-10 relative on 10^4 "

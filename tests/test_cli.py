@@ -409,6 +409,33 @@ def test_check_refuses_a_bekk_b_whose_products_overflow(tmp_path, capsys):
     assert err.startswith("error: b_mat") and err.count("\n") == 1
 
 
+# Coefficients whose norms overflow: BEKK's a_mat is refused when it is
+# built, the threshold envelope's inf constants by DriftEnvelope.
+_OVERFLOWING = {
+    "bekk-a": ("bekk-demo", "A", [[1e200, 0.0], [0.0, 1e200]],
+               "error: a_mat is too large: 1 + ||a_mat||_F overflows"),
+    "threshold-b": ("example2-ergodic", "B", [[1e308, 0.1], [1e308, 0.3]],
+                    "error: envelope constants must be finite"),
+    "threshold-a": ("example2-ergodic", "a", [1e308, 1e308],
+                    "error: envelope constants must be finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+def test_overflowing_coefficients_give_one_error_line(tmp_path, capsys, case, command):
+    # A numpy warning would raise here (the suite turns RuntimeWarning into
+    # an error) and would print a second stderr line from the CLI.
+    name, key, value, message = _OVERFLOWING[case]
+    doc = copy.deepcopy(builtin_configs()[name])
+    doc["model"][key] = value
+    argv = [command, write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message + "\n"
+
+
 def test_bekk_simulate_with_an_s1_shell_envelope(tmp_path, capsys):
     path = write_config(tmp_path, _bekk_checks_doc(_BEKK_AT_OTHER_S["shell-s1"]))
     out = tmp_path / "out"

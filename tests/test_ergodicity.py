@@ -33,9 +33,6 @@ from ergokit.models import (
     GenericModel,
     ThresholdAffine2D,
     bekk_line_normal,
-    eval_f,
-    eval_g,
-    g_determinant,
 )
 from ergokit.noise import Expol2, MomentEstimate, StdGaussian, abs_moment
 from ergokit.norms import (
@@ -101,8 +98,8 @@ def test_threshold_envelope_is_global_bound():
         w = rng.dirichlet((1.0, 1.0)) * rng.choice((-1.0, 1.0), 2)
         x = r * w
         nx = vector_s_norm(x, 1.0)
-        assert vector_s_norm(eval_f(m, x), 1.0) <= env.a_f + env.b_f * nx + 1e-9
-        assert matrix_col_sum_norm(eval_g(m, x), 1.0) <= env.a_g + env.b_g * nx + 1e-9
+        assert vector_s_norm(m.eval_f(x), 1.0) <= env.a_f + env.b_f * nx + 1e-9
+        assert matrix_col_sum_norm(m.eval_g(x), 1.0) <= env.a_g + env.b_g * nx + 1e-9
 
 
 # Rounding slack of the envelope inequalities on lane blocks.
@@ -421,10 +418,10 @@ def test_bekk_on_line_determinants_vanish():
         t = rng.uniform(1.0, 100.0) * rng.choice((-1.0, 1.0))
         p = t * direction
         bound = 1e-8 * (1.0 + float(p @ p))
-        assert abs(g_determinant(model, p)) <= bound
+        assert abs(model.g_determinant(p)) <= bound
         q = p + abs(t) * normal
         bound_q = 1e-8 * (1.0 + float(q @ q))
-        assert abs(g_determinant(model, q)) >= 10.0 * bound_q
+        assert abs(model.g_determinant(q)) >= 10.0 * bound_q
 
 
 def test_probe_skeleton_reachability():

@@ -13,14 +13,10 @@ from ergokit.models import (
     ThresholdAffine2D,
     bekk_b_eigenvalues,
     bekk_line_normal,
-    classify_region,
-    eval_f,
-    eval_g,
-    g_determinant,
     iterate,
     step,
 )
-from ergokit.norms import frobenius_norm
+from ergokit.norms import frobenius_norm, psd_sqrt
 
 
 def make_threshold(b_mat=((0.2, 0.1), (0.1, 0.3)), d_main=((0.1, -0.15), (-0.15, 0.1))):
@@ -40,38 +36,38 @@ def make_bekk(a_mat=((1.0, 0.0), (0.0, 1.0)), b_mat=((1.0, 1.0), (1.0, 1.0)),
 
 def test_eval_f_examples():
     m = make_threshold()
-    assert np.allclose(eval_f(m, (1.0, 1.0)), (0.3, 0.4), atol=1e-15)
-    assert np.allclose(eval_f(m, (0.0, 0.0)), (0.0, 0.0))
+    assert np.allclose(m.eval_f((1.0, 1.0)), (0.3, 0.4), atol=1e-15)
+    assert np.allclose(m.eval_f((0.0, 0.0)), (0.0, 0.0))
     scaled = BekkArch(
         f=AffineMap(((0.4, 0.0), (0.0, 0.4)), (0.0, 0.0)),
         a_mat=((1.0, 0.0), (0.0, 1.0)),
         b_mat=((1.0, 0.0), (0.0, 1.0)),
     )
-    assert np.allclose(eval_f(scaled, (1.0, -1.0)), (0.4, -0.4), atol=1e-15)
+    assert np.allclose(scaled.eval_f((1.0, -1.0)), (0.4, -0.4), atol=1e-15)
 
 
 def test_eval_g_threshold_regions():
     m = make_threshold()
     # Inside the closed quadrant only the first column survives.
-    assert np.allclose(eval_g(m, (-1.0, -1.0)), [[0.8, 0.0], [1.25, 0.0]], atol=1e-15)
+    assert np.allclose(m.eval_g((-1.0, -1.0)), [[0.8, 0.0], [1.25, 0.0]], atol=1e-15)
     # Outside, both columns are active and the constant column is added.
-    g = eval_g(m, (2.0, 3.0))
+    g = m.eval_g((2.0, 3.0))
     assert np.allclose(g, [[0.1 * 2 + 1, -0.15 * 3], [-0.15 * 2 + 1, 0.1 * 3]], atol=1e-15)
 
 
 def test_eval_g_bekk_examples():
     m = make_bekk(b_mat=((1.0, 0.0), (0.0, 1.0)))
-    assert np.allclose(eval_g(m, (0.0, 0.0)), np.eye(2), atol=1e-12)
-    g = eval_g(m, (1.0, 0.0))
+    assert np.allclose(m.eval_g((0.0, 0.0)), np.eye(2), atol=1e-12)
+    g = m.eval_g((1.0, 0.0))
     assert np.allclose(g, [[math.sqrt(2.0), 0.0], [0.0, 1.0]], atol=1e-12)
 
 
 def test_step_and_iterate():
     m = make_threshold()
     x = np.array([-1.0, -1.0])
-    assert np.allclose(step(m, x, (0.0, 0.0)), eval_f(m, x))
+    assert np.allclose(step(m, x, (0.0, 0.0)), m.eval_f(x))
     got = step(m, x, (1.0, 0.0))
-    assert np.allclose(got, eval_f(m, x) + np.array([0.8, 1.25]), atol=1e-15)
+    assert np.allclose(got, m.eval_f(x) + np.array([0.8, 1.25]), atol=1e-15)
     assert np.allclose(iterate(m, x, []), x)
     u = np.array([0.3, -0.2])
     assert np.allclose(iterate(m, x, [u]), step(m, x, u))
@@ -87,7 +83,7 @@ def test_generic_model_step_identity():
 def test_generic_model_nonfinite_rejected():
     bad = GenericModel(dim=2, f=lambda x: np.array([np.inf, 0.0]), g=lambda x: np.eye(2))
     with pytest.raises(ValueError):
-        eval_f(bad, (0.0, 0.0))
+        bad.eval_f((0.0, 0.0))
 
 
 def test_threshold_determinant_zero_on_c():
@@ -95,13 +91,13 @@ def test_threshold_determinant_zero_on_c():
     rng = np.random.default_rng(211)
     for _ in range(200):
         x = -rng.uniform(0.0, 50.0, 2)
-        assert g_determinant(m, x) == 0.0
+        assert m.g_determinant(x) == 0.0
 
 
 def test_bekk_determinant_examples():
     m = make_bekk()
-    assert abs(g_determinant(m, (1.0, 1.0))) == 0.0
-    assert abs(g_determinant(m, (1.0, 0.0)) - 1.0) < 1e-15
+    assert abs(m.g_determinant((1.0, 1.0))) == 0.0
+    assert abs(m.g_determinant((1.0, 0.0)) - 1.0) < 1e-15
 
 
 def test_bekk_determinant_closed_vs_direct():
@@ -115,7 +111,7 @@ def test_bekk_determinant_closed_vs_direct():
         x = rng.uniform(-5.0, 5.0, 2)
         m = BekkArch(f=AffineMap(((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0)),
                      a_mat=tuple(map(tuple, a)), b_mat=tuple(map(tuple, b)))
-        got = g_determinant(m, x)
+        got = m.g_determinant(x)
         v = a @ x
         full = b + np.outer(v, v)
         want = full[0, 0] * full[1, 1] - full[0, 1] * full[1, 0]
@@ -132,7 +128,7 @@ def test_bekk_frobenius_identity():
         x = rng.uniform(-5.0, 5.0, 2)
         m = BekkArch(f=AffineMap(((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0)),
                      a_mat=tuple(map(tuple, a)), b_mat=tuple(map(tuple, b)))
-        lhs = frobenius_norm(eval_g(m, x)) ** 2
+        lhs = frobenius_norm(m.eval_g(x)) ** 2
         want = float(np.trace(b) + np.dot(a @ x, a @ x))
         assert abs(lhs - want) <= 1e-8 * (1.0 + abs(want))
 
@@ -145,7 +141,7 @@ def test_bekk_g_is_symmetric_psd():
         a = rng.uniform(-2.0, 2.0, (2, 2))
         m = BekkArch(f=AffineMap(((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0)),
                      a_mat=tuple(map(tuple, a)), b_mat=tuple(map(tuple, b)))
-        g = eval_g(m, rng.uniform(-5.0, 5.0, 2))
+        g = m.eval_g(rng.uniform(-5.0, 5.0, 2))
         assert np.allclose(g, g.T, atol=1e-10)
         assert float(np.min(np.linalg.eigvalsh(g))) >= -1e-9
 
@@ -176,7 +172,7 @@ def test_bekk_closed_form_root(b_kind, q, a, x, off_line):
         x = x - np.dot(x, n) * n + off_line * n
     m = BekkArch(f=AffineMap(((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0)),
                  a_mat=tuple(map(tuple, a)), b_mat=tuple(map(tuple, b)))
-    g = eval_g(m, x)
+    g = m.eval_g(x)
     v = a @ x
     full = b + np.outer(v, v)
     scale = 1.0 + frobenius_norm(full)
@@ -184,7 +180,39 @@ def test_bekk_closed_form_root(b_kind, q, a, x, off_line):
     assert float(np.min(np.linalg.eigvalsh(g))) >= -1e-12 * scale
     assert frobenius_norm(g @ g - full) <= 1e-12 * scale
     want = full[0, 0] * full[1, 1] - full[0, 1] * full[1, 0]
-    assert abs(g_determinant(m, x) - want) <= 1e-12 * scale ** 2
+    assert abs(m.g_determinant(x) - want) <= 1e-12 * scale ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b_kind=st.sampled_from(("full", "rank_one")),
+    q=st.tuples(_pair, _pair),
+    a=st.tuples(_pair, _pair),
+    states=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                    min_size=1, max_size=8),
+)
+@example(b_kind="rank_one", q=((1.0, 1.0), (0.0, 0.0)), a=((1.0, 0.0), (0.0, 1.0)),
+         states=[(2.0, 1.0), (-3.0, 0.5), (2.5, 2.5)])
+def test_bekk_lane_root_matches_the_eigen_oracle(b_kind, q, a, states):
+    # Row i of the lane root against psd_sqrt of M = b_mat + v v^T.  Only
+    # states whose smaller eigenvalue of M is at least 1e-8 (1 + ||M||_F)
+    # are compared: nearer the line L, psd_sqrt clamps that eigenvalue and
+    # its rounding is amplified by the square root (test_bekk_closed_form_root
+    # checks g @ g there).
+    q = np.array(q)
+    b = q @ q.T if b_kind == "full" else np.outer(q[0], q[0])
+    a = np.array(a)
+    m = BekkArch(f=AffineMap(((0.0, 0.0), (0.0, 0.0)), (0.0, 0.0)),
+                 a_mat=tuple(map(tuple, a)), b_mat=tuple(map(tuple, b)))
+    x = np.array(states)
+    g = m.lane_terms(x)[1]
+    for i, xi in enumerate(x):
+        v = a @ xi
+        full = b + np.outer(v, v)
+        scale = 1.0 + frobenius_norm(full)
+        if np.linalg.eigvalsh(full)[0] < 1e-8 * scale:
+            continue
+        assert frobenius_norm(g[i] - psd_sqrt(full)) <= 1e-10 * math.sqrt(scale)
 
 
 @settings(max_examples=300, deadline=None)
@@ -232,23 +260,37 @@ def test_bekk_refuses_a_b_mat_whose_products_overflow(scale):
         make_bekk(b_mat=b)
 
 
+@pytest.mark.parametrize("scale", [1e200, 2.0 ** 600])
+def test_bekk_refuses_an_a_mat_whose_products_overflow(scale):
+    # ||a_mat||_F^2 overflows, and with it the envelope's b_g.  Refused,
+    # without a numpy warning.
+    with pytest.raises(ValueError, match="a_mat is too large"):
+        make_bekk(a_mat=((scale, 0.0), (0.0, scale)))
+
+
+def test_bekk_accepts_a_large_a_mat_whose_products_are_finite():
+    # 2 * (6e153)^2 = 7.2e307 is below the largest double.
+    m = make_bekk(a_mat=((6e153, 0.0), (0.0, 6e153)))
+    assert m.a_mat == ((6e153, 0.0), (0.0, 6e153))
+
+
 def test_bekk_accepts_a_large_b_mat_whose_products_are_finite():
     # 4 * (6e153)^2 = 1.44e308 is below the largest double.
     m = make_bekk(b_mat=((6e153, 6e153), (6e153, 6e153)))
-    assert np.all(np.isfinite(eval_g(m, (1.0, -1.0))))
+    assert np.all(np.isfinite(m.eval_g((1.0, -1.0))))
 
 
 def test_bekk_closed_form_root_examples():
     zero = make_bekk(a_mat=((0.0, 0.0), (0.0, 0.0)), b_mat=((0.0, 0.0), (0.0, 0.0)))
-    assert np.array_equal(eval_g(zero, (3.0, -1.0)), np.zeros((2, 2)))
-    assert np.array_equal(eval_g(make_bekk(b_mat=((0.0, 0.0), (0.0, 0.0))), (0.0, 0.0)),
+    assert np.array_equal(zero.eval_g((3.0, -1.0)), np.zeros((2, 2)))
+    assert np.array_equal(make_bekk(b_mat=((0.0, 0.0), (0.0, 0.0))).eval_g((0.0, 0.0)),
                           np.zeros((2, 2)))
     # Rank-one b_mat on its line x1 = x2: det M = 0, so the root is M / sqrt(tr M).
     m = make_bekk()
     for t in (0.0, 2.5, -3.0, 1e-8):
         full = np.array([[1.0 + t * t, 1.0 + t * t], [1.0 + t * t, 1.0 + t * t]])
-        assert g_determinant(m, (t, t)) == 0.0
-        assert np.array_equal(eval_g(m, (t, t)), full / math.sqrt(np.trace(full)))
+        assert m.g_determinant((t, t)) == 0.0
+        assert np.array_equal(m.eval_g((t, t)), full / math.sqrt(np.trace(full)))
 
 
 def _model_of(family, c):
@@ -276,7 +318,7 @@ def _one_state_step(model, x, u):
     """The step of one state from eval_f and eval_g.  The threshold kernel
     sums f + g11 u1 + g12 u2 left to right, the order its golden hashes were
     frozen with, which can differ from f + g @ u in the last bit."""
-    f, g = eval_f(model, x), eval_g(model, x)
+    f, g = model.eval_f(x), model.eval_g(x)
     if isinstance(model, ThresholdAffine2D):
         return f + g[:, 0] * u[0] + g[:, 1] * u[1]
     return f + g @ u
@@ -310,8 +352,8 @@ def test_lane_forms_match_one_state_evaluation(family, c, lanes):
         f, g = m.lane_terms(x)
         for i in range(len(x)):
             assert np.array_equal(got[i], _one_state_step(m, x[i], u[i]), equal_nan=True)
-            assert np.array_equal(f[i], eval_f(m, x[i]), equal_nan=True)
-            assert np.array_equal(g[i], eval_g(m, x[i]), equal_nan=True)
+            assert np.array_equal(f[i], m.eval_f(x[i]), equal_nan=True)
+            assert np.array_equal(g[i], m.eval_g(x[i]), equal_nan=True)
 
 
 def test_lane_terms_default_validates_like_eval():
@@ -324,28 +366,28 @@ def test_lane_terms_default_validates_like_eval():
 
 def test_classify_region_threshold():
     m = make_threshold()
-    assert classify_region(m, (-1.0, -1.0)) == "C"
-    assert classify_region(m, (0.0, 0.0)) == "C"
-    assert classify_region(m, (0.0, 2.0)) == "D1"
-    assert classify_region(m, (3.0, 0.0)) == "D2"
-    assert classify_region(m, (1.0, 1.0)) == "complement_of_C"
-    assert classify_region(m, (-1.0, 0.5)) == "complement_of_C"
+    assert m.classify_region((-1.0, -1.0)) == "C"
+    assert m.classify_region((0.0, 0.0)) == "C"
+    assert m.classify_region((0.0, 2.0)) == "D1"
+    assert m.classify_region((3.0, 0.0)) == "D2"
+    assert m.classify_region((1.0, 1.0)) == "complement_of_C"
+    assert m.classify_region((-1.0, 0.5)) == "complement_of_C"
 
 
 def test_classify_region_bekk_line():
     m = make_bekk()
-    assert classify_region(m, (2.0, 2.0)) == "on_L"
-    assert classify_region(m, (2.0, 1.0)) == "off_L"
+    assert m.classify_region((2.0, 2.0)) == "on_L"
+    assert m.classify_region((2.0, 1.0)) == "off_L"
     # Positive rescaling never changes the on-line tag.
     for c in (1e-6, 1.0, 1e6):
-        assert classify_region(m, (c * 3.0, c * 3.0)) == "on_L"
+        assert m.classify_region((c * 3.0, c * 3.0)) == "on_L"
 
 
 def test_classify_region_bekk_constant_classes():
     regular = make_bekk(b_mat=((2.0, 0.0), (0.0, 1.0)))
-    assert classify_region(regular, (5.0, -1.0)) == "everywhere_regular"
+    assert regular.classify_region((5.0, -1.0)) == "everywhere_regular"
     singular = make_bekk(a_mat=((1.0, 1.0), (1.0, 1.0)))
-    assert classify_region(singular, (5.0, -1.0)) == "everywhere_singular"
+    assert singular.classify_region((5.0, -1.0)) == "everywhere_singular"
 
 
 def test_bekk_line_normal_cases():
@@ -371,4 +413,4 @@ def test_model_validation():
     with pytest.raises(ValueError):
         make_bekk(b_mat=((1.0, 0.5), (0.0, 1.0)))  # asymmetric
     with pytest.raises(ValueError):
-        g_determinant(GenericModel(2, lambda x: x, lambda x: np.eye(2)), (0.0, 0.0))
+        GenericModel(2, lambda x: x, lambda x: np.eye(2)).g_determinant((0.0, 0.0))

@@ -193,3 +193,48 @@ def test_alias_check_flags_only_bare_name_bindings():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_top_level_aliases(path):
     assert name_aliases(path.read_text()) == []
+
+
+def forwarders(source):
+    """(line, name) of each top-level function whose body, after any
+    docstring, is only `return p.attr(q, r, ...)` with p its first parameter
+    and q, r, ... its other parameters in order: a second spelling of a
+    method."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        params = [a.arg for a in node.args.posonlyargs + node.args.args]
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or not params:
+            continue
+        call = body[0].value
+        if (isinstance(call, ast.Call) and not call.keywords
+                and isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == params[0]
+                and [getattr(a, "id", None) for a in call.args] == params[1:]):
+            found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_forwarder_check_flags_only_bare_method_calls():
+    source = (
+        'def eval_f(model, x):\n    """f(x)."""\n    return model.eval_f(x)\n\n'
+        "def det(model):\n    return model.det()\n\n"
+        "def density(spec, x):\n    return spec.density(np.asarray(x))\n\n"
+        "def swap(model, x, y):\n    return model.f(y, x)\n\n"
+        "def other(model, x):\n    return x.f(model)\n\n"
+        "def twice(model, x):\n    y = model.f(x)\n    return y\n\n"
+        "class A:\n    def f(self, x):\n        return self.g(x)\n"
+    )
+    assert forwarders(source) == [(1, "eval_f"), (5, "det")]
+
+
+# One spelling per operation: a module-level function that only calls the
+# method of the same object is a second name for that method.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_method_forwarders(path):
+    assert forwarders(path.read_text()) == []
