@@ -12,12 +12,28 @@ import numpy as np
 # All eigen-based routines are restricted to tiny dense matrices.
 MAX_EIG_DIM = 8
 
+# Below this sum of |a_i|^s, terms may have lost bits to subnormal underflow:
+# a norm with s >= 1 is then recomputed from entries scaled by their maximum.
+_SUBNORMAL_SAFE_SUM = 2.0 ** -960
+
 
 def s_norms(a, s, axis=None):
     """Sum of |a|^s along `axis`, with the outer 1/s root when s >= 1: the
     s-norm of a vector (axis=None), of matrix columns or of sample rows."""
-    total = np.sum(np.abs(np.asarray(a, dtype=float)) ** s, axis=axis)
-    return total ** (1.0 / s) if s >= 1.0 else total
+    a = np.abs(np.asarray(a, dtype=float))
+    total = np.sum(a ** s, axis=axis)
+    if s < 1.0:
+        return total
+    norms = total ** (1.0 / s)
+    small = total < _SUBNORMAL_SAFE_SUM
+    if a.size == 0 or not np.any(small):
+        return norms
+    # Tiny entries such as 5e-162 square into subnormals with a few bits
+    # left, or to zero; the norm of the entries over their peak does not.
+    peak = np.max(a, axis=axis, keepdims=True)
+    ratio = np.divide(a, peak, out=np.zeros_like(a), where=peak > 0)
+    scaled = np.squeeze(peak, axis=axis) * np.sum(ratio ** s, axis=axis) ** (1.0 / s)
+    return np.where(small, scaled, norms)[()]
 
 
 def vector_s_norm(x, s):

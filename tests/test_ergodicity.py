@@ -170,6 +170,9 @@ def test_bekk_envelope_b_f_is_the_largest_singular_value(f):
 # meets ||f(x)||_2 = b_f ||x||_2 on x1 = -x2.
 @example(m11=2.0, c=[1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, -2.0, -2.0, 2.0, 0.0, 0.0],
          states=[(0.0, 0.0), (3.0, 3.0), (1e6, 1e6), (1.0, -1.0)])
+# A state whose square is subnormal: ||f(x)||_2 = 2 ||x||_2 exactly, which
+# the norms must not lose to underflow.
+@example(m11=0.0, c=[0.0] * 9 + [2.0, 0.0, 0.0], states=[(0.0, 5.174631847492403e-162)])
 def test_bekk_envelope_holds_on_lane_blocks(m11, c, states):
     # s = 2: ||g(x)||_F <= sqrt(tr B) + ||A||_F ||x||_2 and
     # ||f(x)||_2 <= a_f + b_f ||x||_2, with the constants of the analytic

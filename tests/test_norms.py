@@ -11,6 +11,7 @@ from ergokit.norms import (
     matrix_col_sum_norm,
     operator_norm,
     psd_sqrt,
+    s_norms,
     symmetric_eigh,
     vector_s_norm,
 )
@@ -26,6 +27,17 @@ def test_vector_s_norm_zero_iff_zero():
     assert vector_s_norm([0.0, 0.0, 0.0], 0.5) == 0.0
     for s in (0.5, 1.0, 2.0):
         assert vector_s_norm([0.0, 1e-8], s) > 0.0
+
+
+def test_s_norms_keep_tiny_entries():
+    # Squares of these entries are subnormal or zero; the norms stay exact
+    # along every axis, and rows above the underflow range are unchanged.
+    assert vector_s_norm([0.0, 5.174631847492403e-162], 2.0) == 5.174631847492403e-162
+    assert vector_s_norm([3e-170, 4e-170], 2.0) == pytest.approx(5e-170, rel=1e-15)
+    rows = np.array([[0.0, 1e-200], [3.0, 4.0], [0.0, 0.0]])
+    assert s_norms(rows, 2.0, axis=1).tolist() == [1e-200, 5.0, 0.0]
+    assert s_norms(rows, 1.5, axis=0).tolist() == [3.0, s_norms([1e-200, 4.0], 1.5)]
+    assert s_norms(np.zeros((0, 2)), 2.0, axis=1).shape == (0,)
 
 
 def test_vector_s_norm_rejects_bad_exponent():
