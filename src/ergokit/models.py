@@ -318,7 +318,8 @@ class BekkArch(_ModelSpec):
 
     def lane_terms(self, x):
         """f and g of every row of x: an AffineMap f on the lane columns, any
-        other f once per row, and g the PSD root of M in closed form,
+        other f once per row (a misshaped value raises, a non-finite one
+        gives a non-finite row), and g the PSD root of M in closed form,
         (M + sqrt(det M) I) / sqrt(t) with t = tr M + 2 sqrt(det M), and the
         zero matrix where t == 0 (M = 0).  An overflowing lane gives
         non-finite entries."""
@@ -328,7 +329,7 @@ class BekkArch(_ModelSpec):
             f[:, 0], f[:, 1] = self.f.columns(x1, x2)
         else:
             for i, xi in enumerate(x):
-                f[i] = self.f(xi)
+                f[i] = _callable_value(self.f, xi, (2,), "f", finite=False)
         m11, m12, m22, det = self._m_terms(x1, x2)
         r = np.sqrt(np.maximum(det, 0.0))
         t = np.sqrt(np.maximum(m11 + m22 + 2.0 * r, 0.0))

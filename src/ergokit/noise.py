@@ -4,7 +4,8 @@ Every sampling routine takes a caller-owned numpy Generator; nothing in this
 module holds generator state beyond the draw sources a caller asks for, so
 distinct generators may be used from any number of threads.  A noise law
 draws only through its draw_source, which hands out one sample in pieces
-of any sizes, and sample() takes it in one piece; Expol2 and
+of any sizes, each written into a fresh array or a caller's, and sample()
+takes it in one piece; Expol2 and
 BoundedCustomDensity sources replay the rejection rounds piece by piece, so
 every source holds O(piece) draws; a round is drawn whole when the piece
 uses it up or the generator cannot advance(), and split otherwise.  Their
@@ -327,35 +328,46 @@ def _custom_z(spec):
 
 
 class _DrawSource:
-    """The draws of one sample of `count` rows, handed out in pieces:
-    take(m) returns the next m rows, and the pieces concatenate bit for bit
-    to the sample drawn at once."""
+    """The draws of one sample of `count` rows of `dim` values, handed out in
+    pieces: take(m) returns the next m rows, and the pieces concatenate bit
+    for bit to the sample drawn at once.  take(m, out) writes them into out
+    instead, a C-contiguous float64 (m, dim) array, and returns it; any
+    other out raises, so that no draw lands in a silent copy."""
 
     # Slots make each source one small object; a simulation holds one per
     # lane.
-    __slots__ = ("left",)
+    __slots__ = ("left", "_dim")
 
-    def __init__(self, count):
+    def __init__(self, count, dim):
         self.left = count
+        self._dim = dim
 
-    def take(self, m):
+    def take(self, m, out=None):
         if not 1 <= m <= self.left:
             raise ValueError(f"cannot take {m} draws with {self.left} left")
-        rows = self._next(m)
+        shape = (m, self._dim)
+        if out is None:
+            out = np.empty(shape)
+        elif not (isinstance(out, np.ndarray) and out.shape == shape
+                  and out.dtype == np.float64 and out.flags.c_contiguous):
+            raise ValueError(f"draws go into a C-contiguous float64 array of "
+                             f"shape {shape}")
+        self._fill(out)
         self.left -= m
-        return rows
+        return out
 
 
 class _GaussianDraws(_DrawSource):
     """Draw source of standard normal rows, drawn piece by piece."""
 
-    def __init__(self, count, rng, dim):
-        super().__init__(count)
-        self._rng = rng
-        self._dim = dim
+    __slots__ = ("_rng",)
 
-    def _next(self, m):
-        return self._rng.standard_normal((m, self._dim))
+    def __init__(self, count, rng, dim):
+        super().__init__(count, dim)
+        self._rng = rng
+
+    def _fill(self, out):
+        self._rng.standard_normal(out=out)
 
 
 class _RejectionStream(_DrawSource):
@@ -382,13 +394,12 @@ class _RejectionStream(_DrawSource):
     in `_ready`, so a source holds O(piece) values.
     """
 
-    __slots__ = ("_width", "_per", "_box", "_mask", "_min_round", "_total", "_budget",
+    __slots__ = ("_per", "_box", "_mask", "_min_round", "_total", "_budget",
                  "_rng", "_accept", "_spare", "_round_left", "_filled", "_ready",
                  "proposals")
 
     def __init__(self, rng, count, width, per, box, mask, min_round=0):
-        super().__init__(count)
-        self._width = width
+        super().__init__(count, width)
         self._per = per
         self._box = box
         self._mask = mask
@@ -403,19 +414,19 @@ class _RejectionStream(_DrawSource):
         self._ready = np.empty(0)
         self.proposals = 0
 
-    def _next(self, m):
-        need = m * self._width
-        out = np.empty(need)
+    def _fill(self, out):
+        flat = out.reshape(-1)  # a view, since out is C-contiguous
+        need = flat.size
         got = 0
         while True:
             n = min(self._ready.size, need - got)
-            out[got:got + n] = self._ready[:n]
+            flat[got:got + n] = self._ready[:n]
             self._ready = self._ready[n:]
             got += n
             if got == need:
                 # A copy, so that the chunk the values came from is freed.
                 self._ready = self._ready.copy()
-                return out.reshape(m, self._width)
+                return
             self._propose(need - got)
 
     def _propose(self, need):
@@ -471,8 +482,10 @@ def sample(spec, rng, count):
 def draw_source(spec, rng, count):
     """A source of `count` i.i.d. noise draws, handed out in pieces.
 
-    source.take(m) returns the next m draws as an (m, dim) array, and pieces
-    taken in any sizes that add up to count concatenate bit for bit to
+    source.take(m) returns the next m draws as an (m, dim) array, and
+    source.take(m, out) writes them into out, a C-contiguous float64 (m, dim)
+    array, such as one lane's rows of a simulation window; pieces taken in
+    any sizes that add up to count concatenate bit for bit to
     sample(spec, rng, count).  Every source holds O(m) draws, and a fault
     of the law's density or proposal budget raises on the take that meets
     it.  The source draws from rng, which it leaves at an unspecified

@@ -13,27 +13,34 @@ import numpy as np
 MAX_EIG_DIM = 8
 
 # Below this sum of |a_i|^s, terms may have lost bits to subnormal underflow:
-# a norm with s >= 1 is then recomputed from entries scaled by their maximum.
+# a norm with s >= 1 is then recomputed from entries scaled by their maximum,
+# as it is when the sum overflows although every entry is finite.
 _SUBNORMAL_SAFE_SUM = 2.0 ** -960
 
 
 def s_norms(a, s, axis=None):
     """Sum of |a|^s along `axis`, with the outer 1/s root when s >= 1: the
-    s-norm of a vector (axis=None), of matrix columns or of sample rows."""
+    s-norm of a vector (axis=None), of matrix columns or of sample rows.  A
+    norm with s >= 1 is inf only if it exceeds the largest double or an
+    entry is inf."""
     a = np.abs(np.asarray(a, dtype=float))
-    total = np.sum(a ** s, axis=axis)
     if s < 1.0:
-        return total
-    norms = total ** (1.0 / s)
-    small = total < _SUBNORMAL_SAFE_SUM
-    if a.size == 0 or not np.any(small):
-        return norms
-    # Tiny entries such as 5e-162 square into subnormals with a few bits
-    # left, or to zero; the norm of the entries over their peak does not.
-    peak = np.max(a, axis=axis, keepdims=True)
-    ratio = np.divide(a, peak, out=np.zeros_like(a), where=peak > 0)
-    scaled = np.squeeze(peak, axis=axis) * np.sum(ratio ** s, axis=axis) ** (1.0 / s)
-    return np.where(small, scaled, norms)[()]
+        return np.sum(a ** s, axis=axis)
+    # Rows that are not rescaled may meet inf / inf in the scaled form.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(a ** s, axis=axis)
+        norms = total ** (1.0 / s)
+        rescale = (total < _SUBNORMAL_SAFE_SUM) | np.isinf(total)
+        if a.size == 0 or not np.any(rescale):
+            return norms
+        rescale &= np.all(np.isfinite(a), axis=axis)  # an inf entry's norm is inf
+        # Tiny entries such as 5e-162 square into subnormals with a few bits
+        # left, or to zero, and entries such as 200 overflow at s = 200; the
+        # norm of the entries over their peak does neither.
+        peak = np.max(a, axis=axis, keepdims=True)
+        ratio = np.divide(a, peak, out=np.zeros_like(a), where=peak > 0)
+        scaled = np.squeeze(peak, axis=axis) * np.sum(ratio ** s, axis=axis) ** (1.0 / s)
+    return np.where(rescale, scaled, norms)[()]
 
 
 def vector_s_norm(x, s):

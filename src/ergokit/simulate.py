@@ -8,14 +8,17 @@ step; a single path is a one-lane run of it.  Diverged trajectories are
 censored at their first offending step, never stepped again, and excluded
 from later snapshot statistics while staying in the divergence counts.
 
-Every run goes through one recurrence: blocks of _BLOCK_STEPS steps, each
-lane taking its draws block by block from a noise draw source, with the
-snapshot rows gathered as the lanes pass the snapshot times; no later pass
-aggregates whole paths.  simulate_ensemble(cfg) keeps only those rows and
-the divergence steps, so it holds O(n_traj * _BLOCK_STEPS) states whatever
-the horizon; simulate_ensemble(cfg, keep_paths=True), and so
-run_trajectories and simulate_path, also keep whole paths, O(n_traj *
-horizon) states.  Both give bit-identical summaries.
+Every run goes through one recurrence: blocks of _BLOCK_STEPS (512) steps,
+each live lane's noise draw source writing the block's draws straight into
+that lane's rows of the block window, with the snapshot rows gathered as
+the lanes pass the snapshot times; no later pass aggregates whole paths.
+simulate_ensemble(cfg) keeps only those rows and the divergence steps, so
+it holds one (n_traj, _BLOCK_STEPS + 1, dim) window of states whatever the
+horizon; simulate_ensemble(cfg, keep_paths=True), and so run_trajectories
+and simulate_path, also keep whole paths, O(n_traj * horizon) states.  Both
+give bit-identical summaries.  The block length sets only memory and the
+per-block cost, never a value: every draw, state and summary is the same
+at any block length.
 """
 
 import math
@@ -34,7 +37,7 @@ _MIX2 = 0x94D049BB133111EB
 DEFAULT_DIVERGENCE_THRESHOLD = 1e9
 
 # Time steps per block of the recurrence.
-_BLOCK_STEPS = 1024
+_BLOCK_STEPS = 512
 
 
 def mix64(master_seed, index):
@@ -191,8 +194,9 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
     """One path per seed, with the censoring rules of `simulate_path`.
 
     Each lane draws from its own stream: its start when x0 is callable, then
-    its horizon draws, taken one block of at most _BLOCK_STEPS steps at a
-    time.  Lane i lives in row i of the block window: window row 0 is its
+    its horizon draws, which its draw source writes into the window one
+    block of at most _BLOCK_STEPS steps at a time, only while the lane is
+    live.  Lane i lives in row i of the block window: window row 0 is its
     state at the block's start, and row s holds the block's draw s-1, which
     a kept run's step s overwrites with the state.  A kept run's window is
     buf[:, t0:t0 + steps + 1] of one (n, horizon + 1, dim) buffer; otherwise
@@ -220,8 +224,11 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
     kernel = model.lane_kernel()
     threshold = math.inf if divergence_threshold is None else divergence_threshold
     # A lane passes unexamined while its l1 norm is at most `limit`; a
-    # non-finite norm never does.
+    # non-finite norm never does.  Every lane passes if no coordinate's size
+    # exceeds `quick`, since each l1 sum is then at most about limit / 2, so
+    # a step computes the norms only when that test fails.
     limit = min(threshold, np.finfo(float).max)
+    quick = limit / (2 * model.dim)
     rows = [horizon + 1] * n
     bad_steps = [None] * n
     lanes = np.arange(n)
@@ -237,32 +244,33 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
             steps = min(block, horizon - t0)
             window = buf[:, t0:t0 + steps + 1] if keep_paths else buf
             for i in lanes:
-                window[i, 1:steps + 1] = takes[i](steps)
+                takes[i](steps, window[i, 1:steps + 1])
             for s in range(1, steps + 1):
                 t = t0 + s
                 x = kernel(x, window[live, s])
                 if keep_paths:  # a streamed run never reads a state back
                     window[live, s] = x
-                # The l1 norm summed left to right over the coordinates,
-                # which np.sum does not promise.
+                # The maximum is NaN if any coordinate is.
                 a = np.abs(x)
-                l1 = a[:, 0]
-                for j in range(1, a.shape[1]):
-                    l1 = l1 + a[:, j]
-                # The maximum is NaN if any norm is.
-                if not np.maximum.reduce(l1) <= limit:
-                    # A finite state whose norm alone overflows lives on.
-                    truncated = ~np.all(np.isfinite(x), axis=1)
-                    kept = ~truncated & (l1 > threshold)
-                    dead = np.flatnonzero(truncated | kept)
-                    for j in dead:
-                        rows[lanes[j]] = t + int(kept[j])
-                        bad_steps[lanes[j]] = t
-                    if len(dead):
-                        lanes = live = np.delete(lanes, dead)
-                        x = np.delete(x, dead, axis=0)
-                        if not len(lanes):
-                            break
+                if not np.maximum.reduce(a, axis=None) <= quick:
+                    # The l1 norm summed left to right over the
+                    # coordinates, which np.sum does not promise.
+                    l1 = a[:, 0]
+                    for j in range(1, a.shape[1]):
+                        l1 = l1 + a[:, j]
+                    if not np.maximum.reduce(l1) <= limit:
+                        # A finite state whose norm alone overflows lives on.
+                        truncated = ~np.all(np.isfinite(x), axis=1)
+                        kept = ~truncated & (l1 > threshold)
+                        dead = np.flatnonzero(truncated | kept)
+                        for j in dead:
+                            rows[lanes[j]] = t + int(kept[j])
+                            bad_steps[lanes[j]] = t
+                        if len(dead):
+                            lanes = live = np.delete(lanes, dead)
+                            x = np.delete(x, dead, axis=0)
+                            if not len(lanes):
+                                break
                 if t in snapshot_at:
                     samples[snapshot_at[t]] = x.copy()
             if not len(lanes):

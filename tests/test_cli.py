@@ -348,7 +348,7 @@ _STDERR_COMMANDS = {
     "check-shell-s1": (("check", 1.0), 3),
     "check-shell-s2": (("check", 2.0), 3),
     "check-shell-s3": (("check", 3.0), 3),
-    "check-shell-s200": (("check", 200.0), 1),
+    "check-shell-s200": (("check", 200.0), 3),
     "reproduce-bekk-demo": (("reproduce", "bekk-demo", "--out", "bundle"), 0),
 }
 
@@ -517,8 +517,8 @@ def test_simulate_does_not_load_numpy_ma(tmp_path):
 
 
 def test_the_trajectory_dump_changes_no_other_artifact(tmp_path, monkeypatch):
-    # 30 threshold paths over two blocks of the recurrence, 21 of them
-    # censored, two after the block boundary.  A streamed run (cap 0) and a
+    # 30 threshold paths over two blocks of the recurrence, 15 of them
+    # censored: 4 in the first block, one at its last step and 10 after it.  A streamed run (cap 0) and a
     # run that keeps whole paths for the dump (the default cap) write the
     # same snapshots, summary and verdict.
     doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
@@ -539,8 +539,9 @@ def test_the_trajectory_dump_changes_no_other_artifact(tmp_path, monkeypatch):
         assert (streamed / name).read_bytes() == (kept / name).read_bytes()
     steps = json.loads((kept / "summary.json").read_text())["divergence_steps"]
     censored = [t for t in steps if t is not None]
-    assert len(censored) == 21
-    assert sum(t > _BLOCK_STEPS for t in censored) == 2
+    assert len(censored) == 15
+    assert sum(t > _BLOCK_STEPS for t in censored) == 10
+    assert _BLOCK_STEPS in censored
 
 
 def test_trajectory_dump_of_lanes_that_overflow_to_inf():

@@ -489,15 +489,19 @@ def test_shell_estimate_validation():
     with pytest.raises(ValueError, match="vanishes"):
         shell_estimate_envelope(silent, s=1.0, m_ball=1.0, radius=10.0,
                                 n_samples=1000, seed=0)
-    # At s = 0.001 the outer radius 100^(1/s) overflows; at s = 200 the
-    # powers |x_i|^200 in the radii do.  Both are one ValueError naming s,
-    # and no numpy warning.
+    # At s = 0.001 the outer radius 100^(1/s) overflows: one ValueError
+    # naming s.  At s = 200 the powers |x_i|^200 in the radii overflow but
+    # the norms do not, so the envelope is fitted.  No numpy warning either
+    # way.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s in (0.001, 200.0):
-            with pytest.raises(ValueError, match=f"s={s:g}:"):
-                shell_estimate_envelope(m, s=s, m_ball=1.0, radius=100.0,
-                                        n_samples=1000, seed=0)
+        with pytest.raises(ValueError, match="s=0.001:"):
+            shell_estimate_envelope(m, s=0.001, m_ball=1.0, radius=100.0,
+                                    n_samples=1000, seed=0)
+        env = shell_estimate_envelope(m, s=200.0, m_ball=1.0, radius=100.0,
+                                      n_samples=1000, seed=0)
+    assert env.s == 200.0 and env.source == "shell_estimated"
+    assert all(math.isfinite(v) for v in (env.a_f, env.b_f, env.a_g, env.b_g))
 
 
 _MID = 50.5

@@ -364,6 +364,24 @@ def test_lane_terms_default_validates_like_eval():
         m.lane_terms(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: np.zeros(3), lambda x: np.eye(2)],
+                         ids=["scalar", "length-3", "matrix"])
+def test_bekk_callable_f_must_be_a_pair(f):
+    # A scalar used to broadcast to [1, 1] in every row.
+    m = make_bekk(f=f)
+    for evaluate in (m.eval_f, m.eval_g, lambda x: step(m, x, (0.5, -0.5))):
+        with pytest.raises(ValueError, match="model f produced a non-finite or misshaped"):
+            evaluate((0.3, 0.2))
+
+
+def test_bekk_callable_f_may_be_non_finite():
+    # A non-finite value is not refused: the state it gives censors the path.
+    m = make_bekk(f=lambda x: np.array([math.nan if x[0] > 1.0 else x[0] + 1.0, 0.0]))
+    assert np.array_equal(m.eval_f((0.5, 0.0)), (1.5, 0.0))
+    assert np.isnan(m.eval_f((2.0, 0.0))[0])
+    assert np.isnan(step(m, (2.0, 0.0), (0.5, -0.5))[0])
+
+
 def test_classify_region_threshold():
     m = make_threshold()
     assert m.classify_region((-1.0, -1.0)) == "C"

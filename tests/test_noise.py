@@ -364,6 +364,61 @@ def test_rounds_are_drawn_whole_when_the_generator_cannot_advance(name):
     assert np.array_equal(got, want)
 
 
+_FILL_SPECS = {
+    "gaussian": StdGaussian(3),
+    "expol2": Expol2(),
+    # A flat law accepts every proposal, so its Python density stays cheap.
+    "flat-custom": BoundedCustomDensity(dim=2, log_unnormalized_density=lambda x: 0.0,
+                                        box_halfwidth=3.0, envelope_constant=1.0),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(_FILL_SPECS)),
+       # PCG64 splits the rounds a piece does not use up; MT19937 cannot
+       # advance, so it draws every round whole.
+       bits=st.sampled_from((np.random.PCG64, np.random.MT19937)),
+       seed=_seeds, count=st.integers(1, 3000), data=st.data())
+def test_draws_fill_caller_rows_in_place(name, bits, seed, count, data):
+    # Pieces written into one lane's rows of a simulation-like window
+    # concatenate bit for bit to the sample, and touch no other row.
+    spec = _FILL_SPECS[name]
+    want = sample(spec, np.random.Generator(bits(seed)), count)
+    cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=20))
+    edges = [0, *sorted({c for c in cuts if 0 < c < count}), count]
+    window = np.full((2, count + 1, spec.dim), np.nan)
+    source = draw_source(spec, np.random.Generator(bits(seed)), count)
+    for a, b in zip(edges, edges[1:]):
+        rows = window[1, a + 1:b + 1]
+        assert source.take(b - a, rows) is rows
+    assert np.array_equal(window[1, 1:], want)
+    assert np.isnan(window[0]).all() and np.isnan(window[1, 0]).all()
+    assert source.left == 0
+
+
+@pytest.mark.parametrize("name", sorted(_FILL_SPECS))
+def test_draws_refuse_rows_they_cannot_fill_in_place(name):
+    spec = _FILL_SPECS[name]
+    d = spec.dim
+    refused = [
+        np.empty((8, d))[::2],                   # every other row
+        np.empty((4, 2 * d))[:, :d],             # half of each row
+        np.empty((d, 4)).T,                      # column-major (d > 1)
+        np.empty((4, d + 1)),                    # misshaped
+        np.empty((5, d)),                        # more rows than taken
+        np.empty(4 * d),                         # flat
+        np.empty((4, d), dtype=np.float32),      # another dtype
+        [[0.0] * d] * 4,                         # not an array
+    ]
+    source = draw_source(spec, np.random.default_rng(5), 10)
+    for out in refused:
+        with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+            source.take(4, out)
+    # A refused destination takes no draw.
+    assert source.left == 10
+    assert np.array_equal(source.take(10), sample(spec, np.random.default_rng(5), 10))
+
+
 def test_expol2_stream_keeps_the_proposal_budget(monkeypatch):
     # With a budget of one proposal per value, the second round exceeds it;
     # the stream raises at the end of that round, as the one-shot sampler

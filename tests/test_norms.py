@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,25 @@ def test_s_norms_keep_tiny_entries():
     assert s_norms(rows, 2.0, axis=1).tolist() == [1e-200, 5.0, 0.0]
     assert s_norms(rows, 1.5, axis=0).tolist() == [3.0, s_norms([1e-200, 4.0], 1.5)]
     assert s_norms(np.zeros((0, 2)), 2.0, axis=1).shape == (0,)
+
+
+def test_s_norms_keep_large_entries():
+    # 200^200 overflows, the norm 200 does not; rows whose powers stay in
+    # range keep their bits, and a norm above the largest double, or of an
+    # infinite entry, is inf.  No numpy warning either way.
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vector_s_norm((200.0, 0.0), 200.0) == 200.0
+        assert vector_s_norm((1e300, 1e300), 2.0) == pytest.approx(math.sqrt(2.0) * 1e300,
+                                                                    rel=1e-15)
+        rows = np.array([[200.0, 0.0], [3.0, 4.0], [big, big], [math.inf, 1.0],
+                         [math.nan, 1.0]])
+        got = s_norms(rows, 200.0, axis=1)
+        assert got[:2].tolist() == [200.0, float(np.sum(rows[1] ** 200.0) ** (1 / 200.0))]
+        assert got[2:4].tolist() == [math.inf, math.inf] and math.isnan(got[4])
+        assert s_norms(rows[:2].T, 200.0, axis=0).tolist() == got[:2].tolist()
+        assert vector_s_norm((big, big), 1.0) == math.inf
 
 
 def test_vector_s_norm_rejects_bad_exponent():

@@ -1,5 +1,7 @@
+import copy
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ergokit import simulate
+from ergokit.config import builtin_configs, validate_config
 from ergokit.models import AffineMap, BekkArch, GenericModel, ThresholdAffine2D, step
-from ergokit.noise import BoundedCustomDensity, Expol2, StdGaussian, sample
+from ergokit.noise import BoundedCustomDensity, Expol2, StdGaussian, _DrawSource, sample
 from ergokit.simulate import (
     _BLOCK_STEPS,
     EnsembleSummary,
@@ -52,9 +56,9 @@ def test_mix64_reference_values():
     assert len(seeds) == 1000
 
 
-# The longer horizon writes the path through three block windows, with
+# The longer horizon writes the path through five block windows, with
 # Expol2 rounds split across the block boundaries.
-@pytest.mark.parametrize("horizon", [50, 2 * _BLOCK_STEPS + 3])
+@pytest.mark.parametrize("horizon", [50, 4 * _BLOCK_STEPS + 3])
 def test_simulate_path_matches_step_composition(horizon):
     m = make_threshold()
     res = simulate_path(m, Expol2(), (0.5, -0.25), horizon, seed=123)
@@ -260,6 +264,70 @@ def test_ensemble_lane_truncates_while_others_live_on():
         assert np.all(np.isfinite(p.states))
 
 
+# States at the edges of the per-step divergence test at threshold 1000,
+# whose quick test passes every lane with no coordinate above 1000 / 4.
+_NEXT = float(np.nextafter(1000.0, math.inf))
+_EDGE_STATES = (
+    (600.0, 400.0),         # l1 exactly at the threshold
+    (500.0, _NEXT - 500.0),  # l1 the next double above it, summed
+    (_NEXT, 0.0),           # the same in one coordinate
+    (250.0, 250.0),         # every coordinate at 1000 / 4
+    (300.0, -0.5),          # one coordinate past 1000 / 4, l1 inside
+    (299.75, -700.0),       # l1 999.75
+    (math.nan, 0.0),
+    (math.inf, 0.0),
+    (0.0, -math.inf),
+    (1.7e308, -1.7e308),    # finite, with an l1 that overflows
+)
+_EDGE_STEPS = (1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1)
+
+
+def _edge_f(x):
+    """A lane starting at (-c, 0) counts its steps in x[1], turns into
+    _EDGE_STATES[(c - 1) % 10] at step _EDGE_STEPS[(c - 1) // 10], and
+    stays there."""
+    if not x[0] < 0:
+        return x
+    k = int(-x[0]) - 1
+    t = 1 - 4 * x[1]  # the step this call makes
+    if t == _EDGE_STEPS[k // len(_EDGE_STATES)]:
+        return np.array(_EDGE_STATES[k % len(_EDGE_STATES)])
+    return np.array([x[0], -0.25 * t])
+
+
+_EDGE = GenericModel(2, _edge_f, lambda x: np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("threshold", [1000.0, None])
+@pytest.mark.parametrize("kind", range(len(_EDGE_STATES)))
+def test_divergence_test_at_its_edges(kind, threshold):
+    # One ensemble per edge state, so that no other lane's state sends a
+    # step to the exact test.
+    horizon = _BLOCK_STEPS + 3
+    codes = [kind + len(_EDGE_STATES) * j + 1 for j in range(len(_EDGE_STEPS))]
+
+    def config():
+        lanes = iter(codes)
+        return _ensemble(_EDGE, horizon, len(codes), 31, threshold,
+                         x0=lambda rng: (-float(next(lanes)), 0.0))
+
+    state = _EDGE_STATES[kind]
+    crosses = not all(map(math.isfinite, state)) or (
+        threshold is not None and abs(state[0]) + abs(state[1]) > threshold)
+    paths = simulate_ensemble(config(), keep_paths=True).paths
+    for i, p in enumerate(paths):
+        code = int(-p.states[0, 0])
+        assert code in codes
+        at = _EDGE_STEPS[(code - 1) // len(_EDGE_STATES)]
+        assert p.divergence_step == (at if crosses else None)
+        want, bad_step = _fold_of_step(_EDGE, tuple(p.states[0]), horizon,
+                                       mix64(31, i), threshold)
+        assert p.divergence_step == bad_step
+        assert np.array_equal(p.states, want)
+    streamed = simulate_ensemble(config())
+    assert streamed.divergence_steps == tuple(p.divergence_step for p in paths)
+
+
 def test_snapshot_stats_of_states_near_the_largest_double_do_not_warn():
     # Live lanes without a threshold may be finite with an inf l1 norm; their
     # moments overflow to inf, and the suite turns any RuntimeWarning into an
@@ -463,16 +531,10 @@ _FLAT_CUSTOM = BoundedCustomDensity(dim=2, log_unnormalized_density=lambda x: 0.
 ], ids=["expol2", "custom"])
 def test_streamed_ensemble_memory_does_not_grow_with_horizon(noise, n_traj, horizons):
     def peak(horizon):
-        cfg = SimulationConfig(model=make_threshold(), noise=noise,
-                               x0=(0.0, 0.0), horizon=horizon, n_traj=n_traj,
-                               snapshot_times=(horizon // 2, horizon),
-                               master_seed=4, divergence_threshold=1e9)
-        tracemalloc.start()
-        try:
-            simulate_ensemble(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(SimulationConfig(
+            model=make_threshold(), noise=noise, x0=(0.0, 0.0), horizon=horizon,
+            n_traj=n_traj, snapshot_times=(horizon // 2, horizon), master_seed=4,
+            divergence_threshold=1e9))
 
     # The first run also pays one-time allocations, such as numpy's lazy
     # imports behind np.quantile; measure warm runs only.
@@ -482,6 +544,72 @@ def test_streamed_ensemble_memory_does_not_grow_with_horizon(noise, n_traj, hori
     # The margin covers a second generator per lane while a large rejection
     # round is split (about 9% here), which depends on n_traj, not on T.
     assert long <= 1.25 * short
+
+
+def _traced_peak(cfg):
+    """Peak traced memory of one streamed simulate_ensemble(cfg), in bytes."""
+    tracemalloc.start()
+    try:
+        simulate_ensemble(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_window_memory_bound():
+    # 200 threshold lanes, as in example2-ergodic, streamed over three
+    # blocks.  The peak is one (200, _BLOCK_STEPS + 1, 2) window, 1.64 MB,
+    # plus what the lanes' draw sources hold: 2.27 MB with 512-step blocks,
+    # where 1,024-step blocks peaked at 4.02 MB.
+    horizon = 3 * _BLOCK_STEPS
+    cfg = SimulationConfig(model=make_threshold(), noise=Expol2(), x0=(0.0, 0.0),
+                           horizon=horizon, n_traj=200,
+                           snapshot_times=(horizon // 2, horizon), master_seed=4)
+    _traced_peak(cfg)  # warm
+    assert _traced_peak(cfg) < 3_000_000
+
+
+def test_streamed_run_refills_each_live_lane_once_per_block(monkeypatch):
+    # Each live lane's draw source writes one block of draws into the
+    # window per block, and a censored lane draws no later block.
+    sources, pieces = [], []
+    draw_source, take = simulate.draw_source, _DrawSource.take
+
+    def recording_draw_source(*args):
+        sources.append(draw_source(*args))
+        return sources[-1]
+
+    def recording_take(self, m, out=None):
+        pieces.append((id(self), m, out is not None))
+        return take(self, m, out)
+
+    monkeypatch.setattr(simulate, "draw_source", recording_draw_source)
+    monkeypatch.setattr(_DrawSource, "take", recording_take)
+    cfg = validate_config(builtin_configs()["example2-ergodic"])["simulation"]
+    assert simulate_ensemble(cfg).diverged_count == 0
+    blocks = -(-cfg.horizon // _BLOCK_STEPS)
+    assert len(pieces) == cfg.n_traj * blocks
+    assert all(in_place for _, _, in_place in pieces)
+    # The rejection rounds do not depend on the pieces, so the lanes propose
+    # as many values as they did in 1,024-step blocks.
+    assert sum(source.proposals for source in sources) == 12_159_471
+
+    # The censored-dump workload: 64 of 100 explosive lanes cross the
+    # threshold, some before the second block starts, some after.
+    sources.clear()
+    pieces.clear()
+    doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
+    doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
+    doc["simulation"].update(n_traj=100, T=999, snapshots=[100, 999],
+                             divergence_threshold=1e6)
+    cfg = validate_config(doc)["simulation"]
+    steps = simulate_ensemble(cfg).divergence_steps
+    taken = Counter(source for source, _, _ in pieces)
+    assert [taken[id(source)] for source in sources] == [
+        -(-(cfg.horizon if t is None else t) // _BLOCK_STEPS) for t in steps]
+    censored = [t for t in steps if t is not None]
+    assert len(censored) == 64
+    assert min(censored) <= _BLOCK_STEPS < max(censored)
 
 
 def test_simulate_path_threshold_censoring():
