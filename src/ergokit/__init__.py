@@ -11,9 +11,8 @@ from .ergodicity import (
     VERDICT_MET,
     DriftEnvelope,
     ErgodicityReport,
-    check_bekk_model,
     check_coefexpol,
-    check_threshold_model,
+    check_model,
     drift_gamma,
     empirical_drift_check,
     probe_skeleton_reachability,
@@ -42,7 +41,6 @@ from .simulate import (
     SimulationConfig,
     estimate_stationary_moments,
     mix64,
-    run_trajectories,
     simulate_ensemble,
     simulate_path,
     snapshot_distance,
@@ -69,9 +67,8 @@ __all__ = [
     "abs_moment",
     "bekk_line_normal",
     "builtin_configs",
-    "check_bekk_model",
     "check_coefexpol",
-    "check_threshold_model",
+    "check_model",
     "drift_gamma",
     "empirical_drift_check",
     "estimate_stationary_moments",
@@ -82,7 +79,6 @@ __all__ = [
     "operator_norm",
     "probe_skeleton_reachability",
     "psd_sqrt",
-    "run_trajectories",
     "shell_estimate_envelope",
     "simulate_ensemble",
     "simulate_path",

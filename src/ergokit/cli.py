@@ -37,11 +37,9 @@ from .ergodicity import (
     VERDICT_FAILED,
     VERDICT_INCONCLUSIVE,
     VERDICT_MET,
-    check_bekk_model,
-    check_threshold_model,
+    check_model,
     shell_estimate_envelope,
 )
-from .models import ThresholdAffine2D
 from .noise import Expol2, StdGaussian, abs_moment
 from .simulate import simulate_ensemble
 
@@ -80,10 +78,7 @@ def _load_config_file(path):
 
 def _build_report(parsed):
     """Run the ergodicity checker described by a validated config."""
-    model = parsed["model"]
-    noise = parsed["noise"]
-    checks = parsed["checks"]
-    notes = parsed["notes"]
+    model, checks = parsed["model"], parsed["checks"]
     envelope = checks["envelope"]
     if envelope == "analytic":
         envelope = None
@@ -92,11 +87,8 @@ def _build_report(parsed):
             model, checks["s"], m_ball=1.0, radius=_SHELL_RADIUS,
             n_samples=_SHELL_SAMPLES, seed=parsed["simulation"].master_seed,
         )
-    if isinstance(model, ThresholdAffine2D):
-        return check_threshold_model(model, noise_spec=noise, envelope=envelope,
-                                     extra_notes=notes)
-    return check_bekk_model(model, noise_spec=noise, envelope=envelope,
-                            extra_notes=notes)
+    return check_model(model, noise_spec=parsed["noise"], envelope=envelope,
+                       extra_notes=parsed["notes"])
 
 
 def _json_artifact(payload, seed, cfg_hash):

@@ -58,7 +58,7 @@ _STRUCTURAL_REL_TOL = 1e-12
 # Positive floors keeping fitted envelopes inside the type invariants.
 _ENVELOPE_FLOOR = 1e-12
 
-# Skeleton steps check_bekk_model probes for an escape from the line L.
+# Skeleton steps _bekk_structural probes for an escape from the line L.
 _SKELETON_HORIZON = 20
 
 
@@ -403,38 +403,16 @@ def _compose_notes(envelope, moment, gamma, verdict, extra):
     return "; ".join(parts)
 
 
-def check_threshold_model(model, noise_spec=None, envelope=None, extra_notes=""):
-    """Full sufficient-condition report for a ThresholdAffine2D model: its two
-    structural checks, then _report (Expol2 and threshold_envelope by default)."""
-    if not isinstance(model, ThresholdAffine2D):
-        raise ValueError("check_threshold_model expects a ThresholdAffine2D model")
-    structural = (check_coefexpol(model), _check_d_main_nonsingular(model))
-    return _report(structural, noise_spec or Expol2(),
-                   envelope or threshold_envelope(model), extra_notes)
-
-
-def check_bekk_model(model, noise_spec=None, envelope=None, extra_notes=""):
-    """Full sufficient-condition report for a BekkArch model: the PSD,
-    degeneracy-locus and skeleton-escape checks, then _report (StdGaussian(2)
-    and _bekk_envelope by default, where gamma is
-    b_f + |||A|||_F * E[||e||_2]; an explicit envelope, required when f is
-    not affine, is checked at its own s)."""
-    if not isinstance(model, BekkArch):
-        raise ValueError("check_bekk_model expects a BekkArch model")
-    envelope = envelope or _bekk_envelope(model)
+def _bekk_structural(model):
+    """BEKK's PSD, degeneracy-locus and skeleton-escape checks."""
     (w_min, _), _ = bekk_b_eigenvalues(model.b_mat)
-    checks = [
-        CheckResult(name="b_psd", passed=True, witnesses=(("min_eigenvalue", w_min),))
-    ]
     kind, normal = bekk_line_normal(model.a_mat, model.b_mat)
     c1, c2 = normal if kind == REGION_ON_L else (float("nan"), float("nan"))
-    checks.append(
-        CheckResult(
-            name="degeneracy_locus",
-            passed=kind != REGION_EVERYWHERE_SINGULAR,
-            witnesses=(("c1", c1), ("c2", c2)),
-        )
-    )
+    checks = [
+        CheckResult(name="b_psd", passed=True, witnesses=(("min_eigenvalue", w_min),)),
+        CheckResult(name="degeneracy_locus", passed=kind != REGION_EVERYWHERE_SINGULAR,
+                    witnesses=(("c1", c1), ("c2", c2))),
+    ]
     if kind == REGION_ON_L:
         scale = math.hypot(c1, c2)
         direction = (-c2 / scale, c1 / scale)
@@ -450,4 +428,27 @@ def check_bekk_model(model, noise_spec=None, envelope=None, extra_notes=""):
                 ),
             )
         )
-    return _report(tuple(checks), noise_spec or StdGaussian(2), envelope, extra_notes)
+    return tuple(checks)
+
+
+def check_model(model, noise_spec=None, envelope=None, extra_notes=""):
+    """Full sufficient-condition report, and the one place that branches on
+    the model family: a ThresholdAffine2D model gets check_coefexpol and
+    _check_d_main_nonsingular (Expol2 and threshold_envelope by default), a
+    BekkArch model _bekk_structural (StdGaussian(2) and _bekk_envelope, which
+    needs an affine f), then _report.  Raises ValueError for any other model
+    and for a noise law of another dim."""
+    if isinstance(model, ThresholdAffine2D):
+        structural = (check_coefexpol(model), _check_d_main_nonsingular(model))
+        noise_spec = noise_spec or Expol2()
+        envelope = envelope or threshold_envelope(model)
+    elif isinstance(model, BekkArch):
+        envelope = envelope or _bekk_envelope(model)
+        structural = _bekk_structural(model)
+        noise_spec = noise_spec or StdGaussian(2)
+    else:
+        raise ValueError("check_model expects a ThresholdAffine2D or BekkArch model, "
+                         f"got {type(model).__name__}")
+    if noise_spec.dim != model.dim:
+        raise ValueError(f"the noise has dim {noise_spec.dim} but the model has dim {model.dim}")
+    return _report(structural, noise_spec, envelope, extra_notes)

@@ -293,7 +293,7 @@ class BekkArch(_ModelSpec):
     b_mat: tuple
 
     dim = 2
-    # Exponent s at which the Frobenius envelope of check_bekk_model holds.
+    # Exponent s at which check_model's Frobenius envelope for BEKK holds.
     analytic_envelope_s = 2.0
 
     def __post_init__(self):

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .norms import s_norms
+from .norms import SUBNORMAL_SAFE_SUM, s_norms
 
 # Rejection proposals are uniform on [-EXPOL2_BOX, EXPOL2_BOX] per coordinate.
 # The unnormalized density exp(-(u^2-1)^2) attains its maximum 1 at u = +-1,
@@ -501,6 +501,18 @@ def density(spec, x):
     return spec.density(np.asarray(x, dtype=float))
 
 
+def _root_pair_sums_rescaled(sums, x, y, s):
+    """Turn sums = |x|^s + |y|^s (x, y broadcast to its shape) into the pair
+    norms sums^(1/s) in place, rescaled as in s_norms where a sum is below
+    SUBNORMAL_SAFE_SUM or inf: the norm of the pair over its larger entry,
+    which must not be 0.  No temporary is larger than sums."""
+    rescale = (sums < SUBNORMAL_SAFE_SUM) | np.isinf(sums)
+    sums **= 1.0 / s
+    peak = np.maximum(x, y)
+    np.copyto(sums, (1.0 + (np.minimum(x, y) / peak) ** s) ** (1.0 / s) * peak,
+              where=rescale)
+
+
 def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
     """Compute E[||e||_s] for the given noise law.
 
@@ -544,17 +556,22 @@ def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
             raise ValueError("quadrature with s > 1 is supported only for dim 2")
         u, w = _graded_rule(box, _TENSOR_DEPTH)
         weighted = w * dens(u)
-        a = np.abs(u) ** s
+        au = np.abs(u)
         value = 0.0
         # One panel of rows at a time, updated in place and summed without
         # matmul: a full N x N grid, more temporaries or a first BLAS call
-        # would each raise the command's peak memory.
-        for i in range(0, u.size, _GL_NODES):
-            block = a[i:i + _GL_NODES, None] + a
-            block **= 1.0 / s
-            block *= weighted[i:i + _GL_NODES, None]
-            block *= weighted
-            value += float(np.sum(block))
+        # would each raise the command's peak memory.  No node is 0.
+        with np.errstate(over="ignore"):
+            a = au ** s
+            for i in range(0, u.size, _GL_NODES):
+                block = a[i:i + _GL_NODES, None] + a
+                if np.min(block) < SUBNORMAL_SAFE_SUM or np.isinf(np.max(block)):
+                    _root_pair_sums_rescaled(block, au[i:i + _GL_NODES, None], au, s)
+                else:
+                    block **= 1.0 / s
+                block *= weighted[i:i + _GL_NODES, None]
+                block *= weighted
+                value += float(np.sum(block))
         return MomentEstimate(value, 0.0, "quadrature", s, grid_size=u.size ** 2)
     if method == "analytic":
         return MomentEstimate(spec.analytic_abs_moment(s), 0.0, "analytic", s)

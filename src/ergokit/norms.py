@@ -15,7 +15,7 @@ MAX_EIG_DIM = 8
 # Below this sum of |a_i|^s, terms may have lost bits to subnormal underflow:
 # a norm with s >= 1 is then recomputed from entries scaled by their maximum,
 # as it is when the sum overflows although every entry is finite.
-_SUBNORMAL_SAFE_SUM = 2.0 ** -960
+SUBNORMAL_SAFE_SUM = 2.0 ** -960
 
 
 def s_norms(a, s, axis=None):
@@ -30,7 +30,7 @@ def s_norms(a, s, axis=None):
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(a ** s, axis=axis)
         norms = total ** (1.0 / s)
-        rescale = (total < _SUBNORMAL_SAFE_SUM) | np.isinf(total)
+        rescale = (total < SUBNORMAL_SAFE_SUM) | np.isinf(total)
         if a.size == 0 or not np.any(rescale):
             return norms
         rescale &= np.all(np.isfinite(a), axis=axis)  # an inf entry's norm is inf

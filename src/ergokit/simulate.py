@@ -14,11 +14,10 @@ that lane's rows of the block window, with the snapshot rows gathered as
 the lanes pass the snapshot times; no later pass aggregates whole paths.
 simulate_ensemble(cfg) keeps only those rows and the divergence steps, so
 it holds one (n_traj, _BLOCK_STEPS + 1, dim) window of states whatever the
-horizon; simulate_ensemble(cfg, keep_paths=True), and so run_trajectories
-and simulate_path, also keep whole paths, O(n_traj * horizon) states.  Both
-give bit-identical summaries.  The block length sets only memory and the
-per-block cost, never a value: every draw, state and summary is the same
-at any block length.
+horizon; simulate_ensemble(cfg, keep_paths=True), and so simulate_path,
+also keep whole paths, O(n_traj * horizon) states.  Both give bit-identical
+summaries.  The block length sets only memory and the per-block cost, never
+a value: every draw, state and summary is the same at any block length.
 """
 
 import math
@@ -181,12 +180,6 @@ def simulate_path(model, noise_spec, x0, horizon, seed,
     """
     return _run_lanes(model, noise_spec, x0, horizon, (seed,),
                       divergence_threshold, keep_paths=True)[2][0]
-
-
-def run_trajectories(cfg):
-    """All ensemble paths in index order: simulate_ensemble(cfg,
-    keep_paths=True).paths, so O(n_traj * horizon) states."""
-    return simulate_ensemble(cfg, keep_paths=True).paths
 
 
 def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,

@@ -20,9 +20,8 @@ from ergokit.config import builtin_configs, validate_config
 from ergokit.ergodicity import (
     VERDICT_FAILED,
     VERDICT_MET,
-    check_bekk_model,
     check_coefexpol,
-    check_threshold_model,
+    check_model,
     threshold_envelope,
 )
 from ergokit.models import (
@@ -74,14 +73,12 @@ def test_criterion_1_noise_moment():
 def test_criterion_2_drift_checker_on_threshold_examples():
     env = threshold_envelope(_example2_model())
     parsed = validate_config(builtin_configs()["example2-ergodic"])
-    report = check_threshold_model(parsed["model"], noise_spec=parsed["noise"],
-                                   extra_notes=parsed["notes"])
+    report = check_model(parsed["model"], noise_spec=parsed["noise"],
+                         extra_notes=parsed["notes"])
     unit_root = validate_config(builtin_configs()["example2-unit-root"])
-    report_ur = check_threshold_model(unit_root["model"],
-                                      noise_spec=unit_root["noise"])
+    report_ur = check_model(unit_root["model"], noise_spec=unit_root["noise"])
     variance = validate_config(builtin_configs()["example2-variance"])
-    report_var = check_threshold_model(variance["model"],
-                                       noise_spec=variance["noise"])
+    report_var = check_model(variance["model"], noise_spec=variance["noise"])
     failed = _lines([
         ("b_f equals 0.4 exactly", env.b_f == 0.4),
         ("b_g equals 0.25 exactly", env.b_g == 0.25),
@@ -196,7 +193,7 @@ def test_criterion_5_bekk_degeneracy():
         agree = agree and err <= 1e-10
 
     demo = validate_config(builtin_configs()["bekk-demo"])["model"]
-    report = check_bekk_model(demo)
+    report = check_model(demo)
     by_name = {c.name: c for c in report.structural}
     deg = by_name["degeneracy_locus"]
     c1, c2 = dict(deg.witnesses)["c1"], dict(deg.witnesses)["c2"]
@@ -308,7 +305,7 @@ def test_criterion_8_structural_checks():
     res_zero = check_coefexpol(zeroed)
 
     demo = validate_config(builtin_configs()["bekk-demo"])["model"]
-    report = check_bekk_model(demo)
+    report = check_model(demo)
     escape = {c.name: c for c in report.structural}["skeleton_escape"]
     steps = [step for _, step in escape.witnesses]
     failed = _lines([

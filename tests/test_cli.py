@@ -24,7 +24,7 @@ from ergokit.config import (
 )
 from ergokit.models import ThresholdAffine2D
 from ergokit.noise import Expol2
-from ergokit.simulate import _BLOCK_STEPS, PathResult, SimulationConfig, run_trajectories
+from ergokit.simulate import _BLOCK_STEPS, PathResult, SimulationConfig, simulate_ensemble
 
 
 @pytest.fixture(autouse=True)
@@ -349,6 +349,7 @@ _STDERR_COMMANDS = {
     "check-shell-s2": (("check", 2.0), 3),
     "check-shell-s3": (("check", 3.0), 3),
     "check-shell-s200": (("check", 200.0), 3),
+    "check-shell-s600": (("check", 600.0), 3),
     "reproduce-bekk-demo": (("reproduce", "bekk-demo", "--out", "bundle"), 0),
 }
 
@@ -554,7 +555,7 @@ def test_trajectory_dump_of_lanes_that_overflow_to_inf():
     cfg = SimulationConfig(model=model, noise=Expol2(), x0=(0.0, 0.0),
                            horizon=1027, n_traj=12, snapshot_times=(1027,),
                            master_seed=11, divergence_threshold=math.inf)
-    paths = run_trajectories(cfg)
+    paths = simulate_ensemble(cfg, keep_paths=True).paths
     truncated = [p for p in paths if p.diverged]
     assert 0 < len(truncated) < len(paths)
     for p in truncated:
@@ -613,7 +614,7 @@ def test_trajectory_dump_memory_does_not_grow_with_the_run(tmp_path):
     doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
     doc["simulation"].update(n_traj=100, T=999, snapshots=[100, 999],
                              divergence_threshold=1e6, seed=20260814)
-    paths = run_trajectories(validate_config(doc)["simulation"])
+    paths = simulate_ensemble(validate_config(doc)["simulation"], keep_paths=True).paths
     target = tmp_path / "trajectories.csv"
     tracemalloc.start()
     try:

@@ -16,7 +16,7 @@ from ergokit.config import (
     validate_config,
     write_text_atomic,
 )
-from ergokit.ergodicity import DriftEnvelope, check_threshold_model
+from ergokit.ergodicity import DriftEnvelope, check_model
 from ergokit.models import BekkArch, ThresholdAffine2D
 from ergokit.noise import Expol2, StdGaussian
 from ergokit.simulate import SimulationConfig, simulate_ensemble
@@ -255,8 +255,8 @@ def test_write_text_atomic_keeps_the_old_file_when_the_pieces_raise(tmp_path):
 
 def test_report_and_summary_serialize():
     parsed = validate_config(ergodic_doc())
-    report = check_threshold_model(parsed["model"], noise_spec=parsed["noise"],
-                                   extra_notes=parsed["notes"])
+    report = check_model(parsed["model"], noise_spec=parsed["noise"],
+                         extra_notes=parsed["notes"])
     payload = report_to_dict(report)
     assert payload["verdict"] == "sufficient_condition_met"
     assert "0.981" in payload["notes"]

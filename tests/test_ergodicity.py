@@ -15,9 +15,8 @@ from ergokit.ergodicity import (
     VERDICT_MET,
     _fit_linear_envelope,
     _sample_shell,
-    check_bekk_model,
     check_coefexpol,
-    check_threshold_model,
+    check_model,
     drift_gamma,
     empirical_drift_check,
     probe_skeleton_reachability,
@@ -153,7 +152,7 @@ def test_bekk_envelope_b_f_is_the_largest_singular_value(f):
     m = BekkArch(f=AffineMap((f[0:2], f[2:4]), (0.0, 0.0)),
                  a_mat=((1.0, 0.0), (0.0, 1.0)), b_mat=((1.0, 0.0), (0.0, 1.0)))
     want = operator_norm(m.f.matrix, 2)
-    assert abs(check_bekk_model(m).envelope.b_f - want) <= 4 * np.spacing(want)
+    assert abs(check_model(m).envelope.b_f - want) <= 4 * np.spacing(want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,11 +175,11 @@ def test_bekk_envelope_b_f_is_the_largest_singular_value(f):
 def test_bekk_envelope_holds_on_lane_blocks(m11, c, states):
     # s = 2: ||g(x)||_F <= sqrt(tr B) + ||A||_F ||x||_2 and
     # ||f(x)||_2 <= a_f + b_f ||x||_2, with the constants of the analytic
-    # envelope check_bekk_model reports.  b_mat = L L^T, L lower triangular.
+    # envelope check_model reports.  b_mat = L L^T, L lower triangular.
     l11, l21, l22 = c[4:7]
     m = BekkArch(f=AffineMap(((m11, c[7]), c[8:10]), c[10:12]), a_mat=(c[0:2], c[2:4]),
                  b_mat=((l11 * l11, l11 * l21), (l21 * l11, l21 * l21 + l22 * l22)))
-    env = check_bekk_model(m).envelope
+    env = check_model(m).envelope
     assert env.source == "analytic_bekk_frobenius"
     b = np.array(m.b_mat)
     assert env.a_g == max(math.sqrt(np.trace(b)), 1e-12)
@@ -266,7 +265,7 @@ def test_coefexpol_witnesses():
 
 
 def test_threshold_report_ergodic_example():
-    report = check_threshold_model(make_threshold())
+    report = check_model(make_threshold())
     assert report.verdict == VERDICT_MET
     assert report.gamma == pytest.approx(0.4 + 0.25 * E_L1, rel=1e-9)
     assert all(c.passed for c in report.structural)
@@ -276,7 +275,7 @@ def test_threshold_report_ergodic_example():
 
 
 def test_threshold_report_unit_root_variant():
-    report = check_threshold_model(unit_root_variant())
+    report = check_model(unit_root_variant())
     assert report.verdict == VERDICT_FAILED
     # Structure is untouched; only the drift coefficient crosses 1.
     assert all(c.passed for c in report.structural)
@@ -285,7 +284,7 @@ def test_threshold_report_unit_root_variant():
 
 
 def test_threshold_report_variance_variant():
-    report = check_threshold_model(variance_variant())
+    report = check_model(variance_variant())
     assert report.verdict == VERDICT_FAILED
     assert report.gamma == pytest.approx(0.4 + 0.8 * E_L1, rel=1e-9)
     assert abs(report.gamma - 1.72) < 0.01
@@ -304,7 +303,7 @@ def test_threshold_report_takes_the_gaussian_closed_form_where_it_exists(s, meth
     model = make_threshold()
     env = None if s == 1.0 else DriftEnvelope(
         s=s, a_f=0.0, b_f=0.4, a_g=1.0, b_g=0.25, m_ball=1.0, source="user_supplied")
-    report = check_threshold_model(model, StdGaussian(2), envelope=env)
+    report = check_model(model, StdGaussian(2), envelope=env)
     moment = report.noise_moment
     assert (moment.s, moment.method) == (s, method)
     assert (moment.grid_size is None) == (method == "analytic")
@@ -314,18 +313,18 @@ def test_threshold_report_takes_the_gaussian_closed_form_where_it_exists(s, meth
 
 
 def test_report_extra_notes_threading():
-    report = check_threshold_model(make_threshold(), extra_notes="reference note")
+    report = check_model(make_threshold(), extra_notes="reference note")
     assert "reference note" in report.notes
 
 
 def test_verdict_invariant_on_generated_reports():
     reports = [
-        check_threshold_model(make_threshold()),
-        check_threshold_model(unit_root_variant()),
-        check_threshold_model(variance_variant()),
-        check_bekk_model(make_bekk()),
-        check_bekk_model(make_bekk(scale_f=0.5, scale_a=1.0,
-                                   b_mat=((1.0, 1.0), (1.0, 1.0)))),
+        check_model(make_threshold()),
+        check_model(unit_root_variant()),
+        check_model(variance_variant()),
+        check_model(make_bekk()),
+        check_model(make_bekk(scale_f=0.5, scale_a=1.0,
+                              b_mat=((1.0, 1.0), (1.0, 1.0)))),
     ]
     for r in reports:
         if r.verdict == VERDICT_MET:
@@ -336,16 +335,16 @@ def test_verdict_invariant_on_generated_reports():
 def test_bekk_gamma_closed_forms():
     # gamma = b_f + |||A|||_F * E||e||_2 with b_f = scale_f, |||A|||_F =
     # sqrt(2) scale_a and E||e||_2 = sqrt(pi / 2).
-    report = check_bekk_model(make_bekk())
+    report = check_model(make_bekk())
     assert report.noise_moment.value == pytest.approx(E_L2_GAUSS, rel=1e-14)
     assert report.gamma == pytest.approx(0.3 + 0.3 * math.sqrt(math.pi), rel=1e-12)
     for scale_f in (0.5, 1.0):
-        gamma = check_bekk_model(make_bekk(scale_f=scale_f, scale_a=1.0)).gamma
+        gamma = check_model(make_bekk(scale_f=scale_f, scale_a=1.0)).gamma
         assert gamma == pytest.approx(scale_f + math.sqrt(math.pi), rel=1e-12)
 
 
 def test_bekk_report_ergodic():
-    report = check_bekk_model(make_bekk())
+    report = check_model(make_bekk())
     assert report.verdict == VERDICT_MET
     assert report.gamma == pytest.approx(0.3 + 0.3 * math.sqrt(math.pi), rel=1e-12)
     assert report.envelope.source == "analytic_bekk_frobenius"
@@ -363,7 +362,7 @@ def test_bekk_report_divergent_line_without_escape():
     # Rank-one B with a scaling f: the skeleton never leaves the degenerate
     # line, and gamma is far above 1.
     model = make_bekk(scale_f=0.5, scale_a=1.0, b_mat=((1.0, 1.0), (1.0, 1.0)))
-    report = check_bekk_model(model)
+    report = check_model(model)
     assert report.verdict == VERDICT_FAILED
     assert report.gamma == pytest.approx(0.5 + math.sqrt(math.pi), rel=1e-12)
     by_name = {c.name: c for c in report.structural}
@@ -375,7 +374,7 @@ def test_bekk_report_escaping_line():
     # An offset pushes the skeleton off the line in one step.
     model = make_bekk(scale_f=0.4, scale_a=1.0, b_mat=((1.0, 1.0), (1.0, 1.0)),
                       offset=(1.0, 0.0))
-    report = check_bekk_model(model)
+    report = check_model(model)
     by_name = {c.name: c for c in report.structural}
     assert by_name["skeleton_escape"].passed
     assert all(step == 1.0 for _, step in by_name["skeleton_escape"].witnesses)
@@ -389,7 +388,7 @@ def test_bekk_report_everywhere_singular():
         a_mat=((1.0, 1.0), (1.0, 1.0)),
         b_mat=((1.0, 1.0), (1.0, 1.0)),
     )
-    report = check_bekk_model(model)
+    report = check_model(model)
     by_name = {c.name: c for c in report.structural}
     assert not by_name["degeneracy_locus"].passed
     assert report.verdict == VERDICT_FAILED
@@ -466,7 +465,7 @@ def test_shell_envelope_caps_verdict_at_inconclusive():
     m = make_threshold()
     env = shell_estimate_envelope(m, s=1.0, m_ball=1.0, radius=30.0,
                                   n_samples=4000, seed=7)
-    report = check_threshold_model(m, envelope=env)
+    report = check_model(m, envelope=env)
     assert report.gamma < 1.0
     assert all(c.passed for c in report.structural)
     assert report.verdict == VERDICT_INCONCLUSIVE
@@ -643,18 +642,29 @@ def test_empirical_drift_constant_volatility_decreases():
 
 
 def test_check_model_type_guards():
-    with pytest.raises(ValueError):
-        check_threshold_model(make_bekk())
-    with pytest.raises(ValueError):
-        check_bekk_model(make_threshold())
+    generic = GenericModel(dim=2, f=lambda x: 0.5 * x, g=lambda x: np.eye(2))
+    with pytest.raises(ValueError, match="GenericModel"):
+        check_model(generic)
     # Non-affine f needs an explicit envelope.
     curved = BekkArch(f=lambda x: np.tanh(x), a_mat=((0.3, 0.0), (0.0, 0.3)),
                       b_mat=((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="envelope"):
-        check_bekk_model(curved)
+        check_model(curved)
     env = DriftEnvelope(s=2.0, a_f=2.0, b_f=0.1, a_g=math.sqrt(2.0),
                         b_g=0.3 * math.sqrt(2.0), m_ball=1.0,
                         source="user_supplied")
-    report = check_bekk_model(curved, envelope=env)
+    report = check_model(curved, envelope=env)
     assert report.verdict == VERDICT_MET
     assert report.envelope.source == "user_supplied"
+
+
+@pytest.mark.parametrize("model", [
+    ThresholdAffine2D(a=(0, 0), b_mat=((0.2, 0.1), (0.1, 0.3)),
+                      d_main=((0.2, -0.3), (-0.3, 0.2)), d_c=(0.4, -0.5), d_const=(1, 1)),
+    make_bekk(),
+], ids=["threshold", "bekk"])
+def test_check_model_refuses_a_noise_law_of_another_dim(model):
+    # A one-dimensional law would take E||e||_s in the wrong dimension: the
+    # threshold model above would read gamma 0.799 (met) instead of 1.198.
+    with pytest.raises(ValueError, match="the noise has dim 1 but the model has dim 2"):
+        check_model(model, noise_spec=StdGaussian(1))

@@ -22,6 +22,7 @@ from ergokit.noise import (
     _expol2_z,
     _gauss_legendre,
 )
+from ergokit.norms import s_norms
 
 # Frozen reference values, precomputed with 30-digit quadrature and
 # cross-checked against scipy.integrate before being baked in.
@@ -503,6 +504,31 @@ def test_quadrature_s_moment_two_dims(s, want):
     est = abs_moment(Expol2(), s, method="quadrature")
     assert abs(est.value - want) < 1e-10
     assert est.grid_size <= 250_000
+
+
+def _tensor_moment_by_s_norms(spec, s):
+    """The s > 1 tensor rule with each pair's norm taken by norms.s_norms,
+    summed per panel of _GL_NODES rows as abs_moment sums."""
+    dens, box = spec.coordinate_density()
+    u, w = noise._graded_rule(box, noise._TENSOR_DEPTH)
+    weighted = w * dens(u)
+    value = 0.0
+    for i in range(0, u.size, noise._GL_NODES):
+        pairs = np.stack(np.broadcast_arrays(u[i:i + noise._GL_NODES, None], u), axis=-1)
+        block = s_norms(pairs, s, axis=-1) * weighted[i:i + noise._GL_NODES, None]
+        value += float(np.sum(block * weighted))
+    return value
+
+
+@pytest.mark.parametrize("spec", [Expol2(), StdGaussian(2)], ids=["expol2", "gaussian"])
+@pytest.mark.parametrize("s", [300.0, 600.0, 1e4])
+def test_quadrature_moment_at_large_s_rescales_the_pair_norms(spec, s):
+    # |u|^s underflows from small s on and overflows from s = 512 at the
+    # box edge |u| = 4; the pair norms are rescaled as s_norms rescales, so
+    # the moment stays finite and exact to the rule, without a warning.
+    got = abs_moment(spec, s, method="quadrature").value
+    want = _tensor_moment_by_s_norms(spec, s)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_gauss_legendre_matches_numpy():

@@ -21,7 +21,6 @@ from ergokit.simulate import (
     _snapshot_stats,
     estimate_stationary_moments,
     mix64,
-    run_trajectories,
     simulate_ensemble,
     simulate_path,
     snapshot_distance,
@@ -181,7 +180,7 @@ def _assert_lanes_are_paths(cfg, threshold):
     """Each lane of the ensemble equals the one-path run of its seed and the
     fold of `step` over its draws; `threshold` is the one-path threshold
     (None where the ensemble has an infinite one)."""
-    paths = run_trajectories(cfg)
+    paths = simulate_ensemble(cfg, keep_paths=True).paths
     assert len(paths) == cfg.n_traj
     for i, lane in enumerate(paths):
         seed = mix64(cfg.master_seed, i)
@@ -407,7 +406,7 @@ def test_ensemble_calls_lane_kernel_once_per_step(monkeypatch, model):
 
     monkeypatch.setattr(family, "lane_kernel", counting_lane_kernel)
     cfg = _ensemble(model, 100, 50, 8, None)
-    paths = run_trajectories(cfg)
+    paths = simulate_ensemble(cfg, keep_paths=True).paths
     assert blocks == [(50, 2)] * 100
     assert all(p.states.shape == (101, 2) for p in paths)
     # A streamed run steps every lane at every step too: blocks of time
@@ -666,7 +665,7 @@ def test_dimension_mismatch_is_rejected():
     # neither may broadcast a shorter value over the state.
     short_start = SimulationConfig(**{**base, "x0": lambda rng: rng.uniform(-1.0, 1.0, 1)})
     with pytest.raises(ValueError, match=r"x0 has shape \(1,\)"):
-        run_trajectories(short_start)
+        simulate_ensemble(short_start, keep_paths=True).paths
     with pytest.raises(ValueError, match="noise has dim 1"):
         simulate_path(make_threshold(), StdGaussian(1), (0.0, 0.0), 10, 1)
 
@@ -680,7 +679,7 @@ def test_non_finite_start_is_rejected():
         SimulationConfig(**{**base, "x0": (math.inf, 0.0)})
     drawn = SimulationConfig(**{**base, "x0": lambda rng: np.array([0.0, math.nan])})
     with pytest.raises(ValueError, match="x0 must be finite"):
-        run_trajectories(drawn)
+        simulate_ensemble(drawn, keep_paths=True).paths
 
 def test_ensemble_single_trajectory_reduces_to_path():
     cfg = SimulationConfig(model=make_threshold(), noise=Expol2(),

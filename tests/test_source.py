@@ -238,3 +238,39 @@ def test_forwarder_check_flags_only_bare_method_calls():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_method_forwarders(path):
     assert forwarders(path.read_text()) == []
+
+
+def family_dispatch(source):
+    """(line, what) of each import from the models module and each call of
+    `isinstance` in a module: the means of branching on the model family."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[-1] == "models" and (node.level or module[0] == "ergokit"):
+                found.append((node.lineno, "models"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "models") for alias in node.names
+                      if alias.name == "ergokit.models"]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance"):
+            found.append((node.lineno, "isinstance"))
+    return sorted(found)
+
+
+def test_family_dispatch_check_flags_only_models_imports_and_isinstance():
+    source = (
+        "from .models import BekkArch\nfrom ergokit.models import step\n"
+        "import ergokit.models\nfrom .ergodicity import check_model\n"
+        "from numpy import models\nok = isinstance(m, BekkArch)\n"
+        "x = m.isinstance\nfrom . import config\n"
+    )
+    assert family_dispatch(source) == [
+        (1, "models"), (2, "models"), (3, "models"), (6, "isinstance")]
+
+
+# The model family is decided in ergodicity.check_model: the CLI holds no
+# model class and tests no type.
+def test_cli_does_not_dispatch_on_the_model_family():
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    assert family_dispatch(cli.read_text()) == []
