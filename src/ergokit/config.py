@@ -159,9 +159,10 @@ def validate_config(doc, seed_override=None):
                   optional=("checks", "notes", "provenance"))
     model = model_from_config(doc["model"])
     noise = noise_from_config(doc["noise"])
-    if noise.dim != model.dim:
-        _fail("$.noise.dim",
-              f"the noise has dim {noise.dim} but the model has dim {model.dim}")
+    try:
+        model.require_noise(noise)
+    except ValueError as exc:
+        _fail("$.noise.dim", str(exc))
     sim_doc = doc["simulation"]
     _require_keys(sim_doc, "$.simulation", ("T", "n_traj", "snapshots", "seed"),
                   optional=("divergence_threshold",))

@@ -338,9 +338,9 @@ def empirical_drift_check(model, noise_spec, x, s, n_mc, seed):
     """Monte Carlo estimate of E[V(X_1) | X_0 = x] / V(x) for V = 1 + ||.||_s."""
     if n_mc < 10 ** 3:
         raise ValueError("need at least 1000 Monte Carlo draws")
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    draws = sample(noise_spec, rng, n_mc)
+    x = model.require_state(x)
+    model.require_noise(noise_spec)
+    draws = sample(noise_spec, np.random.default_rng(seed), n_mc)
     nxt = model.lane_kernel()(np.broadcast_to(x, draws.shape), draws)
     v1 = 1.0 + s_norms(nxt, s, axis=1)
     v0 = 1.0 + vector_s_norm(x, s)
@@ -449,6 +449,5 @@ def check_model(model, noise_spec=None, envelope=None, extra_notes=""):
     else:
         raise ValueError("check_model expects a ThresholdAffine2D or BekkArch model, "
                          f"got {type(model).__name__}")
-    if noise_spec.dim != model.dim:
-        raise ValueError(f"the noise has dim {noise_spec.dim} but the model has dim {model.dim}")
+    model.require_noise(noise_spec)
     return _report(structural, noise_spec, envelope, extra_notes)

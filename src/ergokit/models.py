@@ -66,11 +66,23 @@ class _ModelSpec:
     validate the callables' values, and its lane_terms calls them row by row.
     """
 
+    def require_state(self, x, name="state"):
+        """The state rule: x as a float array of shape (dim,), else a ValueError."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"{name} has shape {x.shape} but the model has dim {self.dim}")
+        return x
+
+    def require_noise(self, spec):
+        """The noise rule of every entry point that takes a noise law."""
+        if spec.dim != self.dim:
+            raise ValueError(f"the noise has dim {spec.dim} but the model has dim {self.dim}")
+
     def _one_state(self, x):
         """(f(x), g(x)), row 0 of lane_terms.  Overflow gives non-finite
         entries rather than a warning, as in `step`."""
         with np.errstate(over="ignore", invalid="ignore"):
-            f, g = self.lane_terms(np.asarray(x, dtype=float)[None])
+            f, g = self.lane_terms(self.require_state(x)[None])
         return f[0], g[0]
 
     def eval_f(self, x):
@@ -82,9 +94,11 @@ class _ModelSpec:
         return self._one_state(x)[1]
 
     def g_determinant(self, x):
+        self.require_state(x)
         raise ValueError("g_determinant supports ThresholdAffine2D and BekkArch only")
 
     def classify_region(self, x):
+        self.require_state(x)
         raise ValueError("classify_region supports ThresholdAffine2D and BekkArch only")
 
 
@@ -113,10 +127,10 @@ class GenericModel(_ModelSpec):
             raise ValueError(f"dim must be in 1..8, got {self.dim}")
 
     def eval_f(self, x):
-        return _callable_value(self.f, x, (self.dim,), "f")
+        return _callable_value(self.f, self.require_state(x), (self.dim,), "f")
 
     def eval_g(self, x):
-        return _callable_value(self.g, x, (self.dim, self.dim), "g")
+        return _callable_value(self.g, self.require_state(x), (self.dim, self.dim), "g")
 
     def lane_terms(self, x):
         """eval_f and eval_g once per row, so that their validation holds."""
@@ -214,7 +228,7 @@ class ThresholdAffine2D(_ModelSpec):
     def classify_region(self, x):
         """Total classification of the state: "C" (the closed quadrant),
         "D1" ({x = 0, y > 0}), "D2" ({x > 0, y = 0}) or "complement_of_C"."""
-        x1, x2 = float(x[0]), float(x[1])
+        x1, x2 = self.require_state(x).tolist()
         if _in_c(x1, x2):
             return REGION_C
         if x1 == 0.0 and x2 > 0.0:
@@ -354,17 +368,17 @@ class BekkArch(_ModelSpec):
 
     def g_determinant(self, x):
         """det(b_mat + (Ax)(Ax)^T)."""
-        return self._m_terms(float(x[0]), float(x[1]))[3]
+        return self._m_terms(*self.require_state(x).tolist())[3]
 
     def classify_region(self, x):
         """Total classification of the state: "everywhere_regular" /
         "everywhere_singular" when the degeneracy class of bekk_line_normal
         does not depend on x, else "on_L" / "off_L" with a scale-invariant
         membership test (so positive rescaling never changes the tag)."""
+        x1, x2 = self.require_state(x).tolist()
         kind, normal = bekk_line_normal(self.a_mat, self.b_mat)
         if kind != REGION_ON_L:
             return kind
-        x1, x2 = float(x[0]), float(x[1])
         c1, c2 = normal
         lhs = abs(c1 * x1 + c2 * x2)
         bound = 1e-9 * math.hypot(c1, c2) * math.hypot(x1, x2)
@@ -380,10 +394,7 @@ def _in_c(x1, x2):
 def step(model, x, u):
     """One transition: f(x) + g(x) @ u, a one-lane call of the family's lane
     kernel."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != u.shape or x.shape != (model.dim,):
-        raise ValueError(f"state and control must both have shape ({model.dim},)")
+    x, u = model.require_state(x), model.require_state(u, "control")
     # Overflow shows as a non-finite state, as in the ensemble recurrence.
     with np.errstate(over="ignore", invalid="ignore"):
         return model.lane_kernel()(x[None], u[None])[0]
@@ -391,7 +402,7 @@ def step(model, x, u):
 
 def iterate(model, x0, controls):
     """Fold `step` over the control sequence; empty controls return x0."""
-    x = np.asarray(x0, dtype=float)
+    x = model.require_state(x0)
     for u in controls:
         x = step(model, x, u)
     return x

@@ -501,18 +501,6 @@ def density(spec, x):
     return spec.density(np.asarray(x, dtype=float))
 
 
-def _root_pair_sums_rescaled(sums, x, y, s):
-    """Turn sums = |x|^s + |y|^s (x, y broadcast to its shape) into the pair
-    norms sums^(1/s) in place, rescaled as in s_norms where a sum is below
-    SUBNORMAL_SAFE_SUM or inf: the norm of the pair over its larger entry,
-    which must not be 0.  No temporary is larger than sums."""
-    rescale = (sums < SUBNORMAL_SAFE_SUM) | np.isinf(sums)
-    sums **= 1.0 / s
-    peak = np.maximum(x, y)
-    np.copyto(sums, (1.0 + (np.minimum(x, y) / peak) ** s) ** (1.0 / s) * peak,
-              where=rescale)
-
-
 def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
     """Compute E[||e||_s] for the given noise law.
 
@@ -566,7 +554,8 @@ def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
             for i in range(0, u.size, _GL_NODES):
                 block = a[i:i + _GL_NODES, None] + a
                 if np.min(block) < SUBNORMAL_SAFE_SUM or np.isinf(np.max(block)):
-                    _root_pair_sums_rescaled(block, au[i:i + _GL_NODES, None], au, s)
+                    pairs = np.broadcast_arrays(au[i:i + _GL_NODES, None], au)
+                    block = s_norms(np.stack(pairs, axis=-1), s, axis=2)
                 else:
                     block **= 1.0 / s
                 block *= weighted[i:i + _GL_NODES, None]

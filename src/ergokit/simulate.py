@@ -56,15 +56,23 @@ def mix64(master_seed, index):
     return z
 
 
-def _check_dims(model, noise_spec, start=None):
-    """Raise unless the noise and a given start point have the model's dim
-    and the start point is finite."""
-    if start is not None and np.shape(start) != (model.dim,):
-        raise ValueError(f"x0 has shape {np.shape(start)} but the model has dim {model.dim}")
-    if start is not None and not np.all(np.isfinite(start)):
+def _require_start(model, start):
+    """start as a finite float array of the model's shape, else a ValueError."""
+    x = model.require_state(start, "x0")
+    if not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be finite, got {start!r}")
-    if noise_spec.dim != model.dim:
-        raise ValueError(f"the noise has dim {noise_spec.dim} but the model has dim {model.dim}")
+    return x
+
+
+def _check_run(model, noise_spec, x0, horizon, divergence_threshold):
+    """x0, a fixed one as a tuple of floats, if horizon >= 1, a given threshold
+    is positive, the noise rule holds and a fixed x0 passes _require_start."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if divergence_threshold is not None and not divergence_threshold > 0:
+        raise ValueError("divergence_threshold must be positive")
+    model.require_noise(noise_spec)
+    return x0 if callable(x0) else tuple(_require_start(model, x0).tolist())
 
 
 @dataclass(frozen=True)
@@ -87,8 +95,7 @@ class SimulationConfig:
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        x0 = _check_run(self.model, self.noise, self.x0, self.horizon, self.divergence_threshold)
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
         times = tuple(int(t) for t in self.snapshot_times)
@@ -99,11 +106,7 @@ class SimulationConfig:
         if times[0] < 0 or times[-1] > self.horizon:
             raise ValueError("snapshot_times must lie in [0, horizon]")
         object.__setattr__(self, "snapshot_times", times)
-        if not callable(self.x0):
-            object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        _check_dims(self.model, self.noise, None if callable(self.x0) else self.x0)
-        if not self.divergence_threshold > 0:
-            raise ValueError("divergence_threshold must be positive")
+        object.__setattr__(self, "x0", x0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +181,7 @@ def simulate_path(model, noise_spec, x0, horizon, seed,
     before the offending step; with a threshold, the first state whose l1
     norm exceeds it is kept as the final row.
     """
+    _check_run(model, noise_spec, x0, horizon, divergence_threshold)
     return _run_lanes(model, noise_spec, x0, horizon, (seed,),
                       divergence_threshold, keep_paths=True)[2][0]
 
@@ -200,19 +204,15 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
     snapshot_times[k] of the lanes still live then, in lane order: a lane
     leaves every snapshot at and after its divergence step.  paths is None
     unless keep_paths, and then one PathResult per seed, whose states are a
-    view of the rows it keeps.
+    view of the rows it keeps.  It checks only drawn starts (_require_start).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     block = min(horizon, _BLOCK_STEPS)
     n = len(seeds)
     buf = np.empty((n, (horizon if keep_paths else block) + 1, model.dim))
     takes = []
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        start = x0(rng) if callable(x0) else x0
-        _check_dims(model, noise_spec, start)
-        buf[i, 0] = start
+        buf[i, 0] = _require_start(model, x0(rng)) if callable(x0) else x0
         takes.append(draw_source(noise_spec, rng, horizon).take)
     kernel = model.lane_kernel()
     threshold = math.inf if divergence_threshold is None else divergence_threshold

@@ -668,3 +668,15 @@ def test_check_model_refuses_a_noise_law_of_another_dim(model):
     # threshold model above would read gamma 0.799 (met) instead of 1.198.
     with pytest.raises(ValueError, match="the noise has dim 1 but the model has dim 2"):
         check_model(model, noise_spec=StdGaussian(1))
+
+
+@pytest.mark.parametrize("model", [make_threshold(), make_bekk()], ids=["threshold", "bekk"])
+@pytest.mark.parametrize("noise,x,message", [
+    (StdGaussian(1), (1.0, 1.0), "the noise has dim 1 but the model has dim 2"),
+    (StdGaussian(3), (1.0, 1.0), "the noise has dim 3 but the model has dim 2"),
+    (StdGaussian(2), (1.0, 1.0, 1.0), r"state has shape \(3,\) but the model has dim 2"),
+], ids=["noise-dim1", "noise-dim3", "state-len3"])
+def test_empirical_drift_check_refuses_inputs_of_another_dim(model, noise, x, message):
+    # Without the model's rules each case failed inside np.broadcast_to.
+    with pytest.raises(ValueError, match=message):
+        empirical_drift_check(model, noise, x, 1.0, 1000, seed=3)

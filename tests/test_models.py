@@ -16,6 +16,7 @@ from ergokit.models import (
     iterate,
     step,
 )
+from ergokit.noise import StdGaussian
 from ergokit.norms import frobenius_norm, psd_sqrt
 
 
@@ -432,3 +433,42 @@ def test_model_validation():
         make_bekk(b_mat=((1.0, 0.5), (0.0, 1.0)))  # asymmetric
     with pytest.raises(ValueError):
         GenericModel(2, lambda x: x, lambda x: np.eye(2)).g_determinant((0.0, 0.0))
+
+
+def _single_state_calls(model):
+    """Each entry point that takes one state of the model, as a pytest param."""
+    calls = [("eval_f", model.eval_f), ("eval_g", model.eval_g),
+             ("g_determinant", model.g_determinant),
+             ("classify_region", model.classify_region),
+             ("step", lambda x: step(model, x, np.zeros(model.dim))),
+             ("iterate", lambda x: iterate(model, x, []))]
+    return [pytest.param(call, id=f"{type(model).__name__}.{name}") for name, call in calls]
+
+
+@pytest.mark.parametrize("state", [(1.0,), (1.0, 2.0, 3.0)], ids=["len1", "len3"])
+@pytest.mark.parametrize("call", [
+    case
+    for model in (make_threshold(), make_bekk(),
+                  GenericModel(2, lambda x: 0.5 * x, lambda x: np.eye(2)))
+    for case in _single_state_calls(model)
+])
+def test_a_state_of_another_shape_is_refused(call, state):
+    # Without the state rule, BekkArch.eval_f((1, 2, 3)) (the case
+    # BekkArch.eval_f-len3) returned a length-3 array whose third entry was
+    # uninitialized memory, the built-in families read the first two
+    # coordinates of a longer state, and a length-1 state raised IndexError.
+    with pytest.raises(ValueError, match=rf"state has shape \({len(state)},\) "
+                                         r"but the model has dim 2"):
+        call(state)
+
+
+def test_step_refuses_a_control_of_another_shape():
+    with pytest.raises(ValueError, match=r"control has shape \(3,\) but the model has dim 2"):
+        step(make_threshold(), (0.0, 0.0), (1.0, 2.0, 3.0))
+
+
+def test_require_noise_names_both_dims():
+    m = make_threshold()
+    m.require_noise(StdGaussian(2))
+    with pytest.raises(ValueError, match="the noise has dim 3 but the model has dim 2"):
+        m.require_noise(StdGaussian(3))

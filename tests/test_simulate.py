@@ -681,6 +681,36 @@ def test_non_finite_start_is_rejected():
     with pytest.raises(ValueError, match="x0 must be finite"):
         simulate_ensemble(drawn, keep_paths=True).paths
 
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_simulate_path_refuses_a_threshold_the_config_refuses(threshold):
+    # A lone path used to accept them: 0 and -1 censored every path at
+    # step 1, and NaN turned censoring off.
+    with pytest.raises(ValueError, match="divergence_threshold must be positive"):
+        simulate_path(make_threshold(), Expol2(), (0.0, 0.0), 10, 1,
+                      divergence_threshold=threshold)
+
+
+def test_simulate_path_checks_its_inputs_as_the_config_does():
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        simulate_path(make_threshold(), Expol2(), (0.0, 0.0), 0, 1)
+    with pytest.raises(ValueError, match=r"x0 has shape \(3,\) but the model has dim 2"):
+        simulate_path(make_threshold(), Expol2(), (0.0, 0.0, 0.0), 10, 1)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        simulate_path(make_threshold(), Expol2(), (math.nan, 0.0), 10, 1)
+
+
+def test_simulate_path_draws_a_callable_start_from_its_own_stream():
+    draw = lambda rng: rng.uniform(-1.0, 1.0, 2)
+    path = simulate_path(make_threshold(), Expol2(), draw, 20, 7)
+    assert path.states.shape == (21, 2)
+    assert path.states[0].tolist() == draw(np.random.default_rng(7)).tolist()
+    cfg = SimulationConfig(model=make_threshold(), noise=Expol2(), x0=draw, horizon=20,
+                           n_traj=1, snapshot_times=(20,), master_seed=5)
+    kept = simulate_ensemble(cfg, keep_paths=True).paths[0]
+    again = simulate_path(cfg.model, cfg.noise, draw, 20, mix64(5, 0))
+    assert np.array_equal(kept.states, again.states)
+
 def test_ensemble_single_trajectory_reduces_to_path():
     cfg = SimulationConfig(model=make_threshold(), noise=Expol2(),
                            x0=(0.0, 0.0), horizon=50, n_traj=1,

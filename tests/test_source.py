@@ -274,3 +274,26 @@ def test_family_dispatch_check_flags_only_models_imports_and_isinstance():
 def test_cli_does_not_dispatch_on_the_model_family():
     cli = next(p for p in SOURCES if p.name == "cli.py")
     assert family_dispatch(cli.read_text()) == []
+
+
+def modules_containing(sources, text):
+    """Sorted names of the modules in `sources` (module name -> source text)
+    whose text contains `text`, in code, a docstring or a comment."""
+    return sorted(module for module, source in sources.items() if text in source)
+
+
+def test_text_check_flags_only_modules_holding_the_text():
+    sources = {
+        "models": 'raise ValueError(f"x has shape {s} but the model has dim {d}")\n',
+        "simulate": 'x = model.require_state(x0, "x0")\n',
+        "config": "# the noise has dim 3 but the model has dim 2\n",
+        "noise": "# but the model's dim\n",
+    }
+    assert modules_containing(sources, "but the model has dim") == ["config", "models"]
+
+
+# The state rule and the noise rule are written once, as methods of the
+# model family; every other module calls them and never restates them.
+def test_input_rules_are_written_only_in_models():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert modules_containing(sources, "but the model has dim") == ["models"]
