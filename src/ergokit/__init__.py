@@ -28,18 +28,16 @@ from .models import (
     iterate,
     step,
 )
-from .noise import BoundedCustomDensity, Expol2, MomentEstimate, StdGaussian, abs_moment
+from .noise import Expol2, MomentEstimate, StdGaussian, abs_moment
 from .norms import (
     frobenius_norm,
     matrix_col_sum_norm,
-    operator_norm,
     psd_sqrt,
     vector_s_norm,
 )
 from .simulate import (
     EnsembleSummary,
     SimulationConfig,
-    estimate_stationary_moments,
     mix64,
     simulate_ensemble,
     simulate_path,
@@ -50,7 +48,6 @@ __all__ = [
     "__version__",
     "AffineMap",
     "BekkArch",
-    "BoundedCustomDensity",
     "ConfigError",
     "DriftEnvelope",
     "EnsembleSummary",
@@ -71,12 +68,10 @@ __all__ = [
     "check_model",
     "drift_gamma",
     "empirical_drift_check",
-    "estimate_stationary_moments",
     "frobenius_norm",
     "iterate",
     "matrix_col_sum_norm",
     "mix64",
-    "operator_norm",
     "probe_skeleton_reachability",
     "psd_sqrt",
     "shell_estimate_envelope",

@@ -257,7 +257,10 @@ class AffineMap:
         return o1 + m11 * x1 + m12 * x2, o2 + m21 * x1 + m22 * x2
 
     def __call__(self, x):
-        return np.array(self.columns(float(x[0]), float(x[1])))
+        x = np.asarray(x, dtype=float)
+        if x.shape != (2,):
+            raise ValueError(f"state has shape {x.shape} but the map has dim 2")
+        return np.array(self.columns(*x.tolist()))
 
 
 def _finite_scale(m, name):

@@ -1,27 +1,27 @@
 """Noise distributions: exact densities, rejection sampling, absolute moments.
 
-Every sampling routine takes a caller-owned numpy Generator; nothing in this
-module holds generator state beyond the draw sources a caller asks for, so
-distinct generators may be used from any number of threads.  A noise law
-draws only through its draw_source, which hands out one sample in pieces
-of any sizes, each written into a fresh array or a caller's, and sample()
-takes it in one piece; Expol2 and
-BoundedCustomDensity sources replay the rejection rounds piece by piece, so
-every source holds O(piece) draws; a round is drawn whole when the piece
-uses it up or the generator cannot advance(), and split otherwise.  Their
-proposals are Generator.random() doubles scaled in place as
-Generator.uniform scales them: uniform's values, without its temporaries.
-The one-time normalization constants are cached with compute-once
-semantics.  Every quadrature moment and the Expol2 normalization use one
-fixed rule with no refinement, Gauss-Legendre on panels graded towards the
-kink at the origin (_graded_rule); only a custom density's normalization
-refines (_custom_z).
+The two laws are the paper's: Expol2 (density proportional to
+exp(-(x^2-1)^2 - (y^2-1)^2)) and the standard Gaussian.  Every sampling
+routine takes a caller-owned numpy Generator; nothing in this module holds
+generator state beyond the draw sources a caller asks for, so distinct
+generators may be used from any number of threads.  A noise law draws only
+through its draw_source, which hands out one sample in pieces of any sizes,
+each written into a fresh array or a caller's, and sample() takes it in one
+piece.  An Expol2 source replays the rejection rounds piece by piece, so it
+holds O(piece) draws; a round is drawn whole when the piece uses it up or
+the generator cannot advance(), and split otherwise.  Its proposals are
+Generator.random() doubles scaled in place as Generator.uniform scales
+them: uniform's values, without its temporaries.  The Expol2 normalization
+constant is cached with compute-once semantics.  Every quadrature moment
+and that normalization use one fixed rule with no refinement,
+Gauss-Legendre on panels graded towards the kink at the origin
+(_graded_rule).
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ EXPOL2_BOX = 3.0
 # Moment quadrature integrates on a wider box so that the quadrature
 # truncation error is strictly smaller than the sampler truncation.
 _QUAD_BOX = 4.0
-_QUAD_TOL = 1e-9
 
 # Nodes per panel of _graded_rule and its depths: 40 halvings resolve the
 # |u|^s cusp of a line integral at every s > 0 (2,624 nodes); the s > 1
@@ -47,19 +46,9 @@ _TENSOR_DEPTH = 6
 
 _MAX_PROPOSALS_PER_DRAW = 10 ** 6
 
-# A custom density's rounds propose at least this many rows, so that a low
-# acceptance rate hits the proposal budget quickly, not in rounds of one row.
-_CUSTOM_MIN_ROUND = 1024
-
 
 class _NoiseSpec:
-    """Defaults for noise laws without a separable density or closed forms."""
-
-    def coordinate_density(self):
-        """(density, box) of one coordinate of a separable law, vectorized."""
-        raise ValueError(
-            "quadrature moments require a separable density (gaussian or expol2)"
-        )
+    """Defaults for noise laws without closed-form moments."""
 
     def moment_method(self, s):
         """abs_moment's method at s: "analytic" where a closed form exists."""
@@ -126,7 +115,7 @@ class Expol2(_NoiseSpec):
     dim = 2
 
     def draw_source(self, rng, count):
-        return _RejectionStream(rng, count, 2, 1, EXPOL2_BOX, _expol2_mask)
+        return _RejectionStream(rng, count, 2)
 
     def density(self, x):
         z = _expol2_z()
@@ -135,52 +124,6 @@ class Expol2(_NoiseSpec):
     def coordinate_density(self):
         z = _expol2_z()
         return (lambda u: _expol2_unnormalized(u) / z, _QUAD_BOX)
-
-
-@dataclass(frozen=True)
-class BoundedCustomDensity(_NoiseSpec):
-    """Noise given by a bounded unnormalized log-density on a centered box.
-
-    The unnormalized density exp(log_unnormalized_density(x)) must not exceed
-    envelope_constant anywhere on the box; mass outside the box is truncated.
-    """
-
-    dim: int
-    log_unnormalized_density: Callable
-    box_halfwidth: float
-    envelope_constant: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        # Written so that NaN fails them too.  Proposals are scaled by the
-        # box width 2 * box_halfwidth, which is finite up to half the largest
-        # double.
-        if not 0 < self.box_halfwidth <= np.finfo(float).max / 2:
-            raise ValueError("box_halfwidth must be positive and finite, and so "
-                             "must the box width 2 * box_halfwidth")
-        if not 0 < self.envelope_constant < math.inf:
-            raise ValueError("envelope_constant must be positive and finite")
-
-    def draw_source(self, rng, count):
-        return _RejectionStream(rng, count, self.dim, self.dim, self.box_halfwidth,
-                                self._mask, _CUSTOM_MIN_ROUND)
-
-    def _mask(self, u, v):
-        """Accepted values among the flat proposal rows u, given uniforms v."""
-        logs = [self.log_unnormalized_density(row) for row in u.reshape(-1, self.dim)]
-        try:
-            dens = np.array([math.exp(v) for v in logs])
-        except OverflowError:  # above the largest double, so above the envelope
-            dens = np.array([math.inf])
-        # Written so that NaN fails it too: it would never be accepted.
-        if not np.all(dens <= self.envelope_constant * (1.0 + 1e-12)):
-            raise ValueError("unnormalized density is not a finite number or "
-                             "exceeds the declared envelope")
-        return np.repeat(v * self.envelope_constant <= dens, self.dim)
-
-    def density(self, x):
-        return math.exp(self.log_unnormalized_density(x)) / _custom_z(self)
 
 
 @dataclass(frozen=True)
@@ -201,48 +144,6 @@ class MomentEstimate:
             raise ValueError("std_error must be nonnegative")
         if self.method not in ("quadrature", "monte_carlo", "analytic"):
             raise ValueError(f"unknown moment method {self.method!r}")
-
-
-def adaptive_simpson(fn, lo, hi, tol=_QUAD_TOL):
-    """Adaptive Simpson quadrature with absolute tolerance tol.
-
-    The interval splitting rule is deterministic, so repeated calls with the
-    same integrand are bit-identical.  Returns (integral, eval_count).
-    """
-    if not hi > lo:
-        raise ValueError("empty integration interval")
-    evals = [0]
-
-    def f(u):
-        evals[0] += 1
-        return fn(u)
-
-    def simpson(a, fa, m, fm, b, fb):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, m, fm, b, fb, whole, eps, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(a, fa, lm, flm, m, fm)
-        right = simpson(m, fm, rm, frm, b, fb)
-        if depth > 50:
-            raise ArithmeticError("adaptive quadrature exceeded recursion depth")
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        half = 0.5 * eps
-        return recurse(a, fa, lm, flm, m, fm, left, half, depth + 1) + recurse(
-            m, fm, rm, frm, b, fb, right, half, depth + 1
-        )
-
-    a, b = float(lo), float(hi)
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = simpson(a, fa, m, fm, b, fb)
-    value = recurse(a, fa, m, fm, b, fb, whole, float(tol), 0)
-    return value, evals[0]
 
 
 def _legendre_pair(x, n):
@@ -295,36 +196,11 @@ def _expol2_unnormalized(u):
     return np.exp(np.negative(t, out=t), out=t)
 
 
-def _expol2_mask(u, v):
-    """Accepted Expol2 proposals u, given uniforms v (the envelope is 1)."""
-    return v <= _expol2_unnormalized(u)
-
-
 @functools.lru_cache(maxsize=1)
 def _expol2_z():
     """Per-coordinate normalization of exp(-(u^2-1)^2), cached once."""
     u, w = _graded_rule(_QUAD_BOX, _LINE_DEPTH)
     return float(np.sum(w * _expol2_unnormalized(u)))
-
-
-@functools.lru_cache(maxsize=None)
-def _custom_z(spec):
-    """Normalization of a BoundedCustomDensity over its box (dims 1 and 2) by
-    adaptive Simpson: a custom density may kink anywhere, and _graded_rule,
-    refined only at the origin, is 2.6e-5 off for exp(-|x - 0.7|) on [-2, 2]."""
-    w = spec.box_halfwidth
-
-    def dens(*x):
-        return math.exp(spec.log_unnormalized_density(np.array(x)))
-
-    if spec.dim == 1:
-        return adaptive_simpson(dens, -w, w)[0]
-    if spec.dim == 2:
-        def inner(u):
-            return adaptive_simpson(lambda t: dens(u, t), -w, w, _QUAD_TOL / 10.0)[0]
-
-        return adaptive_simpson(inner, -w, w)[0]
-    raise ValueError("density normalization is supported only for dim <= 2")
 
 
 class _DrawSource:
@@ -371,41 +247,32 @@ class _GaussianDraws(_DrawSource):
 
 
 class _RejectionStream(_DrawSource):
-    """`count` rows of `width` values drawn by rejection, in pieces.
+    """`count` rows of `width` Expol2 coordinates drawn by rejection, in pieces.
 
-    A proposal is `per` values uniform on [-box, box] (one Expol2
-    coordinate, or one row of a custom density), drawn as random() doubles
-    r scaled to r * (2 * box) - box, which is how uniform(-box, box) rounds
-    them; an acceptance uniform is random(), which equals uniform(0, 1).
-    mask(u, v) is the boolean mask of the accepted values among the flat
-    proposals u, given one acceptance uniform per proposal in v.  A round
-    makes one proposal per unfilled slot of `per` values, but at least
-    `min_round`: k proposals (k * per uniforms), then k acceptance uniforms,
-    one 64-bit output per uniform; accepted values fill the slots in
-    proposal order, `proposals` counts them all, and the next round starts
-    where they end.  Accepted values beyond the last slot are never handed
-    out.  A round that this piece uses up, or any round of a generator
-    without advance() (only PCG64 and PCG64DXSM have it), is drawn whole,
-    both from one generator.  Any other round is split: its acceptance
-    uniforms come from a copy advanced past the proposals, both are read a
-    chunk at a time, and when the round is used up the copy, which then
-    stands where the round ends, becomes the generator (and the old one the
-    spare for the next copy).  Accepted values a piece does not need wait
-    in `_ready`, so a source holds O(piece) values.
+    A proposal is one value uniform on [-box, box], box = EXPOL2_BOX, drawn
+    as a random() double r scaled to r * (2 * box) - box, which is how
+    uniform(-box, box) rounds it; its acceptance uniform v is random(), which
+    equals uniform(0, 1), and it is accepted when v <= exp(-(u^2 - 1)^2),
+    since the envelope is 1.  A round makes one proposal per value still to
+    come: k uniforms, then k acceptance uniforms, one 64-bit output per
+    uniform; accepted values fill the rows in proposal order, `proposals`
+    counts them all, and the next round starts where they end.  A round that
+    this piece uses up, or any round of a generator without advance() (only
+    PCG64 and PCG64DXSM have it), is drawn whole, both from one generator.
+    Any other round is split: its acceptance uniforms come from a copy
+    advanced past the proposals, both are read a chunk at a time, and when
+    the round is used up the copy, which then stands where the round ends,
+    becomes the generator (and the old one the spare for the next copy).
+    Accepted values a piece does not need wait in `_ready`, so a source
+    holds O(piece) values.
     """
 
-    __slots__ = ("_per", "_box", "_mask", "_min_round", "_total", "_budget",
-                 "_rng", "_accept", "_spare", "_round_left", "_filled", "_ready",
-                 "proposals")
+    __slots__ = ("_total", "_rng", "_accept", "_spare", "_round_left", "_filled",
+                 "_ready", "proposals")
 
-    def __init__(self, rng, count, width, per, box, mask, min_round=0):
+    def __init__(self, rng, count, width):
         super().__init__(count, width)
-        self._per = per
-        self._box = box
-        self._mask = mask
-        self._min_round = min_round
         self._total = count * width
-        self._budget = _MAX_PROPOSALS_PER_DRAW * (self._total // per)
         self._rng = rng
         self._accept = rng  # the acceptance-uniform generator of the round
         self._spare = None  # a generator free to become the next copy
@@ -434,9 +301,8 @@ class _RejectionStream(_DrawSource):
         `need` more values are wanted by this piece."""
         if not self._round_left:
             to_come = self._total - self._filled
-            k = max(to_come // self._per, self._min_round)
-            self._round_left = k
-            self.proposals += k
+            self._round_left = to_come
+            self.proposals += to_come
             # With need == to_come this piece takes every value still to
             # come, so it uses the round up.  advance(n) skips exactly n
             # 64-bit outputs on these bit generators.
@@ -447,27 +313,26 @@ class _RejectionStream(_DrawSource):
                     self._spare = np.random.Generator(type(bits)(0))
                 self._accept, self._spare = self._spare, None
                 self._accept.bit_generator.state = bits.state
-                self._accept.bit_generator.advance(k * self._per)
+                self._accept.bit_generator.advance(to_come)
         k = self._round_left
         if self._accept is not self._rng:
-            # Three proposals per value wanted, plus a margin: Expol2 accepts
-            # about a third (Z / 6 = 0.329), a custom law at its own rate.
-            # The chunk size sets only how many chunks a piece reads, never
-            # a value.
-            k = min(k, 3 * need // self._per + 256)
+            # Three proposals per value wanted, plus a margin: about a third
+            # are accepted (Z / 6 = 0.329).  The chunk size sets only how
+            # many chunks a piece reads, never a value.
+            k = min(k, 3 * need + 256)
         # Scaled in place as uniform(-box, box) scales random(): the same
         # bits, without uniform's temporaries.
-        u = self._rng.random(k * self._per)
-        u *= 2 * self._box
-        u -= self._box
+        u = self._rng.random(k)
+        u *= 2 * EXPOL2_BOX
+        u -= EXPOL2_BOX
         v = self._accept.random(k)  # uniform(0, 1)
-        self._ready = u.compress(self._mask(u, v))
+        self._ready = u.compress(v <= _expol2_unnormalized(u))
         self._filled += self._ready.size
         self._round_left -= k
         if not self._round_left:
             if self._accept is not self._rng:
                 self._rng, self._spare = self._accept, self._rng
-            if self.proposals > self._budget:
+            if self.proposals > _MAX_PROPOSALS_PER_DRAW * self._total:
                 raise ValueError("rejection sampler exceeded the proposal budget")
 
 
@@ -486,10 +351,9 @@ def draw_source(spec, rng, count):
     source.take(m, out) writes them into out, a C-contiguous float64 (m, dim)
     array, such as one lane's rows of a simulation window; pieces taken in
     any sizes that add up to count concatenate bit for bit to
-    sample(spec, rng, count).  Every source holds O(m) draws, and a fault
-    of the law's density or proposal budget raises on the take that meets
-    it.  The source draws from rng, which it leaves at an unspecified
-    position.
+    sample(spec, rng, count).  Every source holds O(m) draws, and an
+    exceeded proposal budget raises on the take that meets it.  The source
+    draws from rng, which it leaves at an unspecified position.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -506,14 +370,16 @@ def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
 
     Parameters
     ----------
-    spec : StdGaussian | Expol2 | BoundedCustomDensity
+    spec : StdGaussian | Expol2
+        Both have independent coordinates, so the quadrature integrates over
+        one coordinate's density (spec.coordinate_density()).
     s : float
         Finite norm exponent; pseudonorm in (0, 1], l_s norm from 1 up.
     method : {"quadrature", "monte_carlo", "analytic"}
-        quadrature: separable densities only, on the graded Gauss-Legendre
-            rule: for s <= 1 one coordinate integral at depth 40 (2,624
-            nodes), for s > 1 (two coordinates) the depth-6 tensor rule
-            (448^2 points).  grid_size is the point count.
+        quadrature: on the graded Gauss-Legendre rule, for s <= 1 one
+            coordinate integral at depth 40 (2,624 nodes), for s > 1 (two
+            coordinates) the depth-6 tensor rule (448^2 points).
+            grid_size is the point count.
         monte_carlo: sample mean of ||e||_s with a standard error (needs rng).
         analytic: closed forms for the Gaussian law (s <= 1 or s = 2);
             spec.moment_method(s) names the method a law has at s.

@@ -90,19 +90,6 @@ def frobenius_norm(a_mat):
     return float(math.sqrt(np.sum(m * m)))
 
 
-def operator_norm(a_mat, p):
-    """Operator norm for p in {1, 2, inf}; p=2 via the largest singular value."""
-    m = np.asarray(a_mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if p in (1, math.inf):  # the largest column or row sum
-        return float(np.max(s_norms(m, 1.0, axis=0 if p == 1 else 1)))
-    if p == 2:
-        w, _ = symmetric_eigh(m.T @ m)
-        return float(math.sqrt(max(0.0, float(np.max(w)))))
-    raise ValueError(f"unsupported operator norm order {p!r} (use 1, 2 or inf)")
-
-
 def symmetric_eigh(m_sym):
     """Eigen-decomposition of a small symmetric matrix by numpy.linalg.eigh.
 

@@ -160,18 +160,6 @@ class EnsembleSummary:
     paths: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class StationaryMoments:
-    """Across-snapshot average and min/max band of the per-coordinate
-    stationary mean and second moment."""
-
-    mean: tuple
-    second_moment: tuple
-    mean_band: tuple
-    second_moment_band: tuple
-    snapshots_used: int
-
-
 def simulate_path(model, noise_spec, x0, horizon, seed,
                   divergence_threshold=None):
     """Simulate one path of length horizon+1 from the seeded noise stream.
@@ -372,27 +360,3 @@ def _ks_statistic(a, b):
     g = math.gcd(n1, n2)
     h = int(np.max(np.abs(c1 * (n2 // g) - c2 * (n1 // g))))
     return h / (n1 // g * n2)
-
-
-def estimate_stationary_moments(summary, burn_in):
-    """Average snapshot moments past the burn-in, with min/max bands."""
-    used = [
-        s for s in summary.snapshots if s.time > burn_in and s.count > 0
-    ]
-    if len(used) < 2:
-        raise ValueError("need at least 2 populated snapshots after burn_in")
-    means = np.array([s.mean for s in used])
-    seconds = np.array([s.second_moment for s in used])
-    return StationaryMoments(
-        mean=tuple(float(v) for v in means.mean(axis=0)),
-        second_moment=tuple(float(v) for v in seconds.mean(axis=0)),
-        mean_band=tuple(
-            (float(lo), float(hi))
-            for lo, hi in zip(means.min(axis=0), means.max(axis=0))
-        ),
-        second_moment_band=tuple(
-            (float(lo), float(hi))
-            for lo, hi in zip(seconds.min(axis=0), seconds.max(axis=0))
-        ),
-        snapshots_used=len(used),
-    )

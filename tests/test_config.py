@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 import os
 import stat
 
 import pytest
 
+from ergokit import config, noise
 from ergokit.config import (
     ConfigError,
     builtin_configs,
@@ -273,3 +276,22 @@ def test_report_and_summary_serialize():
     assert len(summary_payload["snapshots"]) == 2
     assert summary_payload["divergence_steps"] == [None, None, None]
     json_dumps(summary_payload)
+
+
+def _noise_kinds():
+    """The `kind` strings that config.noise_from_config compares with."""
+    tree = ast.parse(inspect.getsource(config.noise_from_config))
+    return sorted(
+        node.comparators[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+        and node.left.id == "kind" and isinstance(node.comparators[0], ast.Constant))
+
+
+def test_every_noise_law_is_built_by_some_config_kind():
+    # A law that no config builds is reached by no command: delete it or
+    # give it a kind.
+    laws = {cls for cls in vars(noise).values()
+            if isinstance(cls, type) and issubclass(cls, noise._NoiseSpec)
+            and cls is not noise._NoiseSpec}
+    built = {type(config.noise_from_config({"kind": kind})) for kind in _noise_kinds()}
+    assert laws == built

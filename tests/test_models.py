@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from ergokit.models import (
 )
 from ergokit.noise import StdGaussian
 from ergokit.norms import frobenius_norm, psd_sqrt
+
+import oracle
 
 
 def make_threshold(b_mat=((0.2, 0.1), (0.1, 0.3)), d_main=((0.1, -0.15), (-0.15, 0.1))):
@@ -355,6 +358,59 @@ def test_lane_forms_match_one_state_evaluation(family, c, lanes):
             assert np.array_equal(got[i], _one_state_step(m, x[i], u[i]), equal_nan=True)
             assert np.array_equal(f[i], m.eval_f(x[i]), equal_nan=True)
             assert np.array_equal(g[i], m.eval_g(x[i]), equal_nan=True)
+
+
+_edge = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
+_oracle_lane = st.tuples(_edge, _edge, st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+
+
+def _bits(values):
+    """The exact bits of each value, so that -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(("threshold", "bekk")),
+    c=st.lists(_coef, min_size=12, max_size=12),
+    lanes=st.lists(_oracle_lane, min_size=1, max_size=9),
+)
+# States on the boundary of C, signed zeros, and D1 and D2 beside it.
+@example(family="threshold", c=[0.5, -0.5, 0.2, 0.1, 0.1, 0.3, 0.1, -0.15, -0.15, 0.1, 0.2, -0.25],
+         lanes=[(0.0, -1.5, 1.0, -1.0), (-2.0, 0.0, 0.3, 0.7), (0.0, 0.0, -1.0, 2.0),
+                (-0.0, -0.0, 1.0, 1.0), (0.0, 1.5, 1.0, 1.0), (1.5, 0.0, 1.0, 1.0),
+                (-0.0, 3.0, -1.0, 0.5)])
+# b_mat = [[1, 1], [1, 1]] and A = I: det M = 0 on the line L = {x1 = x2},
+# and M = 0 at the origin.
+@example(family="bekk", c=_ID + [1.0, 1.0, 0.0] + [0.5] * 5,
+         lanes=[(2.5, 2.5, 1.0, -1.0), (-3.0, -3.0, 0.3, 0.2), (1e-8, 1e-8, 1.0, 1.0),
+                (0.0, 0.0, 1.0, -2.0), (2.5, -2.5, 0.5, 0.5)])
+def test_lane_kernels_match_the_python_float_oracle(family, c, lanes):
+    # The kernels against tests/oracle.py, bit for bit.  The threshold step
+    # rounds one way; BEKK's matmul rounds each row of g @ u in one of the
+    # oracle's ways, the same one for every lane.
+    m = _model_of(family, c)
+    block = np.array(lanes)
+    got = [_bits(row) for row in m.lane_kernel()(block[:, :2], block[:, 2:])]
+    states = [(lane[:2], lane[2:]) for lane in lanes]
+    if family == "threshold":
+        assert got == [_bits(oracle.threshold_step(m, x, u)) for x, u in states]
+    else:
+        assert any(got == [_bits(oracle.bekk_step(m, x, u, dot)) for x, u in states]
+                   for dot in oracle.DOT_ROUNDINGS.values())
+
+
+@pytest.mark.parametrize("x, shape", [
+    ((1.0, 2.0, 3.0), (3,)), ((1.0,), (1,)), (((1.0, 2.0),), (1, 2)), (1.0, ()),
+], ids=["length-3", "length-1", "row", "scalar"])
+def test_affine_map_takes_only_a_pair(x, shape):
+    # The map is public and is the type a BEKK f is given as, so it keeps
+    # the state rule itself: no coordinate may be dropped or missing.
+    m = AffineMap(((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"state has shape {shape} but the map has dim 2")):
+        m(x)
+    assert np.array_equal(m((1.0, 2.0)), [1.0, 2.0])
 
 
 def test_lane_terms_default_validates_like_eval():

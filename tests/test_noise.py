@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 from ergokit import noise
 from ergokit.noise import (
     EXPOL2_BOX,
-    BoundedCustomDensity,
     Expol2,
     MomentEstimate,
     StdGaussian,
     abs_moment,
-    adaptive_simpson,
     density,
     draw_source,
     sample,
     _RejectionStream,
-    _expol2_mask,
     _expol2_z,
     _gauss_legendre,
 )
@@ -46,17 +43,6 @@ def test_normalization_constant():
     assert abs(_expol2_z() - Z_REF) < 1e-15
 
 
-def test_adaptive_simpson_polynomial_exact():
-    val, evals = adaptive_simpson(lambda u: u * u, 0.0, 3.0)
-    assert abs(val - 9.0) < 1e-12
-    assert evals >= 5
-
-
-def test_adaptive_simpson_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        adaptive_simpson(lambda u: u, 1.0, 1.0)
-
-
 def test_density_examples():
     z = _expol2_z()
     assert abs(density(Expol2(), (1.0, 1.0)) - 1.0 / z ** 2) < 1e-14
@@ -65,10 +51,12 @@ def test_density_examples():
 
 
 def test_density_integrates_to_one():
-    z = _expol2_z()
-    per_coord, _ = adaptive_simpson(
-        lambda u: math.exp(-((u * u - 1.0) ** 2)) / z, -4.0, 4.0, tol=1e-12
-    )
+    # The trapezoid rule on [-4, 4]: the integrand is smooth and vanishes at
+    # both ends, so the rule converges spectrally.  The nodes are 2^-6 apart,
+    # so each is exact.
+    u = np.linspace(-4.0, 4.0, 513)
+    y = np.exp(-((u * u - 1.0) ** 2)) / _expol2_z()
+    per_coord = float(2.0 ** -6 * (np.sum(y) - (y[0] + y[-1]) / 2.0))
     total = per_coord ** 2
     assert 1.0 - 1e-6 <= total <= 1.0 + 1e-12
 
@@ -107,94 +95,11 @@ def test_sample_rejects_bad_count():
 def test_rejection_acceptance_rate():
     rng = np.random.default_rng(107)
     want = 33000  # enough accepted values for ~1e5 proposals
-    stream = _RejectionStream(rng, want, 1, 1, EXPOL2_BOX, _expol2_mask)
+    stream = _RejectionStream(rng, want, 1)
     stream.take(want)
     assert stream.proposals >= 10 ** 5
     rate = want / stream.proposals
     assert Z_REF / 6.0 - 0.02 <= rate <= Z_REF / 6.0 + 0.02
-
-
-def test_rejection_guard_trips_for_misconfigured_density():
-    spec = BoundedCustomDensity(
-        dim=1,
-        log_unnormalized_density=lambda x: -60.0,
-        box_halfwidth=1.0,
-        envelope_constant=1.0,
-    )
-    with pytest.raises(ValueError):
-        sample(spec, np.random.default_rng(0), 1)
-    with pytest.raises(ValueError):
-        draw_source(spec, np.random.default_rng(0), 1).take(1)
-
-
-def test_rejection_guard_trips_for_a_density_above_its_envelope():
-    spec = BoundedCustomDensity(
-        dim=1,
-        log_unnormalized_density=lambda x: 1.0,
-        box_halfwidth=1.0,
-        envelope_constant=1.0,
-    )
-    with pytest.raises(ValueError, match="exceeds the declared envelope"):
-        sample(spec, np.random.default_rng(0), 10)
-    with pytest.raises(ValueError, match="exceeds the declared envelope"):
-        draw_source(spec, np.random.default_rng(0), 10).take(10)
-
-
-def test_rejection_guard_refuses_a_nan_density_at_once():
-    # NaN never passes the envelope test, so no proposal would be accepted
-    # and 1,000 draws would run 10^9 proposals before the budget trips.
-    spec = BoundedCustomDensity(
-        dim=1,
-        log_unnormalized_density=lambda x: math.nan,
-        box_halfwidth=1.0,
-        envelope_constant=1.0,
-    )
-    source = draw_source(spec, np.random.default_rng(0), 1000)
-    with pytest.raises(ValueError, match="not a finite number or exceeds"):
-        source.take(1000)
-    assert source.proposals == 1024  # one round
-
-
-def test_rejection_guard_refuses_a_density_beyond_the_largest_double_at_once():
-    # math.exp overflows above about 709.78; such a density exceeds every
-    # finite envelope, so it is refused like one, not with an OverflowError.
-    spec = BoundedCustomDensity(
-        dim=1,
-        log_unnormalized_density=lambda x: 1000.0,
-        box_halfwidth=1.0,
-        envelope_constant=1.0,
-    )
-    source = draw_source(spec, np.random.default_rng(0), 10)
-    with pytest.raises(ValueError, match="exceeds the declared envelope"):
-        source.take(10)
-    assert source.proposals == 1024  # one round
-
-
-# An infinite envelope accepts no proposal, so every draw would run the whole
-# proposal budget; a non-finite box used to fail inside numpy at the first
-# draw, and a NaN one passed the old `<= 0` test.
-@pytest.mark.parametrize("field, value", [
-    ("envelope_constant", math.inf),
-    ("envelope_constant", math.nan),
-    ("box_halfwidth", math.inf),
-    ("box_halfwidth", math.nan),
-])
-def test_custom_density_refuses_a_non_finite_constant(field, value):
-    args = dict(dim=1, log_unnormalized_density=lambda x: 0.0,
-                box_halfwidth=1.0, envelope_constant=1.0)
-    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-        BoundedCustomDensity(**{**args, field: value})
-
-
-@pytest.mark.parametrize("box", [1e308, 0.9 * np.finfo(float).max])
-def test_custom_density_refuses_a_box_whose_width_overflows(box):
-    # Proposals are random() doubles scaled by the width 2 * box_halfwidth,
-    # which must be finite, so half the largest double is the widest box.
-    with pytest.raises(ValueError, match="box width 2 \\* box_halfwidth"):
-        BoundedCustomDensity(dim=1, log_unnormalized_density=lambda x: 0.0,
-                             box_halfwidth=box, envelope_constant=1.0)
-    BoundedCustomDensity(dim=1, log_unnormalized_density=lambda x: 0.0,
-                         box_halfwidth=np.finfo(float).max / 2, envelope_constant=1.0)
 
 
 _BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
@@ -238,23 +143,6 @@ def _reference_expol2(rng, count):
     return out, proposals, ends
 
 
-def _reference_custom(spec, rng, count):
-    """The custom law's rejection loop as written before it was streamed:
-    rounds of at least 1024 rows drawn whole, surplus accepted rows dropped."""
-    out = np.empty((count, spec.dim))
-    filled = 0
-    while filled < count:
-        k = max(count - filled, 1024)
-        cand = rng.uniform(-spec.box_halfwidth, spec.box_halfwidth, (k, spec.dim))
-        v = rng.uniform(0.0, 1.0, k)
-        dens = np.array([math.exp(spec.log_unnormalized_density(row)) for row in cand])
-        accepted = cand[v * spec.envelope_constant <= dens]
-        take = min(len(accepted), count - filled)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-    return out
-
-
 def _generator(seed, start):
     """A fresh generator, or one that first drew a start the way a callable
     x0 does, or a 32-bit integer (which leaves half an output buffered)."""
@@ -283,8 +171,7 @@ _starts = st.sampled_from(("none", "uniform", "int32"))
 def test_expol2_stream_replays_the_rejection_rounds(count, seed, start, data,
                                                     at_round_ends):
     want, proposals, ends = _reference_expol2(_generator(seed, start), count)
-    whole = _RejectionStream(_generator(seed, start), count, 1, 1, EXPOL2_BOX,
-                             _expol2_mask)
+    whole = _RejectionStream(_generator(seed, start), count, 1)
     assert np.array_equal(whole.take(count).ravel(), want)
     assert whole.proposals == proposals
     if data is None:
@@ -295,8 +182,7 @@ def test_expol2_stream_replays_the_rejection_rounds(count, seed, start, data,
         # Pieces that end exactly where a round's values end, or one off.
         cuts += [e + d for e in ends for d in (-1, 0, 1)]
     cuts = [c for c in cuts if 0 < c < count]
-    stream = _RejectionStream(_generator(seed, start), count, 1, 1, EXPOL2_BOX,
-                              _expol2_mask)
+    stream = _RejectionStream(_generator(seed, start), count, 1)
     pieces = _pieces(stream.take, cuts, count)
     assert np.array_equal(np.concatenate(pieces).ravel(), want)
     assert stream.proposals == proposals
@@ -305,22 +191,16 @@ def test_expol2_stream_replays_the_rejection_rounds(count, seed, start, data,
 _SOURCE_SPECS = {
     "expol2": Expol2(),
     "gaussian": StdGaussian(3),
-    "custom": BoundedCustomDensity(
-        dim=2, log_unnormalized_density=lambda x: -abs(float(x[0])) - abs(float(x[1])),
-        box_halfwidth=2.0, envelope_constant=1.0,
-    ),
 }
 
 
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(sorted(_SOURCE_SPECS)), count=st.integers(1, 6000),
        seed=_seeds, start=_starts, data=st.data())
-# A custom round that a piece does not use up is split across pieces.
-@example(name="custom", count=2500, seed=5, start="int32", data=None)
+# The first round, which the first pieces do not use up, is split across them.
+@example(name="expol2", count=2500, seed=5, start="int32", data=None)
 def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, data):
     spec = _SOURCE_SPECS[name]
-    if name == "custom" and data is not None:
-        count = min(count, 400)  # its density runs in Python, row by row
     # sample() is itself one piece of a source, so the reference is drawn
     # without one.
     rng = _generator(seed, start)
@@ -330,13 +210,11 @@ def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, 
         cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
     if name == "gaussian":
         want = rng.standard_normal((count, spec.dim))
-    elif name == "expol2":
+    else:
         values, _, ends = _reference_expol2(rng, 2 * count)
         want = values.reshape(count, 2)
         # Pieces that end on a round boundary, in whole draws of 2 values.
         cuts += [e // 2 for e in ends] + [(e + 1) // 2 for e in ends]
-    else:
-        want = _reference_custom(spec, rng, count)
     cuts = [c for c in cuts if 0 < c < count]
     source = draw_source(spec, _generator(seed, start), count)
     got = np.concatenate(_pieces(source.take, cuts, count))
@@ -347,20 +225,18 @@ def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, 
         source.take(1)
 
 
-@pytest.mark.parametrize("name", ["expol2", "custom"])
-def test_rounds_are_drawn_whole_when_the_generator_cannot_advance(name):
-    # MT19937 has no advance(), so no round is split, although the first
-    # pieces do not use up the rounds they start.
-    spec, count = _SOURCE_SPECS[name], 3000
+@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.SFC64],
+                         ids=["expol2", "expol2-sfc64"])
+def test_rounds_are_drawn_whole_when_the_generator_cannot_advance(bits):
+    # MT19937 and SFC64 have no advance(), so no round is split, although
+    # the first pieces do not use up the rounds they start.
+    count = 3000
 
     def rng():
-        return np.random.Generator(np.random.MT19937(11))
+        return np.random.Generator(bits(11))
 
-    if name == "expol2":
-        want = _reference_expol2(rng(), 2 * count)[0].reshape(count, 2)
-    else:
-        want = _reference_custom(spec, rng(), count)
-    source = draw_source(spec, rng(), count)
+    want = _reference_expol2(rng(), 2 * count)[0].reshape(count, 2)
+    source = draw_source(Expol2(), rng(), count)
     got = np.concatenate(_pieces(source.take, [1, 1000, count - 1], count))
     assert np.array_equal(got, want)
 
@@ -368,9 +244,7 @@ def test_rounds_are_drawn_whole_when_the_generator_cannot_advance(name):
 _FILL_SPECS = {
     "gaussian": StdGaussian(3),
     "expol2": Expol2(),
-    # A flat law accepts every proposal, so its Python density stays cheap.
-    "flat-custom": BoundedCustomDensity(dim=2, log_unnormalized_density=lambda x: 0.0,
-                                        box_halfwidth=3.0, envelope_constant=1.0),
+    "gaussian-2d": StdGaussian(2),
 }
 
 
@@ -431,38 +305,6 @@ def test_expol2_stream_keeps_the_proposal_budget(monkeypatch):
     with pytest.raises(ValueError, match="proposal budget"):
         for _ in range(50):
             source.take(100)
-
-
-def test_custom_density_sampling_and_normalization():
-    # Truncated standard normal on [-4, 4] expressed as a custom density.
-    spec = BoundedCustomDensity(
-        dim=1,
-        log_unnormalized_density=lambda x: -0.5 * float(x[0]) ** 2,
-        box_halfwidth=4.0,
-        envelope_constant=1.0,
-    )
-    rng = np.random.default_rng(109)
-    draws = sample(spec, rng, 20000)
-    assert abs(float(draws.mean())) < 0.03
-    assert abs(float(draws.std()) - 1.0) < 0.02
-    # Normalization runs over the box only, so the reference value carries
-    # the truncated-tail correction.
-    want = 1.0 / (math.sqrt(2.0 * math.pi) * math.erf(4.0 / math.sqrt(2.0)))
-    assert abs(density(spec, np.array([0.0])) - want) < 1e-6 * want
-
-
-def test_custom_density_with_an_off_center_kink_normalizes():
-    # exp(-|x - c|) kinks at c, away from the origin that the fixed graded
-    # rule refines towards (it is 2.6e-5 off here); adaptive Simpson finds it.
-    c = 0.7
-    spec = BoundedCustomDensity(
-        dim=1,
-        log_unnormalized_density=lambda x: -abs(float(x[0]) - c),
-        box_halfwidth=2.0,
-        envelope_constant=1.0,
-    )
-    z = 2.0 - math.exp(-(2.0 - c)) - math.exp(-(2.0 + c))
-    assert abs(density(spec, np.array([c])) * z - 1.0) < 1e-12
 
 
 def test_quadrature_moments_match_frozen_values():
@@ -617,15 +459,12 @@ def test_monte_carlo_scaling_monotonicity():
     assert abs(scaled_mean - c * base.value) <= combined
 
 
-def test_quadrature_rejected_for_custom_density():
-    spec = BoundedCustomDensity(
-        dim=2,
-        log_unnormalized_density=lambda x: -float(np.sum(x ** 4)),
-        box_halfwidth=3.0,
-        envelope_constant=1.0,
-    )
-    with pytest.raises(ValueError):
-        abs_moment(spec, 1.0, method="quadrature")
+def test_tensor_quadrature_rejected_beyond_two_dims():
+    # s <= 1 separates into one coordinate integral at any dim; the s > 1
+    # tensor rule is written for two coordinates.
+    abs_moment(StdGaussian(3), 1.0, method="quadrature")
+    with pytest.raises(ValueError, match="supported only for dim 2"):
+        abs_moment(StdGaussian(3), 1.5, method="quadrature")
 
 
 def test_moment_estimate_validation():

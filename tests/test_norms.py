@@ -10,7 +10,6 @@ from ergokit.norms import (
     frobenius_norm,
     induced_norm_bounds,
     matrix_col_sum_norm,
-    operator_norm,
     psd_sqrt,
     s_norms,
     symmetric_eigh,
@@ -116,27 +115,6 @@ def test_frobenius_equals_trace_form():
         a = rng.uniform(-10, 10, (4, 4))
         want = math.sqrt(np.trace(a.T @ a))
         assert abs(frobenius_norm(a) - want) <= 1e-12 * want
-
-
-def test_operator_norm_examples():
-    for p in (1, 2, math.inf):
-        assert abs(operator_norm(np.eye(3), p) - 1.0) < 1e-12
-    assert abs(operator_norm([[2.0, 0.0], [0.0, 1.0]], 2) - 2.0) < 1e-12
-    assert operator_norm([[1.0, 1.0], [0.0, 1.0]], 1) == 2.0
-
-
-def test_operator_norm_rejects_other_orders():
-    with pytest.raises(ValueError):
-        operator_norm(np.eye(2), 3)
-
-
-def test_operator_norm_2_matches_svd_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        a = rng.uniform(-10, 10, (n, n))
-        want = float(np.linalg.svd(a, compute_uv=False)[0])
-        assert abs(operator_norm(a, 2) - want) <= 1e-9 * (1 + want)
 
 
 def test_symmetric_eigh_matches_lapack_oracle():

@@ -12,14 +12,13 @@ from hypothesis.extra.numpy import arrays
 from ergokit import simulate
 from ergokit.config import builtin_configs, validate_config
 from ergokit.models import AffineMap, BekkArch, GenericModel, ThresholdAffine2D, step
-from ergokit.noise import BoundedCustomDensity, Expol2, StdGaussian, _DrawSource, sample
+from ergokit.noise import Expol2, StdGaussian, _DrawSource, sample
 from ergokit.simulate import (
     _BLOCK_STEPS,
     EnsembleSummary,
     SimulationConfig,
     _quantiles,
     _snapshot_stats,
-    estimate_stationary_moments,
     mix64,
     simulate_ensemble,
     simulate_path,
@@ -515,19 +514,15 @@ def test_streamed_ensemble_matches_whole_paths_threshold():
     assert got.diverged_count == 13 and got.snapshots[-1].count == 0
 
 
-_FLAT_CUSTOM = BoundedCustomDensity(dim=2, log_unnormalized_density=lambda x: 0.0,
-                                    box_halfwidth=3.0, envelope_constant=1.0)
-
-
 @pytest.mark.parametrize("noise, n_traj, horizons", [
     # 50 lanes over the trajectory dump cap at both horizons.  Whole paths
-    # would take 50 * (T + 1) * 2 * 8 bytes: 1.6 MB and 16 MB.
+    # would take 50 * (T + 1) * 2 * 8 bytes: 1.6 MB and 16 MB.  No block
+    # uses up its lanes' first rejection rounds, so both horizons split them.
     (Expol2(), 50, (2_000, 20_000)),
-    # A flat law accepts every proposal, so its Python density stays cheap.
-    # No block uses up its lanes' first rounds, so both horizons split them;
-    # whole samples would take 0.48 MB and 3.2 MB.
-    (_FLAT_CUSTOM, 10, (3_000, 20_000)),
-], ids=["expol2", "custom"])
+    # Gaussian draws go from each lane's generator straight into the
+    # window; whole samples would take 0.48 MB and 3.2 MB.
+    (StdGaussian(2), 10, (3_000, 20_000)),
+], ids=["expol2", "gaussian"])
 def test_streamed_ensemble_memory_does_not_grow_with_horizon(noise, n_traj, horizons):
     def peak(horizon):
         return _traced_peak(SimulationConfig(
@@ -829,42 +824,3 @@ def test_unit_root_medians_grow():
     assert med[2] > 2.0 * med[0]
 
 
-def test_stationary_moments_noise_only():
-    cfg = SimulationConfig(model=noise_only_model(), noise=StdGaussian(2),
-                           x0=(0.0, 0.0), horizon=400, n_traj=300,
-                           snapshot_times=(100, 200, 300, 400),
-                           master_seed=55)
-    est = estimate_stationary_moments(simulate_ensemble(cfg), burn_in=0)
-    # The stationary law is the noise law: unit second moment per coordinate,
-    # allow 3x the Monte Carlo error sqrt(Var(Z^2)/n) = sqrt(2/300).
-    tol = 3.0 * math.sqrt(2.0 / 300.0)
-    for j in range(2):
-        assert abs(est.second_moment[j] - 1.0) < tol
-        lo, hi = est.mean_band[j]
-        assert lo <= est.mean[j] <= hi
-    assert est.snapshots_used == 4
-
-
-def test_stationary_moments_fixed_point_and_errors():
-    frozen = GenericModel(dim=2, f=lambda x: 0.5 * x,
-                          g=lambda x: np.zeros((2, 2)))
-    cfg = SimulationConfig(model=frozen, noise=StdGaussian(2), x0=(0.0, 0.0),
-                           horizon=100, n_traj=3, snapshot_times=(50, 100),
-                           master_seed=1)
-    est = estimate_stationary_moments(simulate_ensemble(cfg), burn_in=0)
-    assert est.mean == (0.0, 0.0)
-    assert est.second_moment == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        estimate_stationary_moments(simulate_ensemble(cfg), burn_in=50)
-
-
-def test_stationary_band_shrinks_with_ensemble_size():
-    def band_width(n_traj):
-        cfg = SimulationConfig(model=make_threshold(), noise=Expol2(),
-                               x0=(0.0, 0.0), horizon=1500, n_traj=n_traj,
-                               snapshot_times=(500, 1000, 1500),
-                               master_seed=606)
-        est = estimate_stationary_moments(simulate_ensemble(cfg), burn_in=0)
-        return max(hi - lo for lo, hi in est.mean_band)
-
-    assert band_width(240) < band_width(30)
