@@ -324,7 +324,9 @@ def probe_skeleton_reachability(model, seeds, horizon):
         for t in range(1, horizon + 1):
             x = model.eval_f(x)
             det = model.g_determinant(x)
-            bound = 1e-8 * (1.0 + float(np.dot(x, x)))
+            # x * x overflows quietly, as eval_f does: the bound is then inf.
+            with np.errstate(over="ignore"):
+                bound = 1e-8 * (1.0 + float(np.sum(x * x)))
             if abs(det) > bound:
                 probe = SkeletonProbe(
                     start=probe.start, escaped=True, escape_step=t, witness_det=det

@@ -2,20 +2,18 @@
 
 An oracle for the lane kernels of ergokit.models that shares no code with
 them: each family's formulas transcribed coordinate by coordinate, with
-`math` for the roots, in the order in which the kernels round them.  The
-inputs must be finite: the fused products go through exact fractions,
-which hold no inf or nan.
+`math` for the roots, in the order in which the kernels round them.  Every
+family sums each coordinate of the step as f + g_i1 u1 + g_i2 u2, left to
+right.
 """
 
 import math
-from fractions import Fraction
 
 
 def threshold_step(model, x, u):
     """ThresholdAffine2D: the mean a + b_mat x, and g keeping only its first
     column on the closed quadrant C = {x1 <= 0, x2 <= 0}, plus d_const in
-    that column.  Each coordinate sums f + g_i1 u1 + g_i2 u2 left to right,
-    the order the golden hashes were frozen with."""
+    that column."""
     (x1, x2), (u1, u2) = x, u
     (b11, b12), (b21, b22) = model.b_mat
     a1, a2 = model.a
@@ -52,24 +50,8 @@ def bekk_root(model, x):
     return (m11 + r) / t, m12 / t, (m22 + r) / t
 
 
-def fma(a, b, c):
-    """a * b + c rounded once, exactly, through rationals."""
-    return float(Fraction(a) * Fraction(b) + Fraction(c))
-
-
-# The ways a 2 x 2 matrix-vector product can round one row (a, b) @ (u1, u2):
-# two products and a sum, or one product fused into the other.  numpy's
-# matmul may take any of them; which one depends on the BLAS and the CPU.
-DOT_ROUNDINGS = {
-    "plain": lambda a, b, u1, u2: a * u1 + b * u2,
-    "fused": lambda a, b, u1, u2: fma(a, u1, b * u2),
-    "fused-second": lambda a, b, u1, u2: fma(b, u2, a * u1),
-}
-
-
-def bekk_step(model, x, u, dot):
-    """BekkArch with an affine mean: f + (g u), the product g u rounded by
-    `dot`, one of DOT_ROUNDINGS, and then added to f, as f + g @ u rounds."""
+def bekk_step(model, x, u):
+    """BekkArch with an affine mean."""
     x1, x2 = x
     (m11, m12), (m21, m22) = model.f.matrix
     o1, o2 = model.f.offset
@@ -77,4 +59,4 @@ def bekk_step(model, x, u, dot):
     f2 = o2 + m21 * x1 + m22 * x2
     g11, g12, g22 = bekk_root(model, x)
     u1, u2 = u
-    return f1 + dot(g11, g12, u1, u2), f2 + dot(g12, g22, u1, u2)
+    return f1 + g11 * u1 + g12 * u2, f2 + g12 * u1 + g22 * u2

@@ -444,6 +444,13 @@ def test_probe_skeleton_reachability():
     )
     stuck = probe_skeleton_reachability(frozen, [(1.0, 1.0)], 10)
     assert not stuck[0].escaped and stuck[0].escape_step is None
+    # A skeleton on L that overflows does so quietly, and never escapes.
+    blowup = BekkArch(
+        f=AffineMap(((10.0, 0.0), (0.0, 10.0)), (0.0, 0.0)),
+        a_mat=((1.0, 0.0), (0.0, 1.0)),
+        b_mat=((1.0, 1.0), (1.0, 1.0)),
+    )
+    assert not probe_skeleton_reachability(blowup, [(1.0, 1.0)], 400)[0].escaped
 
     with pytest.raises(ValueError):
         probe_skeleton_reachability(model, [(1.0, 1.0)], 0)

@@ -17,6 +17,17 @@ bekk-small was first frozen with the BEKK volatility computed by the Jacobi
     trajectories.csv  231a86caea09... -> 8b1455176759...
     verdict.txt       caf96153ae6e... -> 82f2580c949e...
 
+It was re-frozen when BEKK's step moved from a stacked matmul, whose rounding
+of g @ u depends on the BLAS and the CPU, to the base lane kernel's
+f + g11 u1 + g12 u2 summed left to right.  239 of 328 trajectory values move,
+by at most 4.1e-13 (6.3e-14 relative to 1 + |x|), and the last median l1
+norm from 7.2688511096440811 to 7.2688511096440829:
+
+    snapshots.csv     55b6441443b5... -> a35df9dff0da...
+    summary.json      f7d8b4e6d0c7... -> 624f5959e45c...
+    trajectories.csv  8b1455176759... -> 93b96e16ad9b...
+    verdict.txt       82f2580c949e... -> 569e487e3a03...
+
 example2-ergodic-shell-s2 was first frozen with the s = 2 noise moment from
 nested adaptive Simpson (1.237030558147227).  The graded Gauss-Legendre
 product rule gives 1.2370305581374037 (9.8e-12 lower; the mpmath value is
@@ -117,10 +128,10 @@ GOLDEN = {
         "verdict.txt": "f086d5dd447e7d6df967a3b9df1489b92101ae5283f66527c81d40b14c0a6ddf",
     }),
     "bekk-small": (BEKK_SMALL, {
-        "snapshots.csv": "55b6441443b590b232ebe64882da4829f974cecd86f7727f41148f931296ab4b",
-        "summary.json": "f7d8b4e6d0c74010ac75a58e92ef7440673e4acb7346fe15898f95de83c22aa6",
-        "trajectories.csv": "8b1455176759ce7cb3dbbe2e42d20ddff9795c5a7d60ccdbf97a84f6501c7b4f",
-        "verdict.txt": "82f2580c949e146410776834f00ae0e913a7eed5056684f36bf01bc5dc68fe0c",
+        "snapshots.csv": "a35df9dff0da73b4d618792fbf7ae3e9d81a10cb7c98aa3c6f09a0fb9fd47d92",
+        "summary.json": "624f5959e45c33afb547b461b2cf1dd28d66705018b05987c6a6e3c78a4705e4",
+        "trajectories.csv": "93b96e16ad9bfe7fd7cac2942840493951b1aa17da22af55f6e26b116ba342f5",
+        "verdict.txt": "569e487e3a03f357bd51213c191c73a7602d8aef6c011a79ae668544b89ed862",
     }),
 }
 

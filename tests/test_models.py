@@ -12,6 +12,7 @@ from ergokit.models import (
     BekkArch,
     GenericModel,
     ThresholdAffine2D,
+    _ModelSpec,
     bekk_b_eigenvalues,
     bekk_line_normal,
     iterate,
@@ -19,6 +20,7 @@ from ergokit.models import (
 )
 from ergokit.noise import StdGaussian
 from ergokit.norms import frobenius_norm, psd_sqrt
+from ergokit.simulate import simulate_path
 
 import oracle
 
@@ -84,10 +86,17 @@ def test_generic_model_step_identity():
     assert np.allclose(step(ident, (3.0, -2.0), (5.0, 5.0)), (3.0, -2.0))
 
 
-def test_generic_model_nonfinite_rejected():
+def test_generic_model_nonfinite_value_is_kept():
+    # A non-finite f is a value, as for every family: eval_f, lane_terms and
+    # step return it, and simulate_path censors the lane at its first step.
     bad = GenericModel(dim=2, f=lambda x: np.array([np.inf, 0.0]), g=lambda x: np.eye(2))
-    with pytest.raises(ValueError):
-        bad.eval_f((0.0, 0.0))
+    assert np.array_equal(bad.eval_f((0.0, 0.0)), (np.inf, 0.0))
+    f, g = bad.lane_terms(np.zeros((3, 2)))
+    assert np.array_equal(f, [(np.inf, 0.0)] * 3) and np.array_equal(g, [np.eye(2)] * 3)
+    assert np.array_equal(step(bad, (0.0, 0.0), (0.5, -0.5)), (np.inf, -0.5))
+    res = simulate_path(bad, StdGaussian(2), (0.0, 0.0), 5, 1)
+    assert res.diverged and res.divergence_step == 1
+    assert np.array_equal(res.states, [(0.0, 0.0)])
 
 
 def test_threshold_determinant_zero_on_c():
@@ -319,13 +328,10 @@ def _model_of(family, c):
 
 
 def _one_state_step(model, x, u):
-    """The step of one state from eval_f and eval_g.  The threshold kernel
-    sums f + g11 u1 + g12 u2 left to right, the order its golden hashes were
-    frozen with, which can differ from f + g @ u in the last bit."""
+    """The step of one state from eval_f and eval_g, each coordinate summed
+    f + g_i1 u1 + g_i2 u2 left to right, as every lane kernel sums it."""
     f, g = model.eval_f(x), model.eval_g(x)
-    if isinstance(model, ThresholdAffine2D):
-        return f + g[:, 0] * u[0] + g[:, 1] * u[1]
-    return f + g @ u
+    return f + g[:, 0] * u[0] + g[:, 1] * u[1]
 
 
 _ID = [1.0, 0.0, 0.0, 1.0]
@@ -353,6 +359,8 @@ def test_lane_forms_match_one_state_evaluation(family, c, lanes):
     x, u = block[:, :2], block[:, 2:]
     with np.errstate(over="ignore", invalid="ignore"):
         got = m.lane_kernel()(x, u)
+        # The kernel leaves its inputs as they were.
+        assert np.array_equal(block, lanes)
         f, g = m.lane_terms(x)
         for i in range(len(x)):
             assert np.array_equal(got[i], _one_state_step(m, x[i], u[i]), equal_nan=True)
@@ -386,18 +394,47 @@ def _bits(values):
          lanes=[(2.5, 2.5, 1.0, -1.0), (-3.0, -3.0, 0.3, 0.2), (1e-8, 1e-8, 1.0, 1.0),
                 (0.0, 0.0, 1.0, -2.0), (2.5, -2.5, 0.5, 0.5)])
 def test_lane_kernels_match_the_python_float_oracle(family, c, lanes):
-    # The kernels against tests/oracle.py, bit for bit.  The threshold step
-    # rounds one way; BEKK's matmul rounds each row of g @ u in one of the
-    # oracle's ways, the same one for every lane.
+    # The kernels against tests/oracle.py, bit for bit, in its one order.
     m = _model_of(family, c)
     block = np.array(lanes)
     got = [_bits(row) for row in m.lane_kernel()(block[:, :2], block[:, 2:])]
-    states = [(lane[:2], lane[2:]) for lane in lanes]
-    if family == "threshold":
-        assert got == [_bits(oracle.threshold_step(m, x, u)) for x, u in states]
-    else:
-        assert any(got == [_bits(oracle.bekk_step(m, x, u, dot)) for x, u in states]
-                   for dot in oracle.DOT_ROUNDINGS.values())
+    one_step = oracle.threshold_step if family == "threshold" else oracle.bekk_step
+    assert got == [_bits(one_step(m, lane[:2], lane[2:])) for lane in lanes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(_coef, min_size=12, max_size=12),
+       lanes=st.lists(st.one_of(_lane, _oracle_lane), min_size=1, max_size=9))
+# States on the boundary of C, signed zeros, and D1 and D2 beside it.
+@example(c=[0.5, -0.5, 0.2, 0.1, 0.1, 0.3, 0.1, -0.15, -0.15, 0.1, 0.2, -0.25],
+         lanes=[(0.0, -1.5, 1.0, -1.0), (-2.0, 0.0, 0.3, 0.7), (0.0, 0.0, -1.0, 2.0),
+                (-0.0, -0.0, 1.0, 1.0), (0.0, 1.5, 1.0, 1.0), (1.5, 0.0, 1.0, 1.0),
+                (-0.0, 3.0, -1.0, 0.5), (1.5, -0.0, -0.0, 0.0)])
+# Lanes that overflow to inf, and to nan (inf - inf), beside a finite one.
+@example(c=[2.0] * 12, lanes=[(1e308, 1e308, 1e308, 1.0), (-1.0, 2.0, 1.0, 1.0),
+                              (1e308, -1e308, 1e308, -1e308), (-1e308, -1e308, 1e308, 0.0)])
+def test_threshold_kernel_is_the_base_kernel(c, lanes):
+    # ThresholdAffine2D unrolls the base kernel for speed; it must keep the
+    # base kernel's bits, NaNs and signed zeros included.
+    m = _model_of("threshold", c)
+    block = np.array(lanes)
+    x, u = block[:, :2], block[:, 2:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = m.lane_kernel()(x, u)
+        want = _ModelSpec.lane_kernel(m)(x, u)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_generic_model_of_bekk_callables_simulates_the_bekk_path():
+    # eval_f and eval_g of a BEKK model, called once per lane by a
+    # GenericModel, give the same path bit for bit: one step formula.
+    bekk = make_bekk(b_mat=((1.0, 0.2), (0.2, 0.5)), a_mat=((0.6, 0.1), (-0.2, 0.5)))
+    generic = GenericModel(2, bekk.eval_f, bekk.eval_g)
+    want = simulate_path(bekk, StdGaussian(2), (0.3, -0.2), 200, 7)
+    got = simulate_path(generic, StdGaussian(2), (0.3, -0.2), 200, 7)
+    assert got.divergence_step == want.divergence_step
+    assert np.array_equal(got.states, want.states)
 
 
 @pytest.mark.parametrize("x, shape", [
@@ -413,12 +450,19 @@ def test_affine_map_takes_only_a_pair(x, shape):
     assert np.array_equal(m((1.0, 2.0)), [1.0, 2.0])
 
 
-def test_lane_terms_default_validates_like_eval():
-    # A non-finite f on the second row raises, as eval_f does.
+def test_lane_terms_keeps_a_nonfinite_row_like_eval():
+    # A non-finite f on the second row is that row's value, as in eval_f;
+    # the first row is untouched, and a path from that state is censored.
     m = GenericModel(2, lambda x: np.full(2, math.inf if x[0] == 0.0 else 1.0),
                      lambda x: np.eye(2))
-    with pytest.raises(ValueError):
-        m.lane_terms(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    x = np.array([[1.0, 2.0], [0.0, 1.0]])
+    f, _ = m.lane_terms(x)
+    assert np.array_equal(f, [(1.0, 1.0), (math.inf, math.inf)])
+    for row, xi in zip(f, x):
+        assert np.array_equal(row, m.eval_f(xi))
+    assert np.array_equal(step(m, x[1], (0.5, -0.5)), (math.inf, math.inf))
+    res = simulate_path(m, StdGaussian(2), x[1], 5, 1)
+    assert res.divergence_step == 1 and np.array_equal(res.states, x[1:])
 
 
 @pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: np.zeros(3), lambda x: np.eye(2)],
@@ -427,7 +471,7 @@ def test_bekk_callable_f_must_be_a_pair(f):
     # A scalar used to broadcast to [1, 1] in every row.
     m = make_bekk(f=f)
     for evaluate in (m.eval_f, m.eval_g, lambda x: step(m, x, (0.5, -0.5))):
-        with pytest.raises(ValueError, match="model f produced a non-finite or misshaped"):
+        with pytest.raises(ValueError, match="model f produced a misshaped value at x="):
             evaluate((0.3, 0.2))
 
 

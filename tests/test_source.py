@@ -297,3 +297,40 @@ def test_text_check_flags_only_modules_holding_the_text():
 def test_input_rules_are_written_only_in_models():
     sources = {path.stem: path.read_text() for path in SOURCES}
     assert modules_containing(sources, "but the model has dim") == ["models"]
+
+
+# BLAS entry points of numpy, and the `@` operator, which reaches them.
+_BLAS_NAMES = {"matmul", "dot", "vdot", "tensordot", "einsum"}
+
+
+def blas_calls(source):
+    """Lines of the code of a module (not its docstrings or comments) that
+    use `@` or name a BLAS entry point of numpy."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.add(node.lineno)
+        elif name in _BLAS_NAMES or isinstance(node, ast.ImportFrom) and any(
+                alias.name in _BLAS_NAMES for alias in node.names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_blas_check_flags_only_code_reaching_blas():
+    source = (
+        '"""Computes g @ u with no matmul."""\ny = g @ u\ny @= g\n'
+        "z = np.dot(x, x)\nfrom numpy import einsum\nw = np.sum(x * x)  # dot\n"
+        "v = np.matmul\nt = x.dot(y)\n"
+    )
+    assert blas_calls(source) == [2, 3, 4, 5, 7, 8]
+
+
+# The step and every command path round in elementwise numpy operations, so
+# their bits do not depend on the BLAS build or the CPU.  norms.psd_sqrt, the
+# library code of acceptance criterion 4, is not on any command path.
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name in ("models.py", "simulate.py", "ergodicity.py")],
+                         ids=lambda p: p.name)
+def test_simulation_and_checker_do_not_call_blas(path):
+    assert blas_calls(path.read_text()) == []
