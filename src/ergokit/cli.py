@@ -41,7 +41,7 @@ from .ergodicity import (
     shell_estimate_envelope,
 )
 from .noise import Expol2, StdGaussian, abs_moment
-from .simulate import simulate_ensemble
+from .simulate import require_seed, simulate_ensemble
 
 _EXIT_BY_VERDICT = {VERDICT_MET: 0, VERDICT_FAILED: 2, VERDICT_INCONCLUSIVE: 3}
 
@@ -61,9 +61,10 @@ def _env_seed_override():
         seed = int(raw)
     except ValueError:
         raise ConfigError(f"ERGOKIT_SEED must be an integer, got {raw!r}")
-    if not 0 <= seed < 1 << 64:
-        raise ConfigError(f"ERGOKIT_SEED must lie in [0, 2^64), got {raw!r}")
-    return seed
+    try:
+        return require_seed(seed, "ERGOKIT_SEED")
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _load_config_file(path):
@@ -208,8 +209,7 @@ def cmd_simulate(args):
 def cmd_moments(args):
     noise = Expol2() if args.noise == "expol2" else StdGaussian(args.dim)
     method = {"mc": "monte_carlo"}.get(args.method, args.method)
-    if not 0 <= args.seed < 1 << 64:
-        raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
+    require_seed(args.seed, "--seed")
     seed_override = _env_seed_override()
     seed = args.seed if seed_override is None else seed_override
     rng = None

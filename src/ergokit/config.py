@@ -17,7 +17,8 @@ from . import __version__
 from .ergodicity import SOURCE_USER, DriftEnvelope
 from .models import AffineMap, BekkArch, ThresholdAffine2D
 from .noise import Expol2, StdGaussian
-from .simulate import DEFAULT_DIVERGENCE_THRESHOLD, SimulationConfig
+from .norms import require_exponent
+from .simulate import DEFAULT_DIVERGENCE_THRESHOLD, SimulationConfig, require_seed
 
 
 class ConfigError(ValueError):
@@ -39,10 +40,14 @@ def _require_keys(doc, path, required, optional=()):
             _fail(f"{path}.{key}", "missing required key")
 
 
-def _as_number(value, path):
+def _as_real(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
-    if not math.isfinite(value):
+    return value
+
+
+def _as_number(value, path):
+    if not math.isfinite(_as_real(value, path)):
         _fail(path, "expected a finite number")
     return float(value)
 
@@ -112,9 +117,11 @@ def _checks_from_config(doc, model, path="$.checks"):
     if doc is None:
         return {"s": default_s, "envelope": "analytic"}
     _require_keys(doc, path, (), optional=("s", "envelope"))
-    s = _as_number(doc.get("s", default_s), f"{path}.s")
-    if s <= 0:
-        _fail(f"{path}.s", "s must be positive")
+    s = _as_real(doc.get("s", default_s), f"{path}.s")
+    try:
+        s = require_exponent(s)
+    except ValueError as exc:
+        _fail(f"{path}.s", str(exc))
     envelope = doc.get("envelope", "analytic")
     env_path = f"{path}.envelope"
     if isinstance(envelope, str):
@@ -174,9 +181,10 @@ def validate_config(doc, seed_override=None):
     snapshots = tuple(
         _as_int(t, f"$.simulation.snapshots[{i}]") for i, t in enumerate(snaps)
     )
-    seed = _as_int(sim_doc["seed"], "$.simulation.seed")
-    if not 0 <= seed < 1 << 64:
-        _fail("$.simulation.seed", "expected an integer in [0, 2^64)")
+    try:
+        seed = require_seed(sim_doc["seed"], "seed")
+    except ValueError as exc:
+        _fail("$.simulation.seed", str(exc))
     if seed_override is not None:
         seed = int(seed_override)
     threshold = sim_doc.get("divergence_threshold", DEFAULT_DIVERGENCE_THRESHOLD)

@@ -31,6 +31,7 @@ from .noise import Expol2, StdGaussian, abs_moment, sample
 from .norms import (
     frobenius_norm,
     induced_norm_bounds,
+    require_exponent,
     s_norms,
     vector_s_norm,
 )
@@ -81,11 +82,10 @@ class DriftEnvelope:
     source: str
 
     def __post_init__(self):
-        vals = (self.s, self.a_f, self.b_f, self.a_g, self.b_g, self.m_ball)
+        require_exponent(self.s)
+        vals = (self.a_f, self.b_f, self.a_g, self.b_g, self.m_ball)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("envelope constants must be finite")
-        if self.s <= 0:
-            raise ValueError("s must be positive")
         if min(self.a_f, self.b_f) < 0:
             raise ValueError("a_f and b_f must be nonnegative")
         if min(self.a_g, self.b_g, self.m_ball) <= 0:
@@ -237,9 +237,7 @@ def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
     draws' outer radius, or a sample's radius, f or g norm, is not a finite
     double; they are computed with numpy warnings off.
     """
-    s = float(s)
-    if s <= 0:
-        raise ValueError("s must be positive")
+    s = require_exponent(s)
     if not (radius > m_ball > 0):
         raise ValueError("need radius > M > 0")
     if n_samples < 10 ** 3:
@@ -338,6 +336,7 @@ def probe_skeleton_reachability(model, seeds, horizon):
 
 def empirical_drift_check(model, noise_spec, x, s, n_mc, seed):
     """Monte Carlo estimate of E[V(X_1) | X_0 = x] / V(x) for V = 1 + ||.||_s."""
+    s = require_exponent(s)
     if n_mc < 10 ** 3:
         raise ValueError("need at least 1000 Monte Carlo draws")
     x = model.require_state(x)

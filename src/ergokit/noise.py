@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .norms import SUBNORMAL_SAFE_SUM, s_norms
+from .norms import SUBNORMAL_SAFE_SUM, require_exponent, s_norms
 
 # Rejection proposals are uniform on [-EXPOL2_BOX, EXPOL2_BOX] per coordinate.
 # The unnormalized density exp(-(u^2-1)^2) attains its maximum 1 at u = +-1,
@@ -387,9 +387,7 @@ def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
         Monte Carlo sample count; ignored by the other methods.
     rng : numpy Generator, required for monte_carlo.
     """
-    s = float(s)
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError(f"s must be positive and finite, got {s}")
+    s = require_exponent(s)
     if method == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo requires a seeded generator")

@@ -43,19 +43,23 @@ def s_norms(a, s, axis=None):
     return np.where(rescale, scaled, norms)[()]
 
 
+def require_exponent(s):
+    """float(s) if it is a positive, finite norm exponent, else a ValueError."""
+    s = float(s)
+    if not (s > 0 and math.isfinite(s)):
+        raise ValueError(f"s must be positive and finite, got {s}")
+    return s
+
+
 def vector_s_norm(x, s):
     """s-pseudonorm for 0 < s < 1, l_s norm for s >= 1."""
-    s = float(s)
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
+    s = require_exponent(s)
     return float(s_norms(x, s))
 
 
 def matrix_col_sum_norm(a_mat, s):
     """Maximum over columns of the vector_s_norm of the column."""
-    s = float(s)
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
+    s = require_exponent(s)
     m = np.asarray(a_mat, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -90,32 +94,6 @@ def frobenius_norm(a_mat):
     return float(math.sqrt(np.sum(m * m)))
 
 
-def symmetric_eigh(m_sym):
-    """Eigen-decomposition of a small symmetric matrix by numpy.linalg.eigh.
-
-    Parameters
-    ----------
-    m_sym : array-like, shape (n, n), n <= 8
-        Symmetric matrix.  Only its lower triangle is read and asymmetry is
-        not checked here; callers that need a symmetry guarantee must
-        validate before calling.
-
-    Returns
-    -------
-    w : ndarray, shape (n,)
-        Eigenvalues in ascending order.
-    v : ndarray, shape (n, n)
-        Orthogonal matrix with eigenvectors as columns, m_sym = v @ diag(w) @ v.T.
-    """
-    a = np.asarray(m_sym, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError("expected a square matrix")
-    if n > MAX_EIG_DIM:
-        raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_EIG_DIM}")
-    return np.linalg.eigh(a)
-
-
 def psd_sqrt(m_sym, tol=1e-10):
     """Unique positive semidefinite square root of a symmetric PSD matrix.
 
@@ -140,7 +118,10 @@ def psd_sqrt(m_sym, tol=1e-10):
     scale = 1.0 + frobenius_norm(m)
     if frobenius_norm(m - m.T) > tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    w, v = symmetric_eigh((m + m.T) / 2.0)
+    n = m.shape[0]
+    if n > MAX_EIG_DIM:
+        raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_EIG_DIM}")
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
     floor = -tol * scale
     if np.min(w) < floor:
         raise ValueError(

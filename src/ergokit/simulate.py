@@ -56,6 +56,16 @@ def mix64(master_seed, index):
     return z
 
 
+def require_seed(seed, name):
+    """seed as an int if it is an integer in [0, 2^64), else a ValueError
+    naming it: mix64 reduces a seed mod 2^64, so a wider one would run as
+    another seed's ensemble."""
+    is_int = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if is_int and 0 <= seed <= _MASK64:
+        return int(seed)
+    raise ValueError(f"{name} {seed!r} is not an integer in [0, 2^64)")
+
+
 def _require_start(model, start):
     """start as a finite float array of the model's shape, else a ValueError."""
     x = model.require_state(start, "x0")
@@ -96,6 +106,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         x0 = _check_run(self.model, self.noise, self.x0, self.horizon, self.divergence_threshold)
+        object.__setattr__(self, "master_seed", require_seed(self.master_seed, "master_seed"))
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
         times = tuple(int(t) for t in self.snapshot_times)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import math
 import os
@@ -143,6 +144,20 @@ def test_seed_must_fit_64_unsigned_bits(seed):
     else:
         with pytest.raises(ConfigError, match=r"\[0, 2\^64\) at \$\.simulation\.seed"):
             validate_config(doc)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -1, 2 ** 64, 2 ** 64 + 20260814])
+def test_every_seed_path_holds_the_64_bit_range(seed):
+    # mix64 would run 2^64 + 20260814 as the seed-20260814 ensemble.
+    sim = validate_config(ergodic_doc())["simulation"]
+    if 0 <= seed < 2 ** 64:
+        assert dataclasses.replace(sim, master_seed=seed).master_seed == seed
+        assert validate_config(ergodic_doc(), seed_override=seed)["simulation"].master_seed == seed
+        return
+    with pytest.raises(ValueError, match=r"^master_seed -?\d+ is not an integer in \[0, 2\^64\)$"):
+        dataclasses.replace(sim, master_seed=seed)
+    with pytest.raises(ConfigError, match=r"\[0, 2\^64\) at \$\.simulation$"):
+        validate_config(ergodic_doc(), seed_override=seed)
 
 
 def test_user_envelope_parsing():

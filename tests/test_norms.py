@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,13 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergokit import ergodicity
+from ergokit.cli import main
+from ergokit.config import ConfigError, builtin_configs, validate_config
+from ergokit.ergodicity import (
+    SOURCE_USER,
+    DriftEnvelope,
+    empirical_drift_check,
+    shell_estimate_envelope,
+)
+from ergokit.noise import Expol2, abs_moment
 from ergokit.norms import (
     frobenius_norm,
     induced_norm_bounds,
     matrix_col_sum_norm,
     psd_sqrt,
     s_norms,
-    symmetric_eigh,
     vector_s_norm,
 )
 
@@ -66,6 +76,46 @@ def test_vector_s_norm_rejects_bad_exponent():
         vector_s_norm([1.0], -2.0)
 
 
+_ERGODIC = builtin_configs()["example2-ergodic"]
+_MODEL = validate_config(_ERGODIC)["model"]
+_USER_ENVELOPE = {"a_f": 0.0, "b_f": 0.4, "a_g": 2.0, "b_g": 0.25, "M": 1.0}
+
+# Every public entry point that takes the norm exponent s.
+_EXPONENT_ENTRY_POINTS = {
+    "vector_s_norm": lambda s: vector_s_norm((1.0, 2.0), s),
+    "matrix_col_sum_norm": lambda s: matrix_col_sum_norm(np.eye(2), s),
+    "abs_moment": lambda s: abs_moment(Expol2(), s),
+    "DriftEnvelope": lambda s: DriftEnvelope(
+        s=s, a_f=0.0, b_f=0.4, a_g=2.0, b_g=0.25, m_ball=1.0, source=SOURCE_USER),
+    "shell_estimate_envelope": lambda s: shell_estimate_envelope(
+        _MODEL, s, 1.0, 100.0, 1000, 0),
+    "empirical_drift_check": lambda s: empirical_drift_check(
+        _MODEL, Expol2(), (1.0, 1.0), s, 1000, 0),
+}
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(_EXPONENT_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bad_exponent(monkeypatch, entry, s):
+    # One rule and one message, given before any draw.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew noise before checking s")
+
+    monkeypatch.setattr(ergodicity, "sample", no_draws)
+    with pytest.raises(ValueError, match=f"^s must be positive and finite, got {s}$"):
+        _EXPONENT_ENTRY_POINTS[entry](s)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("envelope", ["shell", _USER_ENVELOPE], ids=["shell", "user"])
+def test_config_and_cli_refuse_a_bad_exponent(capsys, envelope, s):
+    message = f"s must be positive and finite, got {s}"
+    with pytest.raises(ConfigError, match=f"^{message} at {re.escape('$.checks.s')}$"):
+        validate_config({**_ERGODIC, "checks": {"s": s, "envelope": envelope}})
+    assert main(["moments", "--noise", "gaussian", "--s", str(s)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_matrix_col_sum_norm_examples():
     assert abs(matrix_col_sum_norm([[0.2, 0.1], [0.1, 0.3]], 1) - 0.4) < 1e-15
     assert matrix_col_sum_norm(np.eye(2), 1) == 1.0
@@ -117,31 +167,6 @@ def test_frobenius_equals_trace_form():
         assert abs(frobenius_norm(a) - want) <= 1e-12 * want
 
 
-def test_symmetric_eigh_matches_lapack_oracle():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        a = rng.uniform(-5, 5, (n, n))
-        m = (a + a.T) / 2
-        w, v = symmetric_eigh(m)
-        assert frobenius_norm(v @ np.diag(w) @ v.T - m) <= 1e-12 * (1 + frobenius_norm(m))
-        assert frobenius_norm(v.T @ v - np.eye(n)) <= 1e-12
-        want = np.sort(np.linalg.eigvalsh(m))
-        assert np.max(np.abs(np.sort(w) - want)) <= 1e-10 * (1 + frobenius_norm(m))
-
-
-def test_symmetric_eigh_zero_and_diagonal():
-    w, v = symmetric_eigh(np.zeros((3, 3)))
-    assert np.all(w == 0.0)
-    w, _ = symmetric_eigh(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(np.sort(w), [-1.0, 2.0, 3.0])
-
-
-def test_symmetric_eigh_rejects_large_dimension():
-    with pytest.raises(ValueError):
-        symmetric_eigh(np.eye(9))
-
-
 def test_psd_sqrt_examples():
     assert np.allclose(psd_sqrt(np.eye(2)), np.eye(2), atol=1e-14)
     assert np.allclose(psd_sqrt([[4.0, 0.0], [0.0, 9.0]]), [[2.0, 0.0], [0.0, 3.0]], atol=1e-12)
@@ -173,6 +198,18 @@ def test_psd_sqrt_clamps_tiny_negative_eigenvalues():
     m = np.array([[1.0, 0.0], [0.0, -1e-12]])
     s = psd_sqrt(m)
     assert np.allclose(s, [[1.0, 0.0], [0.0, 0.0]], atol=1e-9)
+
+
+def test_psd_sqrt_zero_and_diagonal():
+    assert np.all(psd_sqrt(np.zeros((3, 3))) == 0.0)
+    root = psd_sqrt(np.diag([9.0, 0.0, 4.0]))
+    assert np.allclose(root, np.diag([3.0, 0.0, 2.0]), atol=1e-14)
+
+
+def test_psd_sqrt_rejects_large_dimension():
+    assert np.allclose(psd_sqrt(np.eye(8)), np.eye(8), atol=1e-14)
+    with pytest.raises(ValueError, match="dimension 9 exceeds the supported maximum 8"):
+        psd_sqrt(np.eye(9))
 
 
 def test_psd_sqrt_rejects_indefinite_and_asymmetric():

@@ -299,6 +299,24 @@ def test_input_rules_are_written_only_in_models():
     assert modules_containing(sources, "but the model has dim") == ["models"]
 
 
+# The exponent rule lives in norms (require_exponent) and the seed rule in
+# simulate (require_seed); every entry point calls them.  psd_sqrt alone
+# checks that its matrix is square.
+@pytest.mark.parametrize("text, homes", [
+    ("must be positive and finite", ["norms"]),
+    ("[0, 2^64)", ["simulate"]),
+], ids=["exponent", "seed"])
+def test_exponent_and_seed_rules_are_written_only_in_their_homes(text, homes):
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert modules_containing(sources, text) == homes
+
+
+def test_square_matrix_rule_is_written_once():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert modules_containing(sources, "expected a square matrix") == ["norms"]
+    assert sources["norms"].count("expected a square matrix") == 1
+
+
 # BLAS entry points of numpy, and the `@` operator, which reaches them.
 _BLAS_NAMES = {"matmul", "dot", "vdot", "tensordot", "einsum"}
 
