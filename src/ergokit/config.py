@@ -186,7 +186,10 @@ def validate_config(doc, seed_override=None):
     except ValueError as exc:
         _fail("$.simulation.seed", str(exc))
     if seed_override is not None:
-        seed = int(seed_override)
+        try:
+            seed = require_seed(seed_override, "seed_override")
+        except ValueError as exc:
+            raise ConfigError(str(exc))
     threshold = sim_doc.get("divergence_threshold", DEFAULT_DIVERGENCE_THRESHOLD)
     threshold = _as_number(threshold, "$.simulation.divergence_threshold")
     notes = doc.get("notes", "")

@@ -35,6 +35,7 @@ from .norms import (
     s_norms,
     vector_s_norm,
 )
+from .simulate import require_seed
 
 VERDICT_MET = "sufficient_condition_met"
 VERDICT_FAILED = "condition_failed"
@@ -242,7 +243,7 @@ def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
         raise ValueError("need radius > M > 0")
     if n_samples < 10 ** 3:
         raise ValueError("need at least 1000 shell samples")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed, "seed"))
     with np.errstate(all="ignore"):
         xs = _sample_shell(rng, model.dim, s, m_ball, radius, n_samples)
         f_x, g_x = model.lane_terms(xs)
@@ -341,7 +342,7 @@ def empirical_drift_check(model, noise_spec, x, s, n_mc, seed):
         raise ValueError("need at least 1000 Monte Carlo draws")
     x = model.require_state(x)
     model.require_noise(noise_spec)
-    draws = sample(noise_spec, np.random.default_rng(seed), n_mc)
+    draws = sample(noise_spec, np.random.default_rng(require_seed(seed, "seed")), n_mc)
     nxt = model.lane_kernel()(np.broadcast_to(x, draws.shape), draws)
     v1 = 1.0 + s_norms(nxt, s, axis=1)
     v0 = 1.0 + vector_s_norm(x, s)

@@ -49,12 +49,12 @@ def _as_2x2(values, name):
 class _ModelSpec:
     """Base of every model family.
 
-    Each family supplies lane_terms(X), f and g in lane form: for a (k, dim)
-    block X whose row i is one lane's state, a (k, dim) block whose row i is
-    f(X[i]) and a (k, dim, dim) block whose entry i is g(X[i]).  eval_f and
-    eval_g read row 0 of lane_terms of one state, so each family writes its
-    f and g once, and lane_kernel() builds the step from lane_terms once for
-    every family.
+    Each family writes its f and g once, as _columns(): a closure X -> (f, g)
+    over a (k, dim) block X whose row i is one lane's state, with f[i]
+    coordinate i of f and g[i][j] entry (i, j) of g, each a length-k array,
+    and the coefficients held as locals.  lane_kernel() and lane_terms(X)
+    are built from it for every family; eval_f and eval_g read row 0 of
+    lane_terms.
     """
 
     def require_state(self, x, name="state"):
@@ -68,6 +68,13 @@ class _ModelSpec:
         """The noise rule of every entry point that takes a noise law."""
         if spec.dim != self.dim:
             raise ValueError(f"the noise has dim {spec.dim} but the model has dim {self.dim}")
+
+    def lane_terms(self, x):
+        """The columns stacked: a (k, dim) block whose row i is f(x[i]) and a
+        (k, dim, dim) block whose entry i is g(x[i])."""
+        f, g = self._columns()(x)
+        g = np.stack([g_ij for row in g for g_ij in row], axis=1)
+        return np.stack(f, axis=1), g.reshape(-1, self.dim, self.dim)
 
     def _one_state(self, x):
         """(f(x), g(x)), row 0 of lane_terms.  Overflow gives non-finite
@@ -92,10 +99,15 @@ class _ModelSpec:
         rounded once, with no matmul, so no BLAS decides the bits.  It does
         not modify X or U.  Both `step` (one lane) and the ensemble
         recurrence in `simulate` (every live lane) run it."""
+        columns = self._columns()
+
         def step(x, u):
-            out, g = self.lane_terms(x)
-            for j in range(self.dim):
-                out += g[:, :, j] * u[:, j, None]
+            f, g = columns(x)
+            out = np.empty_like(x)
+            for i, (acc, row) in enumerate(zip(f, g)):
+                for g_ij, u_j in zip(row, u.T):
+                    acc = acc + g_ij * u_j
+                out[:, i] = acc
             return out
 
         return step
@@ -135,9 +147,10 @@ class GenericModel(_ModelSpec):
         if not 1 <= self.dim <= 8:
             raise ValueError(f"dim must be in 1..8, got {self.dim}")
 
-    def lane_terms(self, x):
-        return (_rows(self.f, x, (self.dim,), "f"),
-                _rows(self.g, x, (self.dim, self.dim), "g"))
+    def _columns(self):
+        f, g, dim = self.f, self.g, self.dim
+        return lambda x: (_rows(f, x, (dim,), "f").T,
+                          _rows(g, x, (dim, dim), "g").transpose(1, 2, 0))
 
 
 @dataclass(frozen=True)
@@ -169,45 +182,23 @@ class ThresholdAffine2D(_ModelSpec):
         object.__setattr__(self, "d_c", _as_pair(self.d_c, "d_c"))
         object.__setattr__(self, "d_const", _as_pair(self.d_const, "d_const"))
 
-    def _terms(self):
-        """Closure (x1, x2) -> (f1, f2, g11, g12, g21, g22): the family's
-        arithmetic, with g in row-major order, over equal-shape arrays of
-        lane coordinates."""
-        mean = AffineMap(self.b_mat, self.a)
+    def _columns(self):
+        mean = AffineMap(self.b_mat, self.a).columns
         ((d11, d12), (d21, d22)) = self.d_main
         d31, d32 = self.d_c
         d41, d42 = self.d_const
 
-        def terms(x1, x2):
+        def columns(x):
+            x1, x2 = x.T
             c = _in_c(x1, x2)
-            f1, f2 = mean.columns(x1, x2)
             # On C only the first column survives: d_c scales it, g12 = g22 = 0.
             g11 = np.where(c, d31 * x1, d11 * x1) + d41
             g12 = np.where(c, 0.0, d12 * x2)
             g21 = np.where(c, d32 * x2, d21 * x1) + d42
             g22 = np.where(c, 0.0, d22 * x2)
-            return f1, f2, g11, g12, g21, g22
+            return mean(x1, x2), ((g11, g12), (g21, g22))
 
-        return terms
-
-    def lane_terms(self, x):
-        f1, f2, g11, g12, g21, g22 = self._terms()(x[:, 0], x[:, 1])
-        return (np.stack((f1, f2), axis=1),
-                np.stack((g11, g12, g21, g22), axis=1).reshape(-1, 2, 2))
-
-    def lane_kernel(self):
-        # The base kernel unrolled, same bits: 57 vs 88 us per 200-lane step (Xeon).
-        terms = self._terms()
-
-        def step(x, u):
-            f1, f2, g11, g12, g21, g22 = terms(x[:, 0], x[:, 1])
-            u1, u2 = u[:, 0], u[:, 1]
-            out = np.empty_like(x)
-            out[:, 0] = f1 + g11 * u1 + g12 * u2
-            out[:, 1] = f2 + g21 * u1 + g22 * u2
-            return out
-
-        return step
+        return columns
 
     def g_determinant(self, x):
         """det g(x), zero on C."""
@@ -308,47 +299,50 @@ class BekkArch(_ModelSpec):
         _finite_scale(self.a_mat, "a_mat")
         bekk_b_eigenvalues(self.b_mat)
 
-    def _m_terms(self, x1, x2):
-        """(m11, m12, m22, det M) of M = b_mat + v v^T with v = a_mat @ x,
-        taking (b12 + b21) / 2 as the off-diagonal of b_mat and
+    def _m_terms(self):
+        """Closure (x1, x2) -> (m11, m12, m22, det M) of M = b_mat + v v^T
+        with v = a_mat @ x, (b12 + b21) / 2 as b_mat's off-diagonal and
         det M = det b_mat + v^T adj(b_mat) v; over the scalar coordinates of
         one state or over equal-shape arrays of lane coordinates."""
         ((a11, a12), (a21, a22)) = self.a_mat
         ((b11, b12), (b21, b22)) = self.b_mat
         b12 = (b12 + b21) / 2.0
-        v1 = a11 * x1 + a12 * x2
-        v2 = a21 * x1 + a22 * x2
         det_b = b11 * b22 - b12 * b12
-        det = det_b + (b11 * v2 * v2 + b22 * v1 * v1 - 2.0 * b12 * v1 * v2)
-        return b11 + v1 * v1, b12 + v1 * v2, b22 + v2 * v2, det
 
-    def lane_terms(self, x):
-        """f and g of every row of x: an AffineMap f on the lane columns, any
+        def terms(x1, x2):
+            v1 = a11 * x1 + a12 * x2
+            v2 = a21 * x1 + a22 * x2
+            det = det_b + (b11 * v2 * v2 + b22 * v1 * v1 - 2.0 * b12 * v1 * v2)
+            return b11 + v1 * v1, b12 + v1 * v2, b22 + v2 * v2, det
+
+        return terms
+
+    def _columns(self):
+        """f and g of every lane: an AffineMap f on the lane columns, any
         other f once per row (a misshaped value raises, a non-finite one
         gives a non-finite row), and g the PSD root of M in closed form,
         (M + sqrt(det M) I) / sqrt(t) with t = tr M + 2 sqrt(det M), and the
         zero matrix where t == 0 (M = 0).  An overflowing lane gives
         non-finite entries."""
-        x1, x2 = x[:, 0], x[:, 1]
-        if isinstance(self.f, AffineMap):
-            f = np.stack(self.f.columns(x1, x2), axis=1)
-        else:
-            f = _rows(self.f, x, (2,), "f")
-        m11, m12, m22, det = self._m_terms(x1, x2)
-        r = np.sqrt(np.maximum(det, 0.0))
-        t = np.sqrt(np.maximum(m11 + m22 + 2.0 * r, 0.0))
-        # Dividing only where t != 0 leaves those lanes' zeros in place.
-        nonzero = t != 0.0
-        g = np.zeros((len(x), 2, 2))
-        np.divide(m11 + r, t, out=g[:, 0, 0], where=nonzero)
-        np.divide(m12, t, out=g[:, 0, 1], where=nonzero)
-        g[:, 1, 0] = g[:, 0, 1]
-        np.divide(m22 + r, t, out=g[:, 1, 1], where=nonzero)
-        return f, g
+        f, m_terms = self.f, self._m_terms()
+        mean = f.columns if isinstance(f, AffineMap) else None
+
+        def columns(x):
+            x1, x2 = x.T
+            f_x = mean(x1, x2) if mean else _rows(f, x, (2,), "f").T
+            m11, m12, m22, det = m_terms(x1, x2)
+            r = np.sqrt(np.maximum(det, 0.0))
+            t = np.sqrt(np.maximum(m11 + m22 + 2.0 * r, 0.0))
+            # Dividing only where t != 0 leaves those lanes' zeros in place.
+            g11, g12, g22 = np.divide((m11 + r, m12, m22 + r), t,
+                                      out=np.zeros((3, len(t))), where=t != 0.0)
+            return f_x, ((g11, g12), (g12, g22))
+
+        return columns
 
     def g_determinant(self, x):
         """det(b_mat + (Ax)(Ax)^T)."""
-        return self._m_terms(*self.require_state(x).tolist())[3]
+        return self._m_terms()(*self.require_state(x).tolist())[3]
 
     def classify_region(self, x):
         """Total classification of the state: "everywhere_regular" /

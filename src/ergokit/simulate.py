@@ -181,7 +181,7 @@ def simulate_path(model, noise_spec, x0, horizon, seed,
     norm exceeds it is kept as the final row.
     """
     _check_run(model, noise_spec, x0, horizon, divergence_threshold)
-    return _run_lanes(model, noise_spec, x0, horizon, (seed,),
+    return _run_lanes(model, noise_spec, x0, horizon, (require_seed(seed, "seed"),),
                       divergence_threshold, keep_paths=True)[2][0]
 
 

@@ -1,8 +1,8 @@
 """One state's step X' = f(x) + g(x) u, written out in Python floats.
 
-An oracle for the lane kernels of ergokit.models that shares no code with
-them: each family's formulas transcribed coordinate by coordinate, with
-`math` for the roots, in the order in which the kernels round them.  Every
+An oracle for the lane kernel of ergokit.models that shares no code with
+it: each family's formulas transcribed coordinate by coordinate, with
+`math` for the roots, in the order in which the kernel rounds them.  Every
 family sums each coordinate of the step as f + g_i1 u1 + g_i2 u2, left to
 right.
 """

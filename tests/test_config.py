@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import os
+import re
 import stat
 
 import pytest
@@ -156,7 +157,16 @@ def test_every_seed_path_holds_the_64_bit_range(seed):
         return
     with pytest.raises(ValueError, match=r"^master_seed -?\d+ is not an integer in \[0, 2\^64\)$"):
         dataclasses.replace(sim, master_seed=seed)
-    with pytest.raises(ConfigError, match=r"\[0, 2\^64\) at \$\.simulation$"):
+    # The override names itself, not master_seed or $.simulation.
+    with pytest.raises(ConfigError, match=r"^seed_override -?\d+ is not an integer in \[0, 2\^64\)$"):
+        validate_config(ergodic_doc(), seed_override=seed)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "7"])
+def test_seed_override_must_be_an_integer(seed):
+    # int() would run True as seed 1, 1.5 as 1 and "7" as 7.
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"seed_override {seed!r} is not an integer in [0, 2^64)") + "$"):
         validate_config(ergodic_doc(), seed_override=seed)
 
 

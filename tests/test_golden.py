@@ -18,7 +18,7 @@ bekk-small was first frozen with the BEKK volatility computed by the Jacobi
     verdict.txt       caf96153ae6e... -> 82f2580c949e...
 
 It was re-frozen when BEKK's step moved from a stacked matmul, whose rounding
-of g @ u depends on the BLAS and the CPU, to the base lane kernel's
+of g @ u depends on the BLAS and the CPU, to the one lane kernel's
 f + g11 u1 + g12 u2 summed left to right.  239 of 328 trajectory values move,
 by at most 4.1e-13 (6.3e-14 relative to 1 + |x|), and the last median l1
 norm from 7.2688511096440811 to 7.2688511096440829:

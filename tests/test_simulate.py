@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from ergokit import simulate
 from ergokit.config import builtin_configs, validate_config
+from ergokit.ergodicity import empirical_drift_check, shell_estimate_envelope
 from ergokit.models import AffineMap, BekkArch, GenericModel, ThresholdAffine2D, step
 from ergokit.noise import Expol2, StdGaussian, _DrawSource, sample
 from ergokit.simulate import (
@@ -53,6 +55,28 @@ def test_mix64_reference_values():
     seeds = {mix64(42, i) for i in range(1000)}
     assert len(seeds) == 1000
 
+
+
+# Every entry point that takes a seed holds it to the one seed rule before
+# it draws: numpy would refuse -1 without naming the seed, and take 2^64 + 5.
+_SEEDED = {
+    "simulate_path": lambda seed: simulate_path(make_threshold(), Expol2(), (0.0, 0.0), 3, seed),
+    "shell_estimate_envelope": lambda seed: shell_estimate_envelope(
+        make_threshold(), 1.0, 1.0, 30.0, 1000, seed),
+    "empirical_drift_check": lambda seed: empirical_drift_check(
+        make_threshold(), Expol2(), (1.0, 1.0), 1.0, 1000, seed),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SEEDED))
+def test_seeded_entry_points_hold_the_seed_rule(entry):
+    run = _SEEDED[entry]
+    for seed in (-1, 2 ** 64, 2 ** 64 + 5, True, 1.5):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"seed {seed!r} is not an integer in [0, 2^64)") + "$"):
+            run(seed)
+    for seed in (0, 2 ** 64 - 1):
+        run(seed)
 
 # The longer horizon writes the path through five block windows, with
 # Expol2 rounds split across the block boundaries.

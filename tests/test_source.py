@@ -352,3 +352,31 @@ def test_blas_check_flags_only_code_reaching_blas():
                          ids=lambda p: p.name)
 def test_simulation_and_checker_do_not_call_blas(path):
     assert blas_calls(path.read_text()) == []
+
+
+def method_homes(source, name):
+    """Sorted (line, class) of each definition of `name` in a module: the
+    class whose body defines it, or "<module>" for any other definition."""
+    tree = ast.parse(source)
+    in_class = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for node in cls.body}
+    return sorted((node.lineno, in_class.get(id(node), "<module>")) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name == name)
+
+
+def test_method_home_check_flags_every_definition():
+    source = (
+        "class A:\n    def step(self):\n        def step(x):\n            return x\n"
+        "        return step\n\nclass B(A):\n    def step(self):\n        pass\n\n"
+        "def step():\n    pass\n"
+    )
+    assert method_homes(source, "step") == [(2, "A"), (3, "<module>"), (8, "B"), (11, "<module>")]
+
+
+# One kernel: every family gives its f and g as columns, and the base class
+# alone turns them into the step and the stacked blocks.
+@pytest.mark.parametrize("name", ["lane_kernel", "lane_terms"])
+def test_lane_forms_are_defined_once_on_the_base_class(name):
+    models = next(p for p in SOURCES if p.name == "models.py")
+    assert [home for _, home in method_homes(models.read_text(), name)] == ["_ModelSpec"]
