@@ -7,11 +7,17 @@ generator state beyond the draw sources a caller asks for, so distinct
 generators may be used from any number of threads.  A noise law draws only
 through its draw_source, which hands out one sample in pieces of any sizes,
 each written into a fresh array or a caller's, and sample() takes it in one
-piece.  An Expol2 source replays the rejection rounds piece by piece, so it
-holds O(piece) draws; a round is drawn whole when the piece uses it up or
-the generator cannot advance(), and split otherwise.  Its proposals are
-Generator.random() doubles scaled in place as Generator.uniform scales
-them: uniform's values, without its temporaries.  The Expol2 normalization
+piece.  take_each takes the next piece of many sources in one call, as a
+simulation refills every live lane's rows of its window, and source.take is
+its one-source case.  An Expol2 source replays the rejection rounds piece by
+piece, so it holds O(piece) draws; a round is drawn whole when the piece
+uses it up or the generator cannot advance(), and split otherwise.  Its
+proposals are Generator.random() doubles scaled in place as
+Generator.uniform scales them: uniform's values, without its temporaries.
+Each source draws from its own generator into its slice of a shared
+scratch buffer, and the scaling, the acceptance test and the compress run
+once per group of sources, of at most _GROUP_PROPOSALS proposals unless one
+source's chunk alone is larger.  The Expol2 normalization
 constant is cached with compute-once semantics.  Every quadrature moment
 and that normalization use one fixed rule with no refinement,
 Gauss-Legendre on panels graded towards the kink at the origin
@@ -45,6 +51,14 @@ _LINE_DEPTH = 40
 _TENSOR_DEPTH = 6
 
 _MAX_PROPOSALS_PER_DRAW = 10 ** 6
+
+# A grouped refill tests the chunks of consecutive short streams together,
+# up to this many proposals per group; a stream whose chunk alone is larger
+# is a group by itself.  The size sets only the scratch memory and the
+# number of passes, never a value.
+_GROUP_PROPOSALS = 8192
+
+_NO_VALUES = np.empty(0)
 
 
 class _NoiseSpec:
@@ -208,7 +222,9 @@ class _DrawSource:
     pieces: take(m) returns the next m rows, and the pieces concatenate bit
     for bit to the sample drawn at once.  take(m, out) writes them into out
     instead, a C-contiguous float64 (m, dim) array, and returns it; any
-    other out raises, so that no draw lands in a silent copy."""
+    other out raises, so that no draw lands in a silent copy.  take is the
+    one-source case of take_each, which hands a subclass's _fill_each the
+    pieces of any number of its sources at once."""
 
     # Slots make each source one small object; a simulation holds one per
     # lane.
@@ -219,18 +235,7 @@ class _DrawSource:
         self._dim = dim
 
     def take(self, m, out=None):
-        if not 1 <= m <= self.left:
-            raise ValueError(f"cannot take {m} draws with {self.left} left")
-        shape = (m, self._dim)
-        if out is None:
-            out = np.empty(shape)
-        elif not (isinstance(out, np.ndarray) and out.shape == shape
-                  and out.dtype == np.float64 and out.flags.c_contiguous):
-            raise ValueError(f"draws go into a C-contiguous float64 array of "
-                             f"shape {shape}")
-        self._fill(out)
-        self.left -= m
-        return out
+        return take_each((self,), m, None if out is None else (out,))[0]
 
 
 class _GaussianDraws(_DrawSource):
@@ -242,8 +247,10 @@ class _GaussianDraws(_DrawSource):
         super().__init__(count, dim)
         self._rng = rng
 
-    def _fill(self, out):
-        self._rng.standard_normal(out=out)
+    @staticmethod
+    def _fill_each(sources, outs):
+        for source, out in zip(sources, outs):
+            source._rng.standard_normal(out=out)
 
 
 class _RejectionStream(_DrawSource):
@@ -265,6 +272,11 @@ class _RejectionStream(_DrawSource):
     becomes the generator (and the old one the spare for the next copy).
     Accepted values a piece does not need wait in `_ready`, so a source
     holds O(piece) values.
+
+    Streams are filled together: each stream still short of its piece reads
+    its next chunk from its own generators into its slice of a shared
+    scratch pair, and the scaling, the test, the compress and the counts per
+    stream run once per group of streams (_test_group).
     """
 
     __slots__ = ("_total", "_rng", "_accept", "_spare", "_round_left", "_filled",
@@ -278,27 +290,40 @@ class _RejectionStream(_DrawSource):
         self._spare = None  # a generator free to become the next copy
         self._round_left = 0  # proposals of the round not yet read
         self._filled = 0  # values accepted so far
-        self._ready = np.empty(0)
+        self._ready = _NO_VALUES
         self.proposals = 0
 
-    def _fill(self, out):
-        flat = out.reshape(-1)  # a view, since out is C-contiguous
-        need = flat.size
-        got = 0
-        while True:
-            n = min(self._ready.size, need - got)
-            flat[got:got + n] = self._ready[:n]
-            self._ready = self._ready[n:]
-            got += n
-            if got == need:
-                # A copy, so that the chunk the values came from is freed.
-                self._ready = self._ready.copy()
-                return
-            self._propose(need - got)
+    @staticmethod
+    def _fill_each(streams, outs):
+        short = []  # (stream, its piece as a flat view, values written)
+        for stream, out in zip(streams, outs):
+            flat = out.reshape(-1)  # a view, since out is C-contiguous
+            ready = stream._ready
+            n = ready.size
+            if n > flat.size:
+                flat[:] = ready[:flat.size]
+                stream._ready = ready[flat.size:]
+                continue
+            if n:
+                flat[:n] = ready
+                stream._ready = _NO_VALUES
+            if n < flat.size:
+                short.append((stream, flat, n))
+        while short:
+            wanting, short = short, []
+            group, total = [], 0
+            for stream, flat, got in wanting:
+                k = stream._chunk(flat.size - got)
+                if group and total + k > _GROUP_PROPOSALS:
+                    short += _RejectionStream._test_group(group, total)
+                    group, total = [], 0
+                group.append((stream, flat, got, k))
+                total += k
+            short += _RejectionStream._test_group(group, total)
 
-    def _propose(self, need):
-        """Read the next chunk of proposals into `_ready`, which is empty;
-        `need` more values are wanted by this piece."""
+    def _chunk(self, need):
+        """Proposals in this stream's next chunk, opening a round if none is
+        open; `need` more values are wanted by this piece."""
         if not self._round_left:
             to_come = self._total - self._filled
             self._round_left = to_come
@@ -314,26 +339,57 @@ class _RejectionStream(_DrawSource):
                 self._accept, self._spare = self._spare, None
                 self._accept.bit_generator.state = bits.state
                 self._accept.bit_generator.advance(to_come)
-        k = self._round_left
-        if self._accept is not self._rng:
-            # Three proposals per value wanted, plus a margin: about a third
-            # are accepted (Z / 6 = 0.329).  The chunk size sets only how
-            # many chunks a piece reads, never a value.
-            k = min(k, 3 * need + 256)
+        if self._accept is self._rng:
+            return self._round_left
+        # Three proposals per value wanted, plus a margin: about a third are
+        # accepted (Z / 6 = 0.329).  The chunk size sets only how many
+        # chunks a piece reads, never a value.
+        return min(self._round_left, 3 * need + 256)
+
+    @staticmethod
+    def _test_group(group, total):
+        """Read and test one chunk of each (stream, flat, got, k) of group,
+        `total` proposals in all: k proposals of the stream go into its
+        slice of u and their acceptance uniforms into the same slice of v.
+        Accepted values go to the stream's piece from flat[got] on, and what
+        the piece does not need to its `_ready`.  Returns the
+        (stream, flat, got) of the streams still short."""
+        u = np.empty(total)
+        v = np.empty(total)
+        starts = []
+        a = 0
+        for stream, _, _, k in group:
+            starts.append(a)
+            stream._rng.random(out=u[a:a + k])
+            stream._accept.random(out=v[a:a + k])  # uniform(0, 1)
+            a += k
         # Scaled in place as uniform(-box, box) scales random(): the same
         # bits, without uniform's temporaries.
-        u = self._rng.random(k)
         u *= 2 * EXPOL2_BOX
         u -= EXPOL2_BOX
-        v = self._accept.random(k)  # uniform(0, 1)
-        self._ready = u.compress(v <= _expol2_unnormalized(u))
-        self._filled += self._ready.size
-        self._round_left -= k
-        if not self._round_left:
-            if self._accept is not self._rng:
-                self._rng, self._spare = self._accept, self._rng
-            if self.proposals > _MAX_PROPOSALS_PER_DRAW * self._total:
-                raise ValueError("rejection sampler exceeded the proposal budget")
+        keep = v <= _expol2_unnormalized(u)
+        del v  # freed before the compress allocates
+        accepted = u.compress(keep)
+        short = []
+        pos = 0
+        for (stream, flat, got, k), c in zip(group, np.add.reduceat(keep, starts).tolist()):
+            n = min(c, flat.size - got)
+            if n:
+                flat[got:got + n] = accepted[pos:pos + n]
+            if n < c:
+                # A copy, so that the group's values are freed.
+                stream._ready = accepted[pos + n:pos + c].copy()
+            elif got + n < flat.size:
+                short.append((stream, flat, got + n))
+            pos += c
+            stream._filled += c
+            stream._round_left -= k
+            if not stream._round_left:
+                if stream._accept is not stream._rng:
+                    stream._rng, stream._spare = stream._accept, stream._rng
+                if stream.proposals > _MAX_PROPOSALS_PER_DRAW * stream._total:
+                    raise ValueError("rejection sampler exceeded the proposal budget")
+        return short
 
 
 def sample(spec, rng, count):
@@ -351,13 +407,53 @@ def draw_source(spec, rng, count):
     source.take(m, out) writes them into out, a C-contiguous float64 (m, dim)
     array, such as one lane's rows of a simulation window; pieces taken in
     any sizes that add up to count concatenate bit for bit to
-    sample(spec, rng, count).  Every source holds O(m) draws, and an
-    exceeded proposal budget raises on the take that meets it.  The source
-    draws from rng, which it leaves at an unspecified position.
+    sample(spec, rng, count).  take_each takes a piece of many sources at
+    once.  Every source holds O(m) draws, and an exceeded proposal budget
+    raises on the take that meets it.  The source draws from rng, which it
+    leaves at an unspecified position.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return spec.draw_source(rng, count)
+
+
+def take_each(sources, m, outs=None):
+    """The next m draws of each of `sources`, those of sources[i] written
+    into outs[i]; returns outs, fresh (m, dim) arrays when it is None.
+
+    The sources come from draw_source for one noise law, and each out is a
+    C-contiguous float64 (m, dim) array, such as one lane's rows of a
+    simulation window.  Each source hands out the draws that source.take(m)
+    would: it draws only from its own generator, and only the arithmetic on
+    the drawn values is shared.  Nothing is drawn unless the sources are
+    distinct, every source has m draws left and every out has that form.
+    """
+    fresh = outs is None
+    if fresh:
+        outs = [None] * len(sources)
+    elif len(outs) != len(sources):
+        raise ValueError(f"{len(outs)} outs for {len(sources)} sources")
+    if len({id(source) for source in sources}) != len(sources):
+        raise ValueError("take_each needs distinct sources")
+    kind = type(sources[0]) if sources else None
+    for i, source in enumerate(sources):
+        if type(source) is not kind:
+            raise ValueError("take_each needs the sources of one noise law")
+        if not 1 <= m <= source.left:
+            raise ValueError(f"cannot take {m} draws with {source.left} left")
+        shape = (m, source._dim)
+        out = outs[i]
+        if fresh:
+            outs[i] = np.empty(shape)
+        elif not (isinstance(out, np.ndarray) and out.shape == shape
+                  and out.dtype == np.float64 and out.flags.c_contiguous):
+            raise ValueError(f"draws go into a C-contiguous float64 array of "
+                             f"shape {shape}")
+    if sources:
+        kind._fill_each(sources, outs)
+        for source in sources:
+            source.left -= m
+    return outs
 
 
 def density(spec, x):

@@ -8,10 +8,11 @@ step; a single path is a one-lane run of it.  Diverged trajectories are
 censored at their first offending step, never stepped again, and excluded
 from later snapshot statistics while staying in the divergence counts.
 
-Every run goes through one recurrence: blocks of _BLOCK_STEPS (512) steps,
-each live lane's noise draw source writing the block's draws straight into
-that lane's rows of the block window, with the snapshot rows gathered as
-the lanes pass the snapshot times; no later pass aggregates whole paths.
+Every run goes through one recurrence: blocks of _BLOCK_STEPS (128) steps,
+each refilled by one noise.take_each call in which every live lane's draw
+source writes the block's draws straight into that lane's rows of the block
+window, with the snapshot rows gathered as the lanes pass the snapshot
+times; no later pass aggregates whole paths.
 simulate_ensemble(cfg) keeps only those rows and the divergence steps, so
 it holds one (n_traj, _BLOCK_STEPS + 1, dim) window of states whatever the
 horizon; simulate_ensemble(cfg, keep_paths=True), and so simulate_path,
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .noise import draw_source
+from .noise import draw_source, take_each
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -36,7 +37,7 @@ _MIX2 = 0x94D049BB133111EB
 DEFAULT_DIVERGENCE_THRESHOLD = 1e9
 
 # Time steps per block of the recurrence.
-_BLOCK_STEPS = 512
+_BLOCK_STEPS = 128
 
 
 def mix64(master_seed, index):
@@ -56,14 +57,27 @@ def mix64(master_seed, index):
     return z
 
 
+def _is_integer(value):
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_seed(seed, name):
     """seed as an int if it is an integer in [0, 2^64), else a ValueError
     naming it: mix64 reduces a seed mod 2^64, so a wider one would run as
     another seed's ensemble."""
-    is_int = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if is_int and 0 <= seed <= _MASK64:
+    if _is_integer(seed) and 0 <= seed <= _MASK64:
         return int(seed)
     raise ValueError(f"{name} {seed!r} is not an integer in [0, 2^64)")
+
+
+def _require_int(value, name):
+    """value as an int if it is an integer, else a ValueError naming it: the
+    run sizes and times are counts of steps and lanes, and a bool or a float
+    would run as another count or fail inside numpy."""
+    if _is_integer(value):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_start(model, start):
@@ -75,14 +89,16 @@ def _require_start(model, start):
 
 
 def _check_run(model, noise_spec, x0, horizon, divergence_threshold):
-    """x0, a fixed one as a tuple of floats, if horizon >= 1, a given threshold
-    is positive, the noise rule holds and a fixed x0 passes _require_start."""
+    """(x0, horizon), a fixed x0 as a tuple of floats and horizon as an int,
+    if horizon is an integer >= 1, a given threshold is positive, the noise
+    rule holds and a fixed x0 passes _require_start."""
+    horizon = _require_int(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if divergence_threshold is not None and not divergence_threshold > 0:
         raise ValueError("divergence_threshold must be positive")
     model.require_noise(noise_spec)
-    return x0 if callable(x0) else tuple(_require_start(model, x0).tolist())
+    return x0 if callable(x0) else tuple(_require_start(model, x0).tolist()), horizon
 
 
 @dataclass(frozen=True)
@@ -105,19 +121,23 @@ class SimulationConfig:
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        x0 = _check_run(self.model, self.noise, self.x0, self.horizon, self.divergence_threshold)
+        x0, horizon = _check_run(self.model, self.noise, self.x0, self.horizon,
+                                 self.divergence_threshold)
         object.__setattr__(self, "master_seed", require_seed(self.master_seed, "master_seed"))
-        if self.n_traj < 1:
+        n_traj = _require_int(self.n_traj, "n_traj")
+        if n_traj < 1:
             raise ValueError("n_traj must be >= 1")
-        times = tuple(int(t) for t in self.snapshot_times)
+        times = tuple(_require_int(t, f"snapshot_times[{i}]")
+                      for i, t in enumerate(self.snapshot_times))
         if not times:
             raise ValueError("snapshot_times must be nonempty")
         if list(times) != sorted(set(times)):
             raise ValueError("snapshot_times must be strictly increasing")
-        if times[0] < 0 or times[-1] > self.horizon:
+        if times[0] < 0 or times[-1] > horizon:
             raise ValueError("snapshot_times must lie in [0, horizon]")
-        object.__setattr__(self, "snapshot_times", times)
-        object.__setattr__(self, "x0", x0)
+        for name, value in (("x0", x0), ("horizon", horizon), ("n_traj", n_traj),
+                            ("snapshot_times", times)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +200,7 @@ def simulate_path(model, noise_spec, x0, horizon, seed,
     before the offending step; with a threshold, the first state whose l1
     norm exceeds it is kept as the final row.
     """
-    _check_run(model, noise_spec, x0, horizon, divergence_threshold)
+    horizon = _check_run(model, noise_spec, x0, horizon, divergence_threshold)[1]
     return _run_lanes(model, noise_spec, x0, horizon, (require_seed(seed, "seed"),),
                       divergence_threshold, keep_paths=True)[2][0]
 
@@ -208,11 +228,11 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
     block = min(horizon, _BLOCK_STEPS)
     n = len(seeds)
     buf = np.empty((n, (horizon if keep_paths else block) + 1, model.dim))
-    takes = []
+    sources = []
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         buf[i, 0] = _require_start(model, x0(rng)) if callable(x0) else x0
-        takes.append(draw_source(noise_spec, rng, horizon).take)
+        sources.append(draw_source(noise_spec, rng, horizon))
     kernel = model.lane_kernel()
     threshold = math.inf if divergence_threshold is None else divergence_threshold
     # A lane passes unexamined while its l1 norm is at most `limit`; a
@@ -235,8 +255,9 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
         for t0 in range(0, horizon, block):
             steps = min(block, horizon - t0)
             window = buf[:, t0:t0 + steps + 1] if keep_paths else buf
-            for i in lanes:
-                takes[i](steps, window[i, 1:steps + 1])
+            ids = lanes.tolist()
+            take_each([sources[i] for i in ids], steps,
+                      [window[i, 1:steps + 1] for i in ids])
             for s in range(1, steps + 1):
                 t = t0 + s
                 x = kernel(x, window[live, s])

@@ -24,7 +24,7 @@ from ergokit.config import (
 )
 from ergokit.models import ThresholdAffine2D
 from ergokit.noise import Expol2
-from ergokit.simulate import _BLOCK_STEPS, PathResult, SimulationConfig, simulate_ensemble
+from ergokit.simulate import PathResult, SimulationConfig, simulate_ensemble
 
 
 @pytest.fixture(autouse=True)
@@ -519,13 +519,17 @@ def test_simulate_does_not_load_numpy_ma(tmp_path):
 
 def test_the_trajectory_dump_changes_no_other_artifact(tmp_path, monkeypatch):
     # 30 threshold paths over two blocks of the recurrence, 15 of them
-    # censored: 4 in the first block, one at its last step and 10 after it.  A streamed run (cap 0) and a
-    # run that keeps whole paths for the dump (the default cap) write the
-    # same snapshots, summary and verdict.
+    # censored: 4 in the first block, one at its last step and 10 after it.
+    # These paths cross 10^6 from step 451 on, so the blocks are set to 512
+    # steps here; the block length decides no value.  A streamed run (cap 0)
+    # and a run that keeps whole paths for the dump (the default cap) write
+    # the same snapshots, summary and verdict.
+    block = 512
+    monkeypatch.setattr("ergokit.simulate._BLOCK_STEPS", block)
     doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
     doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
-    horizon = _BLOCK_STEPS + 100
-    doc["simulation"].update(n_traj=30, T=horizon, snapshots=[100, _BLOCK_STEPS, horizon],
+    horizon = block + 100
+    doc["simulation"].update(n_traj=30, T=horizon, snapshots=[100, block, horizon],
                              divergence_threshold=1e6, seed=7)
     path = write_config(tmp_path, doc)
     streamed, kept = tmp_path / "streamed", tmp_path / "kept"
@@ -541,8 +545,8 @@ def test_the_trajectory_dump_changes_no_other_artifact(tmp_path, monkeypatch):
     steps = json.loads((kept / "summary.json").read_text())["divergence_steps"]
     censored = [t for t in steps if t is not None]
     assert len(censored) == 15
-    assert sum(t > _BLOCK_STEPS for t in censored) == 10
-    assert _BLOCK_STEPS in censored
+    assert sum(t > block for t in censored) == 10
+    assert block in censored
 
 
 def test_trajectory_dump_of_lanes_that_overflow_to_inf():

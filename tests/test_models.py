@@ -401,10 +401,14 @@ def _bits(values):
                 (-0.0, -0.0, 1.0, 1.0), (0.0, 1.5, 1.0, 1.0), (1.5, 0.0, 1.0, 1.0),
                 (-0.0, 3.0, -1.0, 0.5)])
 # b_mat = [[1, 1], [1, 1]] and A = I: det M = 0 on the line L = {x1 = x2},
-# and M = 0 at the origin.
+# which holds the origin, where M = b_mat.
 @example(family="bekk", c=_ID + [1.0, 1.0, 0.0] + [0.5] * 5,
          lanes=[(2.5, 2.5, 1.0, -1.0), (-3.0, -3.0, 0.3, 0.2), (1e-8, 1e-8, 1.0, 1.0),
                 (0.0, 0.0, 1.0, -2.0), (2.5, -2.5, 0.5, 0.5)])
+# b_mat = 0 and A = I: M = 0 at the origin, signed zeros too (the t == 0
+# branch, the zero root), beside a regular lane.
+@example(family="bekk", c=_ID + [0.0] * 8,
+         lanes=[(0.0, 0.0, 1.0, -2.0), (-0.0, 0.0, 0.5, 0.5), (1.0, 2.0, 0.3, -0.7)])
 def test_lane_kernels_match_the_python_float_oracle(family, c, lanes):
     # The kernel against tests/oracle.py, bit for bit, in its one order.
     m = _model_of(family, c)

@@ -15,6 +15,7 @@ from ergokit.noise import (
     density,
     draw_source,
     sample,
+    take_each,
     _RejectionStream,
     _expol2_z,
     _gauss_legendre,
@@ -269,6 +270,84 @@ def test_draws_fill_caller_rows_in_place(name, bits, seed, count, data):
     assert np.array_equal(window[1, 1:], want)
     assert np.isnan(window[0]).all() and np.isnan(window[1, 0]).all()
     assert source.left == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_FILL_SPECS)),
+       bits=st.sampled_from((np.random.PCG64, np.random.MT19937)),
+       seeds=st.lists(_seeds, min_size=1, max_size=6), count=st.integers(1, 2500),
+       # 1 puts each stream's chunk in a group of its own.
+       group=st.sampled_from((1, 700, 8192)), data=st.data())
+# Seven 128-row refills of 200-row streams, as in a short simulation.
+@example(name="expol2", bits=np.random.PCG64, seeds=list(range(5)), count=200,
+         group=8192, data=None)
+def test_grouped_refill_matches_each_lane_alone(name, bits, seeds, count, group, data):
+    # A refill of k lanes together writes each lane's sample bit for bit,
+    # with as many proposals as the lane drawing alone, whatever the piece
+    # sizes and whichever lanes drop out between refills.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise, "_GROUP_PROPOSALS", group)
+        _check_grouped_refill(_FILL_SPECS[name], bits, seeds, count, data)
+
+
+def _check_grouped_refill(spec, bits, seeds, count, data):
+    k = len(seeds)
+
+    def sources():
+        return [draw_source(spec, np.random.Generator(bits(seed)), count) for seed in seeds]
+
+    together, alone = sources(), sources()
+    window = np.full((k, count, spec.dim), np.nan)
+    if data is None:
+        drop, cuts = [count] * k, list(range(128, count, 128))
+    else:
+        drop = data.draw(st.lists(st.integers(1, count), min_size=k, max_size=k))
+        cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=12))
+    edges = [0, *sorted({c for c in cuts if 0 < c < count}), count]
+    for a, b in zip(edges, edges[1:]):
+        live = [i for i in range(k) if drop[i] > a]
+        if not live:
+            break
+        rows = [window[i, a:b] for i in live]
+        got = take_each([together[i] for i in live], b - a, rows)
+        assert all(g is r for g, r in zip(got, rows, strict=True))
+        for i in live:
+            alone[i].take(b - a)
+    for i, seed in enumerate(seeds):
+        stop = next(b for b in edges if b >= drop[i])
+        want = sample(spec, np.random.Generator(bits(seed)), count)
+        assert np.array_equal(window[i, :stop], want[:stop])
+        assert np.isnan(window[i, stop:]).all()
+        assert together[i].left == alone[i].left == count - stop
+        if isinstance(spec, Expol2):
+            assert together[i].proposals == alone[i].proposals
+            if stop == count:
+                whole = draw_source(spec, np.random.Generator(bits(seed)), count)
+                whole.take(count)
+                assert together[i].proposals == whole.proposals
+
+
+def test_grouped_refill_refuses_what_take_refuses():
+    # Nothing is drawn unless every source and every out can take the piece.
+    def sources():
+        return [draw_source(Expol2(), np.random.default_rng(s), 10) for s in (1, 2)]
+
+    group = sources()
+    outs = [np.empty((4, 2)), np.empty((4, 2))[::-1]]
+    with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+        take_each(group, 4, outs)
+    with pytest.raises(ValueError, match="1 outs for 2 sources"):
+        take_each(group, 4, outs[:1])
+    with pytest.raises(ValueError, match="cannot take 11 draws with 10 left"):
+        take_each(group, 11)
+    with pytest.raises(ValueError, match="distinct sources"):
+        take_each([group[0], group[0]], 4)
+    with pytest.raises(ValueError, match="the sources of one noise law"):
+        take_each([group[0], draw_source(StdGaussian(2), np.random.default_rng(3), 10)], 4)
+    assert [source.left for source in group] == [10, 10]
+    got = take_each(group, 10)
+    assert all(np.array_equal(g, s.take(10)) for g, s in zip(got, sources()))
+    assert take_each([], 3) == []
 
 
 @pytest.mark.parametrize("name", sorted(_FILL_SPECS))

@@ -14,7 +14,7 @@ from ergokit import simulate
 from ergokit.config import builtin_configs, validate_config
 from ergokit.ergodicity import empirical_drift_check, shell_estimate_envelope
 from ergokit.models import AffineMap, BekkArch, GenericModel, ThresholdAffine2D, step
-from ergokit.noise import Expol2, StdGaussian, _DrawSource, sample
+from ergokit.noise import Expol2, StdGaussian, sample
 from ergokit.simulate import (
     _BLOCK_STEPS,
     EnsembleSummary,
@@ -78,9 +78,9 @@ def test_seeded_entry_points_hold_the_seed_rule(entry):
     for seed in (0, 2 ** 64 - 1):
         run(seed)
 
-# The longer horizon writes the path through five block windows, with
-# Expol2 rounds split across the block boundaries.
-@pytest.mark.parametrize("horizon", [50, 4 * _BLOCK_STEPS + 3])
+# The longer horizon writes the path through many block windows (17 of 128
+# steps, or 5 of 512), with Expol2 rounds split across the block boundaries.
+@pytest.mark.parametrize("horizon", [50, 2051])
 def test_simulate_path_matches_step_composition(horizon):
     m = make_threshold()
     res = simulate_path(m, Expol2(), (0.5, -0.25), horizon, seed=123)
@@ -538,6 +538,47 @@ def test_streamed_ensemble_matches_whole_paths_threshold():
     assert got.diverged_count == 13 and got.snapshots[-1].count == 0
 
 
+# Counter lanes censored on both sides of block edges: truncated (start
+# -(t - 1)) and kept (start 1101 - t) at each step t of _EDGE_CENSORED, which
+# brackets the edges of 128- and 512-step blocks and holds 511, an edge of
+# 7-step blocks; 0.5 never diverges and 1e9 is truncated at step 1.
+_EDGE_CENSORED = (127, 128, 129, 511, 512, 513)
+_BLOCK_STARTS = (0.5, 1.0e9, *(-(t - 1.0) for t in _EDGE_CENSORED),
+                 *(1101.0 - t for t in _EDGE_CENSORED))
+
+
+@pytest.mark.parametrize("noise", [Expol2(), StdGaussian(2)], ids=["expol2", "gaussian"])
+def test_the_block_length_decides_no_value(monkeypatch, noise):
+    def config():
+        starts = iter(_BLOCK_STARTS)
+        return SimulationConfig(
+            model=_COUNTER, noise=noise,
+            x0=lambda rng: (next(starts), rng.uniform(-1.0, 1.0)), horizon=600,
+            n_traj=len(_BLOCK_STARTS),
+            snapshot_times=(0, 1, 7, 127, 128, 129, 511, 512, 513, 600),
+            master_seed=37, divergence_threshold=1100.5)
+
+    runs = {}
+    for block in (1, 7, 128, 512):
+        monkeypatch.setattr(simulate, "_BLOCK_STEPS", block)
+        runs[block] = simulate_ensemble(config()), simulate_ensemble(config(), keep_paths=True)
+    want, kept = runs[_BLOCK_STEPS]
+    paths = kept.paths
+    _assert_same_summary(want, _gathered_summary(config(), paths))
+    truncated = {p.divergence_step for p in paths if p.diverged
+                 and p.states.shape[0] == p.divergence_step}
+    kept_last = {p.divergence_step for p in paths if p.diverged
+                 and p.states.shape[0] == p.divergence_step + 1}
+    assert truncated == {1, *_EDGE_CENSORED} and kept_last == set(_EDGE_CENSORED)
+    for streamed, whole in runs.values():
+        assert streamed.paths is None
+        _assert_same_summary(streamed, want)
+        _assert_same_summary(whole, want)
+        for p, q in zip(whole.paths, paths, strict=True):
+            assert p.divergence_step == q.divergence_step
+            assert np.array_equal(p.states, q.states)
+
+
 @pytest.mark.parametrize("noise, n_traj, horizons", [
     # 50 lanes over the trajectory dump cap at both horizons.  Whole paths
     # would take 50 * (T + 1) * 2 * 8 bytes: 1.6 MB and 16 MB.  No block
@@ -576,58 +617,63 @@ def _traced_peak(cfg):
 
 def test_streamed_window_memory_bound():
     # 200 threshold lanes, as in example2-ergodic, streamed over three
-    # blocks.  The peak is one (200, _BLOCK_STEPS + 1, 2) window, 1.64 MB,
-    # plus what the lanes' draw sources hold: 2.27 MB with 512-step blocks,
-    # where 1,024-step blocks peaked at 4.02 MB.
+    # blocks.  The peak is one (200, _BLOCK_STEPS + 1, 2) window, 0.41 MB,
+    # plus what the lanes' draw sources hold (leftover values and spare
+    # generators) and one group's rejection scratch: 1.13 MB with 128-step
+    # blocks, against 2.26 MB with 512-step blocks and 4.02 MB with 1,024.
+    # The bound leaves 15% above the measured peak.
     horizon = 3 * _BLOCK_STEPS
     cfg = SimulationConfig(model=make_threshold(), noise=Expol2(), x0=(0.0, 0.0),
                            horizon=horizon, n_traj=200,
                            snapshot_times=(horizon // 2, horizon), master_seed=4)
     _traced_peak(cfg)  # warm
-    assert _traced_peak(cfg) < 3_000_000
+    assert _traced_peak(cfg) < 1_300_000
 
 
 def test_streamed_run_refills_each_live_lane_once_per_block(monkeypatch):
-    # Each live lane's draw source writes one block of draws into the
-    # window per block, and a censored lane draws no later block.
-    sources, pieces = [], []
-    draw_source, take = simulate.draw_source, _DrawSource.take
+    # One grouped refill per block writes each live lane's block of draws
+    # into its window rows, and a censored lane draws no later block.
+    sources, refills = [], []
+    draw_source, take_each = simulate.draw_source, simulate.take_each
 
     def recording_draw_source(*args):
         sources.append(draw_source(*args))
         return sources[-1]
 
-    def recording_take(self, m, out=None):
-        pieces.append((id(self), m, out is not None))
-        return take(self, m, out)
+    def recording_take_each(group, m, outs=None):
+        refills.append(([id(source) for source in group], m, outs is not None))
+        return take_each(group, m, outs)
 
     monkeypatch.setattr(simulate, "draw_source", recording_draw_source)
-    monkeypatch.setattr(_DrawSource, "take", recording_take)
+    monkeypatch.setattr(simulate, "take_each", recording_take_each)
     cfg = validate_config(builtin_configs()["example2-ergodic"])["simulation"]
     assert simulate_ensemble(cfg).diverged_count == 0
     blocks = -(-cfg.horizon // _BLOCK_STEPS)
-    assert len(pieces) == cfg.n_traj * blocks
-    assert all(in_place for _, _, in_place in pieces)
+    assert len(refills) == blocks
+    taken = Counter(lane for group, _, _ in refills for lane in group)
+    assert sum(taken.values()) == cfg.n_traj * blocks
+    assert taken == Counter({id(source): blocks for source in sources})
+    assert all(in_place for _, _, in_place in refills)
     # The rejection rounds do not depend on the pieces, so the lanes propose
     # as many values as they did in 1,024-step blocks.
     assert sum(source.proposals for source in sources) == 12_159_471
 
     # The censored-dump workload: 64 of 100 explosive lanes cross the
-    # threshold, some before the second block starts, some after.
+    # threshold, in several blocks (steps 292 to 957).
     sources.clear()
-    pieces.clear()
+    refills.clear()
     doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
     doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
     doc["simulation"].update(n_traj=100, T=999, snapshots=[100, 999],
                              divergence_threshold=1e6)
     cfg = validate_config(doc)["simulation"]
     steps = simulate_ensemble(cfg).divergence_steps
-    taken = Counter(source for source, _, _ in pieces)
+    taken = Counter(lane for group, _, _ in refills for lane in group)
     assert [taken[id(source)] for source in sources] == [
         -(-(cfg.horizon if t is None else t) // _BLOCK_STEPS) for t in steps]
     censored = [t for t in steps if t is not None]
     assert len(censored) == 64
-    assert min(censored) <= _BLOCK_STEPS < max(censored)
+    assert len({-(-t // _BLOCK_STEPS) for t in censored}) > 1
 
 
 def test_simulate_path_threshold_censoring():
@@ -717,6 +763,42 @@ def test_simulate_path_checks_its_inputs_as_the_config_does():
         simulate_path(make_threshold(), Expol2(), (0.0, 0.0, 0.0), 10, 1)
     with pytest.raises(ValueError, match="x0 must be finite"):
         simulate_path(make_threshold(), Expol2(), (math.nan, 0.0), 10, 1)
+
+
+# Run sizes and times are held to one integer rule: a float snapshot time
+# used to run at its floor, a bool horizon or n_traj as 1, and a float
+# horizon failed inside numpy.
+@pytest.mark.parametrize("field, value, name, bad", [
+    ("snapshot_times", (2.7, 4.9), "snapshot_times[0]", 2.7),
+    ("snapshot_times", (2, 4.0), "snapshot_times[1]", 4.0),
+    ("snapshot_times", (True, 4), "snapshot_times[0]", True),
+    ("horizon", True, "horizon", True),
+    ("horizon", 5.5, "horizon", 5.5),
+    ("horizon", 10.0, "horizon", 10.0),
+    ("n_traj", True, "n_traj", True),
+    ("n_traj", 3.0, "n_traj", 3.0),
+])
+def test_run_sizes_are_held_to_the_integer_rule(field, value, name, bad):
+    fields = dict(model=make_threshold(), noise=Expol2(), x0=(0.0, 0.0), horizon=10,
+                  n_traj=3, snapshot_times=(2, 4), master_seed=1)
+    fields[field] = value
+    refused = pytest.raises(ValueError, match="^" + re.escape(
+        f"{name} must be an integer, got {bad!r}") + "$")
+    with refused:
+        SimulationConfig(**fields)
+    if field == "horizon":
+        with refused:
+            simulate_path(make_threshold(), Expol2(), (0.0, 0.0), value, 1)
+
+
+def test_numpy_integer_run_sizes_are_held_as_ints():
+    cfg = SimulationConfig(model=make_threshold(), noise=Expol2(), x0=(0.0, 0.0),
+                           horizon=np.int64(10), n_traj=np.int32(3),
+                           snapshot_times=np.array([2, 10]), master_seed=1)
+    assert (cfg.horizon, cfg.n_traj, cfg.snapshot_times) == (10, 3, (2, 10))
+    assert all(type(v) is int for v in (cfg.horizon, cfg.n_traj, *cfg.snapshot_times))
+    assert simulate_ensemble(cfg).n_traj == 3
+    assert simulate_path(make_threshold(), Expol2(), (0.0, 0.0), np.int64(3), 1).states.shape == (4, 2)
 
 
 def test_simulate_path_draws_a_callable_start_from_its_own_stream():
