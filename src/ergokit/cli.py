@@ -60,7 +60,7 @@ def _env_seed_override():
     try:
         seed = int(raw)
     except ValueError:
-        raise ConfigError(f"ERGOKIT_SEED must be an integer, got {raw!r}")
+        seed = raw  # not an integer, which require_seed refuses by name
     try:
         return require_seed(seed, "ERGOKIT_SEED")
     except ValueError as exc:

@@ -230,8 +230,7 @@ def builtin_configs():
         "notes": (
             "a reference figure of 0.981 circulates for this example's drift "
             "coefficient; the column-sum formulas used here give 0.8137; both "
-            "are below 1, so the sufficient condition holds either way (see "
-            "the repository decision notes for the discrepancy analysis)"
+            "are below 1, so the sufficient condition holds either way"
         ),
     }
     unit_root = {

@@ -32,6 +32,7 @@ from .norms import (
     frobenius_norm,
     induced_norm_bounds,
     require_exponent,
+    require_int,
     s_norms,
     vector_s_norm,
 )
@@ -241,6 +242,7 @@ def shell_estimate_envelope(model, s, m_ball, radius, n_samples, seed):
     s = require_exponent(s)
     if not (radius > m_ball > 0):
         raise ValueError("need radius > M > 0")
+    n_samples = require_int(n_samples, "n_samples")
     if n_samples < 10 ** 3:
         raise ValueError("need at least 1000 shell samples")
     rng = np.random.default_rng(require_seed(seed, "seed"))
@@ -314,6 +316,7 @@ def probe_skeleton_reachability(model, seeds, horizon):
     A diagnostic aid, not a proof: escaping says the deterministic flow
     leaves the degenerate set, from where the noise has full-rank directions.
     """
+    horizon = require_int(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     results = []
@@ -338,6 +341,7 @@ def probe_skeleton_reachability(model, seeds, horizon):
 def empirical_drift_check(model, noise_spec, x, s, n_mc, seed):
     """Monte Carlo estimate of E[V(X_1) | X_0 = x] / V(x) for V = 1 + ||.||_s."""
     s = require_exponent(s)
+    n_mc = require_int(n_mc, "n_mc")
     if n_mc < 10 ** 3:
         raise ValueError("need at least 1000 Monte Carlo draws")
     x = model.require_state(x)

@@ -9,19 +9,18 @@ through its draw_source, which hands out one sample in pieces of any sizes,
 each written into a fresh array or a caller's, and sample() takes it in one
 piece.  take_each takes the next piece of many sources in one call, as a
 simulation refills every live lane's rows of its window, and source.take is
-its one-source case.  An Expol2 source replays the rejection rounds piece by
-piece, so it holds O(piece) draws; a round is drawn whole when the piece
-uses it up or the generator cannot advance(), and split otherwise.  Its
-proposals are Generator.random() doubles scaled in place as
-Generator.uniform scales them: uniform's values, without its temporaries.
-Each source draws from its own generator into its slice of a shared
-scratch buffer, and the scaling, the acceptance test and the compress run
-once per group of sources, of at most _GROUP_PROPOSALS proposals unless one
-source's chunk alone is larger.  The Expol2 normalization
-constant is cached with compute-once semantics.  Every quadrature moment
-and that normalization use one fixed rule with no refinement,
-Gauss-Legendre on panels graded towards the kink at the origin
-(_graded_rule).
+its one-source case.  An Expol2 source filters its generator's random()
+doubles in consecutive pairs, a value and its acceptance uniform, so a
+piece is just the next pairs and the source holds O(piece) draws.  The
+value is its double scaled in place as Generator.uniform scales it:
+uniform's value, without its temporaries.  Each source reads its pairs
+from its own generator into its rows of a shared scratch buffer, and the
+scaling, the acceptance test and the compress run once per group of
+sources, of at most _GROUP_PROPOSALS pairs unless one source's chunk alone
+is larger.  The Expol2 normalization constant is cached with compute-once
+semantics.  Every quadrature moment and that normalization use one fixed
+rule with no refinement, Gauss-Legendre on panels graded towards the kink
+at the origin (_graded_rule).
 """
 
 import functools
@@ -31,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .norms import SUBNORMAL_SAFE_SUM, require_exponent, s_norms
+from .norms import SUBNORMAL_SAFE_SUM, require_exponent, require_int, s_norms
 
 # Rejection proposals are uniform on [-EXPOL2_BOX, EXPOL2_BOX] per coordinate.
 # The unnormalized density exp(-(u^2-1)^2) attains its maximum 1 at u = +-1,
@@ -53,10 +52,12 @@ _TENSOR_DEPTH = 6
 _MAX_PROPOSALS_PER_DRAW = 10 ** 6
 
 # A grouped refill tests the chunks of consecutive short streams together,
-# up to this many proposals per group; a stream whose chunk alone is larger
-# is a group by itself.  The size sets only the scratch memory and the
-# number of passes, never a value.
+# up to this many proposals (pairs) per group; a stream whose chunk alone is
+# larger is a group by itself.  No chunk is longer than _MAX_CHUNK_PAIRS
+# pairs.  The sizes set only the scratch memory and the number of passes,
+# never a value.
 _GROUP_PROPOSALS = 8192
+_MAX_CHUNK_PAIRS = 1 << 16
 
 _NO_VALUES = np.empty(0)
 
@@ -79,8 +80,10 @@ class StdGaussian(_NoiseSpec):
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        dim = require_int(self.dim, "dim")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        object.__setattr__(self, "dim", dim)
 
     def draw_source(self, rng, count):
         # standard_normal gives the same values in pieces as in one call.
@@ -256,41 +259,31 @@ class _GaussianDraws(_DrawSource):
 class _RejectionStream(_DrawSource):
     """`count` rows of `width` Expol2 coordinates drawn by rejection, in pieces.
 
-    A proposal is one value uniform on [-box, box], box = EXPOL2_BOX, drawn
-    as a random() double r scaled to r * (2 * box) - box, which is how
-    uniform(-box, box) rounds it; its acceptance uniform v is random(), which
-    equals uniform(0, 1), and it is accepted when v <= exp(-(u^2 - 1)^2),
-    since the envelope is 1.  A round makes one proposal per value still to
-    come: k uniforms, then k acceptance uniforms, one 64-bit output per
-    uniform; accepted values fill the rows in proposal order, `proposals`
-    counts them all, and the next round starts where they end.  A round that
-    this piece uses up, or any round of a generator without advance() (only
-    PCG64 and PCG64DXSM have it), is drawn whole, both from one generator.
-    Any other round is split: its acceptance uniforms come from a copy
-    advanced past the proposals, both are read a chunk at a time, and when
-    the round is used up the copy, which then stands where the round ends,
-    becomes the generator (and the old one the spare for the next copy).
-    Accepted values a piece does not need wait in `_ready`, so a source
-    holds O(piece) values.
+    Proposal j is the pair of doubles 2j and 2j + 1 that the generator's
+    random() gives after the stream is made.  The first, r, is the value
+    u = r * (2 * box) - box, box = EXPOL2_BOX, which is how
+    uniform(-box, box) rounds it; the second, v, is its acceptance uniform,
+    and u is accepted when v <= exp(-(u^2 - 1)^2), since the envelope is 1.
+    The stream is the accepted values in proposal order, so pieces read any
+    number of pairs and still concatenate to the sample taken at once, for
+    every bit generator.  `proposals` counts the pairs read, which depends
+    on the pieces; a take that would read more than _MAX_PROPOSALS_PER_DRAW
+    pairs per value of the sample raises.  Accepted values a piece does not
+    need wait in `_ready`, so a source holds O(piece) values.
 
     Streams are filled together: each stream still short of its piece reads
-    its next chunk from its own generators into its slice of a shared
-    scratch pair, and the scaling, the test, the compress and the counts per
-    stream run once per group of streams (_test_group).
+    its next chunk of pairs from its own generator into its rows of a shared
+    (pairs, 2) scratch, and the scaling, the test, the compress and the
+    counts per stream run once per group of streams (_test_group).
     """
 
-    __slots__ = ("_total", "_rng", "_accept", "_spare", "_round_left", "_filled",
-                 "_ready", "proposals")
+    __slots__ = ("_rng", "_ready", "_budget", "proposals")
 
     def __init__(self, rng, count, width):
         super().__init__(count, width)
-        self._total = count * width
         self._rng = rng
-        self._accept = rng  # the acceptance-uniform generator of the round
-        self._spare = None  # a generator free to become the next copy
-        self._round_left = 0  # proposals of the round not yet read
-        self._filled = 0  # values accepted so far
         self._ready = _NO_VALUES
+        self._budget = _MAX_PROPOSALS_PER_DRAW * count * width
         self.proposals = 0
 
     @staticmethod
@@ -313,7 +306,12 @@ class _RejectionStream(_DrawSource):
             wanting, short = short, []
             group, total = [], 0
             for stream, flat, got in wanting:
-                k = stream._chunk(flat.size - got)
+                # Three pairs per value wanted, plus a margin: about a third
+                # are accepted (Z / 6 = 0.329).  The chunk size sets only how
+                # many pairs a piece reads, never a value.
+                k = min(3 * (flat.size - got) + 256, _MAX_CHUNK_PAIRS)
+                if stream.proposals + k > stream._budget:
+                    raise ValueError("rejection sampler exceeded the proposal budget")
                 if group and total + k > _GROUP_PROPOSALS:
                     short += _RejectionStream._test_group(group, total)
                     group, total = [], 0
@@ -321,58 +319,31 @@ class _RejectionStream(_DrawSource):
                 total += k
             short += _RejectionStream._test_group(group, total)
 
-    def _chunk(self, need):
-        """Proposals in this stream's next chunk, opening a round if none is
-        open; `need` more values are wanted by this piece."""
-        if not self._round_left:
-            to_come = self._total - self._filled
-            self._round_left = to_come
-            self.proposals += to_come
-            # With need == to_come this piece takes every value still to
-            # come, so it uses the round up.  advance(n) skips exactly n
-            # 64-bit outputs on these bit generators.
-            bits = self._rng.bit_generator
-            advanceable = (np.random.PCG64, np.random.PCG64DXSM)
-            if need < to_come and isinstance(bits, advanceable):
-                if self._spare is None:
-                    self._spare = np.random.Generator(type(bits)(0))
-                self._accept, self._spare = self._spare, None
-                self._accept.bit_generator.state = bits.state
-                self._accept.bit_generator.advance(to_come)
-        if self._accept is self._rng:
-            return self._round_left
-        # Three proposals per value wanted, plus a margin: about a third are
-        # accepted (Z / 6 = 0.329).  The chunk size sets only how many
-        # chunks a piece reads, never a value.
-        return min(self._round_left, 3 * need + 256)
-
     @staticmethod
     def _test_group(group, total):
         """Read and test one chunk of each (stream, flat, got, k) of group,
-        `total` proposals in all: k proposals of the stream go into its
-        slice of u and their acceptance uniforms into the same slice of v.
-        Accepted values go to the stream's piece from flat[got] on, and what
-        the piece does not need to its `_ready`.  Returns the
+        `total` pairs in all: the stream's k pairs go into its rows of the
+        scratch.  Accepted values go to the stream's piece from flat[got] on,
+        and what the piece does not need to its `_ready`.  Returns the
         (stream, flat, got) of the streams still short."""
-        u = np.empty(total)
-        v = np.empty(total)
+        pairs = np.empty((total, 2))
         starts = []
         a = 0
         for stream, _, _, k in group:
             starts.append(a)
-            stream._rng.random(out=u[a:a + k])
-            stream._accept.random(out=v[a:a + k])  # uniform(0, 1)
+            stream._rng.random(out=pairs[a:a + k])
+            stream.proposals += k
             a += k
+        u = pairs[:, 0]
         # Scaled in place as uniform(-box, box) scales random(): the same
         # bits, without uniform's temporaries.
         u *= 2 * EXPOL2_BOX
         u -= EXPOL2_BOX
-        keep = v <= _expol2_unnormalized(u)
-        del v  # freed before the compress allocates
+        keep = pairs[:, 1] <= _expol2_unnormalized(u)
         accepted = u.compress(keep)
         short = []
         pos = 0
-        for (stream, flat, got, k), c in zip(group, np.add.reduceat(keep, starts).tolist()):
+        for (stream, flat, got, _), c in zip(group, np.add.reduceat(keep, starts).tolist()):
             n = min(c, flat.size - got)
             if n:
                 flat[got:got + n] = accepted[pos:pos + n]
@@ -382,13 +353,6 @@ class _RejectionStream(_DrawSource):
             elif got + n < flat.size:
                 short.append((stream, flat, got + n))
             pos += c
-            stream._filled += c
-            stream._round_left -= k
-            if not stream._round_left:
-                if stream._accept is not stream._rng:
-                    stream._rng, stream._spare = stream._accept, stream._rng
-                if stream.proposals > _MAX_PROPOSALS_PER_DRAW * stream._total:
-                    raise ValueError("rejection sampler exceeded the proposal budget")
         return short
 
 
@@ -412,6 +376,7 @@ def draw_source(spec, rng, count):
     raises on the take that meets it.  The source draws from rng, which it
     leaves at an unspecified position.
     """
+    count = require_int(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return spec.draw_source(rng, count)
@@ -428,6 +393,7 @@ def take_each(sources, m, outs=None):
     the drawn values is shared.  Nothing is drawn unless the sources are
     distinct, every source has m draws left and every out has that form.
     """
+    m = require_int(m, "m")
     fresh = outs is None
     if fresh:
         outs = [None] * len(sources)
@@ -487,6 +453,7 @@ def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):
     if method == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo requires a seeded generator")
+        budget = require_int(budget, "budget")
         if budget < 2:
             raise ValueError("monte_carlo budget must be >= 2")
         vals = s_norms(sample(spec, rng, budget), s, axis=1)

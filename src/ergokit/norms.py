@@ -2,7 +2,9 @@
 
 For 0 < s < 1 the vector "norm" is the pseudonorm sum(|x_i|^s) with no outer
 root; it satisfies the triangle inequality but not homogeneity.  For s >= 1 it
-is the genuine l_s norm.  The two branches coincide at s = 1.
+is the genuine l_s norm.  The two branches coincide at s = 1.  The module
+also holds the argument rules every other module calls: require_exponent
+for s and require_int for counts.
 """
 
 import math
@@ -41,6 +43,15 @@ def s_norms(a, s, axis=None):
         ratio = np.divide(a, peak, out=np.zeros_like(a), where=peak > 0)
         scaled = np.squeeze(peak, axis=axis) * np.sum(ratio ** s, axis=axis) ** (1.0 / s)
     return np.where(rescale, scaled, norms)[()]
+
+
+def require_int(value, name):
+    """value as an int if it is a Python or numpy integer, else a ValueError
+    naming it: sizes, counts and horizons are integers, and a bool or a float
+    would run as another count or fail inside numpy."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def require_exponent(s):

@@ -18,7 +18,9 @@ it holds one (n_traj, _BLOCK_STEPS + 1, dim) window of states whatever the
 horizon; simulate_ensemble(cfg, keep_paths=True), and so simulate_path,
 also keep whole paths, O(n_traj * horizon) states.  Both give bit-identical
 summaries.  The block length sets only memory and the per-block cost, never
-a value: every draw, state and summary is the same at any block length.
+a value: a draw source hands out one stream whatever the pieces (an Expol2
+source the accepted values of its generator's consecutive pairs of
+doubles), so every draw, state and summary is the same at any block length.
 """
 
 import math
@@ -28,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .noise import draw_source, take_each
+from .norms import require_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -57,27 +60,16 @@ def mix64(master_seed, index):
     return z
 
 
-def _is_integer(value):
-    """Whether value is a Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def require_seed(seed, name):
-    """seed as an int if it is an integer in [0, 2^64), else a ValueError
-    naming it: mix64 reduces a seed mod 2^64, so a wider one would run as
-    another seed's ensemble."""
-    if _is_integer(seed) and 0 <= seed <= _MASK64:
-        return int(seed)
+    """seed as an int if it is an integer (norms.require_int) in [0, 2^64),
+    else a ValueError naming it: mix64 reduces a seed mod 2^64, so a wider
+    one would run as another seed's ensemble."""
+    try:
+        if 0 <= require_int(seed, name) <= _MASK64:
+            return int(seed)
+    except ValueError:
+        pass
     raise ValueError(f"{name} {seed!r} is not an integer in [0, 2^64)")
-
-
-def _require_int(value, name):
-    """value as an int if it is an integer, else a ValueError naming it: the
-    run sizes and times are counts of steps and lanes, and a bool or a float
-    would run as another count or fail inside numpy."""
-    if _is_integer(value):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_start(model, start):
@@ -92,7 +84,7 @@ def _check_run(model, noise_spec, x0, horizon, divergence_threshold):
     """(x0, horizon), a fixed x0 as a tuple of floats and horizon as an int,
     if horizon is an integer >= 1, a given threshold is positive, the noise
     rule holds and a fixed x0 passes _require_start."""
-    horizon = _require_int(horizon, "horizon")
+    horizon = require_int(horizon, "horizon")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if divergence_threshold is not None and not divergence_threshold > 0:
@@ -124,10 +116,10 @@ class SimulationConfig:
         x0, horizon = _check_run(self.model, self.noise, self.x0, self.horizon,
                                  self.divergence_threshold)
         object.__setattr__(self, "master_seed", require_seed(self.master_seed, "master_seed"))
-        n_traj = _require_int(self.n_traj, "n_traj")
+        n_traj = require_int(self.n_traj, "n_traj")
         if n_traj < 1:
             raise ValueError("n_traj must be >= 1")
-        times = tuple(_require_int(t, f"snapshot_times[{i}]")
+        times = tuple(require_int(t, f"snapshot_times[{i}]")
                       for i, t in enumerate(self.snapshot_times))
         if not times:
             raise ValueError("snapshot_times must be nonempty")

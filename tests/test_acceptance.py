@@ -253,9 +253,10 @@ def test_criterion_6_simulation_dichotomy():
          f"{{1e2,1e3,1e4}}: {[round(m, 2) for m in med_var]}",
          med_var[0] < med_var[1] < med_var[2]),
     ])
-    # The variance-variant leg does not replicate (medians stay flat); it is
-    # asserted as stated and fails honestly; README.md's acceptance section
-    # explains the flat medians.
+    # The unit-root leg does not replicate at the default seed (the medians
+    # rise and then fall back by t = 1e4); it is asserted as stated and fails
+    # honestly.  The variance-variant leg passes there by sampling chance.
+    # README.md's acceptance section explains both.
     assert not failed, failed
 
 

@@ -518,13 +518,13 @@ def test_simulate_does_not_load_numpy_ma(tmp_path):
 
 
 def test_the_trajectory_dump_changes_no_other_artifact(tmp_path, monkeypatch):
-    # 30 threshold paths over two blocks of the recurrence, 15 of them
-    # censored: 4 in the first block, one at its last step and 10 after it.
-    # These paths cross 10^6 from step 451 on, so the blocks are set to 512
-    # steps here; the block length decides no value.  A streamed run (cap 0)
-    # and a run that keeps whole paths for the dump (the default cap) write
-    # the same snapshots, summary and verdict.
-    block = 512
+    # 30 threshold paths over two blocks of the recurrence, 13 of them
+    # censored: 4 in the first block, one at its last step and 8 after it.
+    # These paths cross 10^6 from step 440 on, and one at step 501, so the
+    # blocks are set to 501 steps here; the block length decides no value.
+    # A streamed run (cap 0) and a run that keeps whole paths for the dump
+    # (the default cap) write the same snapshots, summary and verdict.
+    block = 501
     monkeypatch.setattr("ergokit.simulate._BLOCK_STEPS", block)
     doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
     doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
@@ -544,8 +544,8 @@ def test_the_trajectory_dump_changes_no_other_artifact(tmp_path, monkeypatch):
         assert (streamed / name).read_bytes() == (kept / name).read_bytes()
     steps = json.loads((kept / "summary.json").read_text())["divergence_steps"]
     censored = [t for t in steps if t is not None]
-    assert len(censored) == 15
-    assert sum(t > block for t in censored) == 10
+    assert len(censored) == 13
+    assert sum(t > block for t in censored) == 8
     assert block in censored
 
 
@@ -611,8 +611,8 @@ def test_trajectory_dump_prints_each_cell_as_format_float(paths):
 
 
 def test_trajectory_dump_memory_does_not_grow_with_the_run(tmp_path):
-    # A 100 x 999-step unit-root run where 64 paths are censored mid-run:
-    # 75,227 rows, 3.5 MB of text.  Writing it holds one path's text at a
+    # A 100 x 999-step unit-root run where 69 paths are censored mid-run:
+    # 73,416 rows, 3.4 MB of text.  Writing it holds one path's text at a
     # time, far below the dump's size.
     doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
     doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
@@ -626,6 +626,6 @@ def test_trajectory_dump_memory_does_not_grow_with_the_run(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(p.states.shape[0] for p in paths) == 75_227
+    assert sum(p.states.shape[0] for p in paths) == 73_416
     assert target.stat().st_size > 3 << 20
     assert peak < 1 << 20

@@ -79,6 +79,64 @@ unchanged:
     check bekk-demo-shell-s2 (gamma 1.6504941310109376
     -> 1.6476284394436786, exit 2)
       report.json  29e69a3ef3e9... -> 97535b917c46...
+
+Every Expol2 simulation artifact was then re-frozen when the Expol2 sampler
+became a filter over consecutive pairs of random() doubles (a value and its
+acceptance uniform) in place of rounds of k values followed by k acceptance
+uniforms: the same seeds give other noise draws, so every state moves.
+threshold-censored now censors 9 of 12 paths (steps 115 to 246), where it
+censored 6 (steps 147 to 230); ergodic-over-cap still censors none, and its
+last median l1 norm moves from 2.2588327720228696 to 1.3846241143657929.
+In the same change the example2-ergodic notes lost a parenthetical that
+cited decision notes the repository does not have, so the check reports
+of the three configs built from those notes differ only in notes and
+config_hash; no verdict, gamma or exit code changed:
+
+    simulate ergodic-over-cap
+      snapshots.csv     8deeb11d7159... -> e180ad150620...
+      summary.json      7795d8df94f0... -> 77b36e80a30e...
+      verdict.txt       16c1575bd2e9... -> aa3fec111086...
+    simulate threshold-censored
+      snapshots.csv     e3de7918b3af... -> 085004ea40d3...
+      summary.json      4a7b5d16927f... -> e20da6e98b40...
+      trajectories.csv  373ae85fe3ea... -> ce4d8f393830...
+      verdict.txt       f086d5dd447e... -> 7abffb7b2c38...
+    check example2-ergodic
+      report.json  5c6196acd4d3... -> ecf00088b2dd...
+    check example2-ergodic-signed
+      report.json  a567268bb187... -> e4c50e39aa31...
+    check example2-ergodic-shell-s2
+      report.json  19c33bfc44da... -> 543900b4c3f1...
+
+The built-in bundles (`reproduce NAME` at seed 20260814, not pinned here)
+moved with them; bekk-demo's seven files are unchanged.  The unit-root
+medians at t = 1e2, 1e3, 1e4 went from 13.17, 50.2, 148.54 to 14.91,
+66.93, 40.89, and the variance variant's from 1.62, 1.47, 1.73 to 1.32,
+1.62, 1.81, so comparison.txt now reads [MISMATCH] for the unit root and
+[OK] for the variance variant:
+
+    example2-ergodic
+      comparison.txt  ad574dbde96e... -> 10fc7e8384f8...
+      config.json     19ae7cdf0e8c... -> 13e7a5e56312...
+      report.json     5c6196acd4d3... -> ecf00088b2dd...
+      snapshots.csv   c089c219fe71... -> cde3a7cb5708...
+      summary.json    f7d8aa7c867f... -> 145e5853535d...
+      verdict.txt     86a7d27743c8... -> 4be51d1d3b4d...
+    example2-unit-root (config.json and report.json unchanged)
+      comparison.txt  185725134793... -> 7bc0f5e5e6e3...
+      snapshots.csv   00c51291516d... -> cf3f9584e567...
+      summary.json    4ceda1700177... -> a0c13ed88d22...
+      verdict.txt     900e73f76b3b... -> 3963cfe15a69...
+    example2-variance (config.json and report.json unchanged)
+      comparison.txt  31e95f80d9ce... -> 983aab7d0158...
+      snapshots.csv   cfa5dacfc088... -> 4dd8cc6352be...
+      summary.json    03bf2fc94568... -> 2935e7717110...
+      verdict.txt     1748b9527239... -> 36f957e628cf...
+
+`moments --noise expol2 --s 1 --method mc` (budget 100000, seed 0) moved
+from 1.6546072503125393 (standard error 0.00172292) to 1.6554175217291625
+(0.00172213); the quadrature value is 1.6547848786785642.  Its output
+moved 8d0d0d4ce944... -> 853658a03e05....
 """
 
 import hashlib
@@ -104,8 +162,8 @@ def _doc(name, model=None, **simulation):
     return doc
 
 
-# Explosive threshold model: 6 of 12 paths cross the divergence threshold
-# between steps 147 and 230 and are censored mid-run.
+# Explosive threshold model: 9 of 12 paths cross the divergence threshold
+# between steps 115 and 246 and are censored mid-run.
 THRESHOLD_CENSORED = _doc(
     "example2-unit-root", model={"B": [[1.02, 0.0], [0.0, 1.02]]},
     T=300, n_traj=12, snapshots=[50, 300], divergence_threshold=1000.0,
@@ -117,15 +175,15 @@ ERGODIC_OVER_CAP = _doc("example2-ergodic", T=5000, n_traj=20,
 
 GOLDEN = {
     "ergodic-over-cap": (ERGODIC_OVER_CAP, {
-        "snapshots.csv": "8deeb11d7159c9aa60b78c150fa6c05e7cecd03a3440ad684fd3504f6e01d83d",
-        "summary.json": "7795d8df94f0fa548795f7a4a396e16514e5f1394e0c0f757e1734e15d126c50",
-        "verdict.txt": "16c1575bd2e9858f8d877d7ef2b5b456f6a064dedd6d53c2f46f346521f2034d",
+        "snapshots.csv": "e180ad150620d6b070972baedc8bc05561ffb956ed930e6251b73616d43f8609",
+        "summary.json": "77b36e80a30e9c5e0b4cf82f181b3e4cc08e5576604b10a35763ef702702f52c",
+        "verdict.txt": "aa3fec1110866cdc39ef3f35a3a950f1cd6dbda7fc817fec88d937bc37a07089",
     }),
     "threshold-censored": (THRESHOLD_CENSORED, {
-        "snapshots.csv": "e3de7918b3af1e1ed0ac54eb0e070184744c8d179de80d3b6f2f3b576c78211a",
-        "summary.json": "4a7b5d16927f0ddc8bebd15b6b64c6004d249cb8903d88bf27e3f098933dd813",
-        "trajectories.csv": "373ae85fe3eaa262682df4d9b874973b1b39508e667069ed551df8c53b26cc43",
-        "verdict.txt": "f086d5dd447e7d6df967a3b9df1489b92101ae5283f66527c81d40b14c0a6ddf",
+        "snapshots.csv": "085004ea40d3889693af711c26fb7f386e5f7092f15836bea1fe58b46ba044e7",
+        "summary.json": "e20da6e98b4001a20acffa549258e0bcc1aadb88103752694cfed9f2d706c764",
+        "trajectories.csv": "ce4d8f393830447a360814822710acfc52a38cff6c384f157e2ad6c4c6697a5e",
+        "verdict.txt": "7abffb7b2c3853b123f244dbc8909ea64547f31a94345f097b33cf7448fc5b36",
     }),
     "bekk-small": (BEKK_SMALL, {
         "snapshots.csv": "a35df9dff0da73b4d618792fbf7ae3e9d81a10cb7c98aa3c6f09a0fb9fd47d92",
@@ -167,15 +225,15 @@ CHECK_GOLDEN = {
     "bekk-demo-shell-s2": (BEKK_SHELL_S2, 2,
                            "97535b917c462aab6765295c826efa4270217d12b45f5ed8ba8a624be4010e16"),
     "example2-ergodic": (builtin_configs()["example2-ergodic"], 0,
-                         "5c6196acd4d3ce99dc197f07864f35781a50685e473b3b4594a092be31a7da11"),
+                         "ecf00088b2ddcb41b3f7cedcb55ccc4f1c55e691fb139325234b5acdf7fa1205"),
     "bekk-demo-B-identity": (BEKK_B_IDENTITY, 2,
                              "a16aed9d5b4c96f2baae2f907fd4559bb74e93cdcdc7a0c5032a803d391baa18"),
     "bekk-demo-B-zero": (BEKK_B_ZERO, 2,
                          "a4a216c550b02918cdf026f7350ea2990ec042cc274ef99d70b8cbc8791f5fcd"),
     "example2-ergodic-shell-s2": (SHELL_S2, 3,
-                                  "19c33bfc44da650ee455cc0fad01306dd721a716a9b9d2bc39b21ceef025ef5c"),
+                                  "543900b4c3f12a2e47b68ab28a44f7a498e174a76c87a17d2b0c5d662166787e"),
     "example2-ergodic-signed": (ERGODIC_SIGNED, 0,
-                                "a567268bb1872d21da390fd49907da08b6aa1dc577c826dc2643ad8f5fdeeac8"),
+                                "e4c50e39aa31a66baa8dfde7e8fb5399202253d59b6bac0d63c1b33c8e4ee90a"),
 }
 
 

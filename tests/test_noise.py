@@ -95,11 +95,13 @@ def test_sample_rejects_bad_count():
 
 def test_rejection_acceptance_rate():
     rng = np.random.default_rng(107)
-    want = 33000  # enough accepted values for ~1e5 proposals
+    want = 40000
     stream = _RejectionStream(rng, want, 1)
     stream.take(want)
+    # The stream has accepted the values it handed out and those it holds,
+    # out of every pair it read.
     assert stream.proposals >= 10 ** 5
-    rate = want / stream.proposals
+    rate = (want + stream._ready.size) / stream.proposals
     assert Z_REF / 6.0 - 0.02 <= rate <= Z_REF / 6.0 + 0.02
 
 
@@ -113,8 +115,8 @@ _BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
        box=st.floats(min_value=5e-324, max_value=np.finfo(float).max / 2))
 @example(bits=np.random.PCG64, seed=0, count=100, box=EXPOL2_BOX)
 def test_scaled_random_doubles_are_uniform_bit_for_bit(bits, seed, count, box):
-    # The rejection stream proposes random() doubles scaled in place; this
-    # is the identity with numpy's uniform that keeps its draws unchanged.
+    # The rejection stream scales random() doubles in place; this is the
+    # identity with numpy's uniform that keeps its draws unchanged.
     want = np.random.Generator(bits(seed)).uniform(-box, box, count)
     u = np.random.Generator(bits(seed)).random(count)
     u *= 2 * box
@@ -125,29 +127,21 @@ def test_scaled_random_doubles_are_uniform_bit_for_bit(bits, seed, count, box):
 
 
 def _reference_expol2(rng, count):
-    """The Expol2 rejection loop as written before draw sources: (values,
-    proposals, values accepted by the end of each round)."""
-    out = np.empty(count)
-    filled = 0
-    proposals = 0
-    ends = []
-    while filled < count:
-        k = count - filled
-        u = rng.uniform(-3.0, 3.0, k)
-        v = rng.uniform(0.0, 1.0, k)
-        proposals += k
-        t = u * u - 1.0
-        accepted = u[v <= np.exp(-(t * t))]
-        out[filled:filled + accepted.size] = accepted
-        filled += accepted.size
-        ends.append(filled)
-    return out, proposals, ends
+    """The first `count` values of the Expol2 pair filter, written out: the
+    generator's random() doubles in pairs, 1,000 pairs at a time, each pair a
+    value uniform on [-3, 3] and its acceptance uniform."""
+    out = np.empty(0)
+    while out.size < count:
+        d = rng.random(2000)
+        u = -3.0 + 6.0 * d[0::2]
+        out = np.concatenate([out, u[d[1::2] <= np.exp(-((u * u - 1.0) ** 2))]])
+    return out[:count]
 
 
-def _generator(seed, start):
+def _generator(bits, seed, start):
     """A fresh generator, or one that first drew a start the way a callable
     x0 does, or a 32-bit integer (which leaves half an output buffered)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(bits(seed))
     if start == "uniform":
         rng.uniform(-2.0, 2.0, 2)
     elif start == "int32":
@@ -161,32 +155,58 @@ def _pieces(take, cuts, count):
 
 
 _seeds = st.integers(0, 2 ** 63)
+_bits = st.sampled_from(_BIT_GENERATORS)
 _starts = st.sampled_from(("none", "uniform", "int32"))
 
 
 @settings(max_examples=150, deadline=None)
-@given(count=st.integers(1, 12000), seed=_seeds, start=_starts,
-       data=st.data(), at_round_ends=st.booleans())
-# Rounds that the first pieces do not use up are split across them.
-@example(count=9000, seed=5, start="int32", data=None, at_round_ends=True)
-def test_expol2_stream_replays_the_rejection_rounds(count, seed, start, data,
-                                                    at_round_ends):
-    want, proposals, ends = _reference_expol2(_generator(seed, start), count)
-    whole = _RejectionStream(_generator(seed, start), count, 1)
+@given(count=st.integers(1, 12000), bits=_bits, seed=_seeds, start=_starts,
+       data=st.data())
+# 30,000 values need about 91,000 pairs, so the whole take and its longest
+# piece each read more than one chunk of the 2^16-pair cap.
+@example(count=30000, bits=np.random.PCG64, seed=5, start="int32", data=None)
+def test_expol2_stream_is_the_pair_filter(count, bits, seed, start, data):
+    want = _reference_expol2(_generator(bits, seed, start), count)
+    whole = _RejectionStream(_generator(bits, seed, start), count, 1)
     assert np.array_equal(whole.take(count).ravel(), want)
-    assert whole.proposals == proposals
     if data is None:
         cuts = [1, 2, 1000, 4095, 4096, 4097, count - 1]
     else:
         cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
-    if at_round_ends:
-        # Pieces that end exactly where a round's values end, or one off.
-        cuts += [e + d for e in ends for d in (-1, 0, 1)]
     cuts = [c for c in cuts if 0 < c < count]
-    stream = _RejectionStream(_generator(seed, start), count, 1)
+    stream = _RejectionStream(_generator(bits, seed, start), count, 1)
     pieces = _pieces(stream.take, cuts, count)
     assert np.array_equal(np.concatenate(pieces).ravel(), want)
-    assert stream.proposals == proposals
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=_bits, seed=_seeds, start=_starts, count=st.integers(1, 400),
+       data=st.data())
+def test_expol2_pieces_read_only_pairs(bits, seed, start, count, data):
+    # Whatever the pieces, a stream has read whole pairs from its generator,
+    # and exactly the pairs it counts: the generator then continues with the
+    # double after the last pair.
+    stream = _RejectionStream(_generator(bits, seed, start), count, 2)
+    cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=8))
+    _pieces(stream.take, [c for c in cuts if 0 < c < count], count)
+    rng = _generator(bits, seed, start)
+    rng.random(2 * stream.proposals)
+    assert stream._rng.random() == rng.random()
+
+
+def test_expol2_draws_follow_the_law():
+    # Empirical CDF of 2 * 10^5 coordinates against the quadrature CDF of
+    # exp(-(u^2 - 1)^2) / Z on [-4, u] (64-point Gauss-Legendre; the
+    # integrand is smooth), within 5 standard errors at each point.
+    values = sample(Expol2(), np.random.default_rng(20260814), 10 ** 5).ravel()
+    t, w = _gauss_legendre(64)
+    n = values.size
+    for u in np.arange(-2.0, 2.25, 0.5):
+        half = (u + 4.0) / 2.0
+        x = half * t + (u - 4.0) / 2.0
+        cdf = half * float(np.sum(w * np.exp(-((x * x - 1.0) ** 2)))) / _expol2_z()
+        sigma = math.sqrt(cdf * (1.0 - cdf) / n)
+        assert abs(np.count_nonzero(values <= u) / n - cdf) <= 5.0 * sigma, u
 
 
 _SOURCE_SPECS = {
@@ -195,51 +215,35 @@ _SOURCE_SPECS = {
 }
 
 
+def _want(spec, rng, count):
+    """The sample of count draws, written out without a draw source."""
+    if isinstance(spec, Expol2):
+        return _reference_expol2(rng, 2 * count).reshape(count, 2)
+    return rng.standard_normal((count, spec.dim))
+
+
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(sorted(_SOURCE_SPECS)), count=st.integers(1, 6000),
-       seed=_seeds, start=_starts, data=st.data())
-# The first round, which the first pieces do not use up, is split across them.
-@example(name="expol2", count=2500, seed=5, start="int32", data=None)
-def test_draw_source_pieces_concatenate_to_the_sample(name, count, seed, start, data):
+       bits=_bits, seed=_seeds, start=_starts, data=st.data())
+@example(name="expol2", count=2500, bits=np.random.PCG64, seed=5, start="int32",
+         data=None)
+def test_draw_source_pieces_concatenate_to_the_sample(name, count, bits, seed, start,
+                                                      data):
     spec = _SOURCE_SPECS[name]
-    # sample() is itself one piece of a source, so the reference is drawn
-    # without one.
-    rng = _generator(seed, start)
+    want = _want(spec, _generator(bits, seed, start), count)
     if data is None:
         cuts = [1, 1000, count - 1]
     else:
         cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
-    if name == "gaussian":
-        want = rng.standard_normal((count, spec.dim))
-    else:
-        values, _, ends = _reference_expol2(rng, 2 * count)
-        want = values.reshape(count, 2)
-        # Pieces that end on a round boundary, in whole draws of 2 values.
-        cuts += [e // 2 for e in ends] + [(e + 1) // 2 for e in ends]
     cuts = [c for c in cuts if 0 < c < count]
-    source = draw_source(spec, _generator(seed, start), count)
+    assert np.array_equal(sample(spec, _generator(bits, seed, start), count), want)
+    source = draw_source(spec, _generator(bits, seed, start), count)
     got = np.concatenate(_pieces(source.take, cuts, count))
     assert got.shape == want.shape == (count, spec.dim)
     assert np.array_equal(got, want)
     assert source.left == 0
     with pytest.raises(ValueError, match="cannot take"):
         source.take(1)
-
-
-@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.SFC64],
-                         ids=["expol2", "expol2-sfc64"])
-def test_rounds_are_drawn_whole_when_the_generator_cannot_advance(bits):
-    # MT19937 and SFC64 have no advance(), so no round is split, although
-    # the first pieces do not use up the rounds they start.
-    count = 3000
-
-    def rng():
-        return np.random.Generator(bits(11))
-
-    want = _reference_expol2(rng(), 2 * count)[0].reshape(count, 2)
-    source = draw_source(Expol2(), rng(), count)
-    got = np.concatenate(_pieces(source.take, [1, 1000, count - 1], count))
-    assert np.array_equal(got, want)
 
 
 _FILL_SPECS = {
@@ -250,10 +254,7 @@ _FILL_SPECS = {
 
 
 @settings(max_examples=120, deadline=None)
-@given(name=st.sampled_from(sorted(_FILL_SPECS)),
-       # PCG64 splits the rounds a piece does not use up; MT19937 cannot
-       # advance, so it draws every round whole.
-       bits=st.sampled_from((np.random.PCG64, np.random.MT19937)),
+@given(name=st.sampled_from(sorted(_FILL_SPECS)), bits=_bits,
        seed=_seeds, count=st.integers(1, 3000), data=st.data())
 def test_draws_fill_caller_rows_in_place(name, bits, seed, count, data):
     # Pieces written into one lane's rows of a simulation-like window
@@ -273,28 +274,28 @@ def test_draws_fill_caller_rows_in_place(name, bits, seed, count, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(name=st.sampled_from(sorted(_FILL_SPECS)),
-       bits=st.sampled_from((np.random.PCG64, np.random.MT19937)),
+@given(name=st.sampled_from(sorted(_FILL_SPECS)), bits=_bits, start=_starts,
        seeds=st.lists(_seeds, min_size=1, max_size=6), count=st.integers(1, 2500),
        # 1 puts each stream's chunk in a group of its own.
        group=st.sampled_from((1, 700, 8192)), data=st.data())
 # Seven 128-row refills of 200-row streams, as in a short simulation.
-@example(name="expol2", bits=np.random.PCG64, seeds=list(range(5)), count=200,
-         group=8192, data=None)
-def test_grouped_refill_matches_each_lane_alone(name, bits, seeds, count, group, data):
+@example(name="expol2", bits=np.random.PCG64, start="none", seeds=list(range(5)),
+         count=200, group=8192, data=None)
+def test_grouped_refill_matches_each_lane_alone(name, bits, start, seeds, count, group,
+                                                data):
     # A refill of k lanes together writes each lane's sample bit for bit,
-    # with as many proposals as the lane drawing alone, whatever the piece
-    # sizes and whichever lanes drop out between refills.
+    # reading as many pairs as the lane taking the same pieces alone,
+    # whatever the piece sizes and whichever lanes drop out between refills.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(noise, "_GROUP_PROPOSALS", group)
-        _check_grouped_refill(_FILL_SPECS[name], bits, seeds, count, data)
+        _check_grouped_refill(_FILL_SPECS[name], bits, start, seeds, count, data)
 
 
-def _check_grouped_refill(spec, bits, seeds, count, data):
+def _check_grouped_refill(spec, bits, start, seeds, count, data):
     k = len(seeds)
 
     def sources():
-        return [draw_source(spec, np.random.Generator(bits(seed)), count) for seed in seeds]
+        return [draw_source(spec, _generator(bits, seed, start), count) for seed in seeds]
 
     together, alone = sources(), sources()
     window = np.full((k, count, spec.dim), np.nan)
@@ -315,16 +316,12 @@ def _check_grouped_refill(spec, bits, seeds, count, data):
             alone[i].take(b - a)
     for i, seed in enumerate(seeds):
         stop = next(b for b in edges if b >= drop[i])
-        want = sample(spec, np.random.Generator(bits(seed)), count)
+        want = _want(spec, _generator(bits, seed, start), count)
         assert np.array_equal(window[i, :stop], want[:stop])
         assert np.isnan(window[i, stop:]).all()
         assert together[i].left == alone[i].left == count - stop
         if isinstance(spec, Expol2):
             assert together[i].proposals == alone[i].proposals
-            if stop == count:
-                whole = draw_source(spec, np.random.Generator(bits(seed)), count)
-                whole.take(count)
-                assert together[i].proposals == whole.proposals
 
 
 def test_grouped_refill_refuses_what_take_refuses():
@@ -374,9 +371,10 @@ def test_draws_refuse_rows_they_cannot_fill_in_place(name):
 
 
 def test_expol2_stream_keeps_the_proposal_budget(monkeypatch):
-    # With a budget of one proposal per value, the second round exceeds it;
-    # the stream raises at the end of that round, as the one-shot sampler
-    # does, also when the round is split across pieces.
+    # With a budget of one pair per value, a sample of 5,000 rows may read
+    # 10,000 pairs: its first chunk would read more, and pieces of 100 rows
+    # reach the budget within 50 pieces.  The take that would pass it
+    # raises.
     monkeypatch.setattr(noise, "_MAX_PROPOSALS_PER_DRAW", 1)
     with pytest.raises(ValueError, match="proposal budget"):
         sample(Expol2(), np.random.default_rng(3), 5000)

@@ -14,14 +14,16 @@ from ergokit.ergodicity import (
     SOURCE_USER,
     DriftEnvelope,
     empirical_drift_check,
+    probe_skeleton_reachability,
     shell_estimate_envelope,
 )
-from ergokit.noise import Expol2, abs_moment
+from ergokit.noise import Expol2, StdGaussian, abs_moment, draw_source, sample
 from ergokit.norms import (
     frobenius_norm,
     induced_norm_bounds,
     matrix_col_sum_norm,
     psd_sqrt,
+    require_int,
     s_norms,
     vector_s_norm,
 )
@@ -104,6 +106,42 @@ def test_every_entry_point_refuses_a_bad_exponent(monkeypatch, entry, s):
     monkeypatch.setattr(ergodicity, "sample", no_draws)
     with pytest.raises(ValueError, match=f"^s must be positive and finite, got {s}$"):
         _EXPONENT_ENTRY_POINTS[entry](s)
+
+
+# Every public entry point outside simulate that takes a count, with the
+# name its message gives the count.
+_COUNT_ENTRY_POINTS = {
+    "StdGaussian": ("dim", StdGaussian),
+    "sample": ("count", lambda n: sample(Expol2(), np.random.default_rng(0), n)),
+    "take": ("m", lambda n: draw_source(Expol2(), np.random.default_rng(0), 10).take(n)),
+    "abs_moment": ("budget", lambda n: abs_moment(
+        Expol2(), 1.0, method="monte_carlo", budget=n, rng=np.random.default_rng(0))),
+    "empirical_drift_check": ("n_mc", lambda n: empirical_drift_check(
+        _MODEL, Expol2(), (1.0, 1.0), 1.0, n, 3)),
+    "probe_skeleton_reachability": ("horizon", lambda n: probe_skeleton_reachability(
+        _MODEL, [(0.0, 0.0)], n)),
+    "shell_estimate_envelope": ("n_samples", lambda n: shell_estimate_envelope(
+        _MODEL, 1.0, 1.0, 100.0, n, 0)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 1500.5, True, 1000.0, "5"])
+@pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
+def test_every_count_is_held_to_the_integer_rule(entry, bad):
+    # One rule and one message, norms.require_int, given before any draw:
+    # numpy would raise a bare TypeError that names no parameter, and a bool
+    # would run as the count 1.
+    name, call = _COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{name} must be an integer, got {bad!r}") + "$"):
+        call(bad)
+
+
+def test_numpy_integer_counts_are_counts():
+    assert sample(Expol2(), np.random.default_rng(0), np.int64(3)).shape == (3, 2)
+    assert type(StdGaussian(np.int64(3)).dim) is int
+    assert len(probe_skeleton_reachability(_MODEL, [(0.0, 0.0)], np.int32(2))) == 1
+    assert require_int(np.uint64(7), "n") == 7 and type(require_int(np.int8(7), "n")) is int
 
 
 @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])

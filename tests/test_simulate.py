@@ -79,7 +79,8 @@ def test_seeded_entry_points_hold_the_seed_rule(entry):
         run(seed)
 
 # The longer horizon writes the path through many block windows (17 of 128
-# steps, or 5 of 512), with Expol2 rounds split across the block boundaries.
+# steps, or 5 of 512), with Expol2 leftovers carried across the block
+# boundaries.
 @pytest.mark.parametrize("horizon", [50, 2051])
 def test_simulate_path_matches_step_composition(horizon):
     m = make_threshold()
@@ -523,8 +524,8 @@ def test_streamed_ensemble_matches_whole_paths(noise):
 
 
 def test_streamed_ensemble_matches_whole_paths_threshold():
-    # The ergodic threshold model over several blocks, with Expol2 rounds
-    # split across blocks; and an explosive one whose lanes all die.
+    # The ergodic threshold model over several blocks, with Expol2 leftovers
+    # carried across blocks; and an explosive one whose lanes all die.
     for b_mat, threshold in ((((0.2, 0.1), (0.1, 0.3)), 1e9), (((1.5, 0.0), (0.0, 1.5)), 1e6)):
         cfg = SimulationConfig(model=make_threshold(b_mat=b_mat), noise=Expol2(),
                                x0=(0.0, 0.0), horizon=3 * _B + 7, n_traj=13,
@@ -581,8 +582,7 @@ def test_the_block_length_decides_no_value(monkeypatch, noise):
 
 @pytest.mark.parametrize("noise, n_traj, horizons", [
     # 50 lanes over the trajectory dump cap at both horizons.  Whole paths
-    # would take 50 * (T + 1) * 2 * 8 bytes: 1.6 MB and 16 MB.  No block
-    # uses up its lanes' first rejection rounds, so both horizons split them.
+    # would take 50 * (T + 1) * 2 * 8 bytes: 1.6 MB and 16 MB.
     (Expol2(), 50, (2_000, 20_000)),
     # Gaussian draws go from each lane's generator straight into the
     # window; whole samples would take 0.48 MB and 3.2 MB.
@@ -600,8 +600,8 @@ def test_streamed_ensemble_memory_does_not_grow_with_horizon(noise, n_traj, hori
     peak(1_100)
     short, long = map(peak, horizons)
     assert short < 2_000_000
-    # The margin covers a second generator per lane while a large rejection
-    # round is split (about 9% here), which depends on n_traj, not on T.
+    # The margin covers the accepted values each lane carries from one
+    # block to the next, which depend on n_traj, not on T (under 0.1% here).
     assert long <= 1.25 * short
 
 
@@ -618,10 +618,9 @@ def _traced_peak(cfg):
 def test_streamed_window_memory_bound():
     # 200 threshold lanes, as in example2-ergodic, streamed over three
     # blocks.  The peak is one (200, _BLOCK_STEPS + 1, 2) window, 0.41 MB,
-    # plus what the lanes' draw sources hold (leftover values and spare
-    # generators) and one group's rejection scratch: 1.13 MB with 128-step
-    # blocks, against 2.26 MB with 512-step blocks and 4.02 MB with 1,024.
-    # The bound leaves 15% above the measured peak.
+    # plus what the lanes' draw sources hold (their generators and leftover
+    # values) and one group's scratch of pairs: 1.08 MB with 128-step
+    # blocks.  The bound leaves 20% above the measured peak.
     horizon = 3 * _BLOCK_STEPS
     cfg = SimulationConfig(model=make_threshold(), noise=Expol2(), x0=(0.0, 0.0),
                            horizon=horizon, n_traj=200,
@@ -654,12 +653,9 @@ def test_streamed_run_refills_each_live_lane_once_per_block(monkeypatch):
     assert sum(taken.values()) == cfg.n_traj * blocks
     assert taken == Counter({id(source): blocks for source in sources})
     assert all(in_place for _, _, in_place in refills)
-    # The rejection rounds do not depend on the pieces, so the lanes propose
-    # as many values as they did in 1,024-step blocks.
-    assert sum(source.proposals for source in sources) == 12_159_471
 
-    # The censored-dump workload: 64 of 100 explosive lanes cross the
-    # threshold, in several blocks (steps 292 to 957).
+    # The censored-dump workload: 69 of 100 explosive lanes cross the
+    # threshold, in several blocks (steps 257 to 998).
     sources.clear()
     refills.clear()
     doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
@@ -672,7 +668,7 @@ def test_streamed_run_refills_each_live_lane_once_per_block(monkeypatch):
     assert [taken[id(source)] for source in sources] == [
         -(-(cfg.horizon if t is None else t) // _BLOCK_STEPS) for t in steps]
     censored = [t for t in steps if t is not None]
-    assert len(censored) == 64
+    assert len(censored) == 69
     assert len({-(-t // _BLOCK_STEPS) for t in censored}) > 1
 
 

@@ -299,13 +299,14 @@ def test_input_rules_are_written_only_in_models():
     assert modules_containing(sources, "but the model has dim") == ["models"]
 
 
-# The exponent rule lives in norms (require_exponent) and the seed rule in
-# simulate (require_seed); every entry point calls them.  psd_sqrt alone
-# checks that its matrix is square.
+# The exponent and integer rules live in norms (require_exponent,
+# require_int) and the seed rule in simulate (require_seed); every entry
+# point calls them.  psd_sqrt alone checks that its matrix is square.
 @pytest.mark.parametrize("text, homes", [
     ("must be positive and finite", ["norms"]),
+    ("must be an integer", ["norms"]),
     ("[0, 2^64)", ["simulate"]),
-], ids=["exponent", "seed"])
+], ids=["exponent", "integer", "seed"])
 def test_exponent_and_seed_rules_are_written_only_in_their_homes(text, homes):
     sources = {path.stem: path.read_text() for path in SOURCES}
     assert modules_containing(sources, text) == homes
@@ -380,3 +381,40 @@ def test_method_home_check_flags_every_definition():
 def test_lane_forms_are_defined_once_on_the_base_class(name):
     models = next(p for p in SOURCES if p.name == "models.py")
     assert [home for _, home in method_homes(models.read_text(), name)] == ["_ModelSpec"]
+
+
+def generator_jumps(source):
+    """(line, what) of each call of a method named `advance` or `jumped` and
+    each assignment to `<expr>.bit_generator.state` in a module: the means
+    of moving a generator other than by drawing from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("advance", "jumped")):
+            found.append((node.lineno, node.func.attr))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, "state") for target in targets
+                      for t in ast.walk(target)
+                      if isinstance(t, ast.Attribute) and t.attr == "state"
+                      and isinstance(t.value, ast.Attribute)
+                      and t.value.attr == "bit_generator"]
+    return sorted(found)
+
+
+def test_generator_jump_check_flags_only_jumps():
+    source = (
+        "rng.bit_generator.advance(5)\nb = bits.jumped()\n"
+        "g.bit_generator.state = s\na, rng.bit_generator.state = 1, s\n"
+        "state = rng.bit_generator.state\nself.state = 3\n"
+        "advance(4)\nx = rng.random(out=u)  # .advance(\n"
+    )
+    assert generator_jumps(source) == [(1, "advance"), (2, "jumped"), (3, "state"),
+                                       (4, "state")]
+
+
+# Every draw source reads its generator forward only: pieces equal the
+# sample because each piece reads the next values, not by moving a copy.
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_generator_is_moved_but_by_drawing(path):
+    assert generator_jumps(path.read_text()) == []
