@@ -2,22 +2,21 @@
 
 The two laws are the paper's: Expol2 (density proportional to
 exp(-(x^2-1)^2 - (y^2-1)^2)) and the standard Gaussian.  Every sampling
-routine takes a caller-owned numpy Generator; nothing in this module holds
-generator state beyond the draw sources a caller asks for, so distinct
+routine takes caller-owned numpy Generators; nothing in this module holds
+generator state beyond the draw objects a caller asks for, so distinct
 generators may be used from any number of threads.  A noise law draws only
-through its draw_source, which hands out one sample in pieces of any sizes,
-each written into a fresh array or a caller's, and sample() takes it in one
-piece.  take_each takes the next piece of many sources in one call, as a
-simulation refills every live lane's rows of its window, and source.take is
-its one-source case.  An Expol2 source filters its generator's random()
-doubles in consecutive pairs, a value and its acceptance uniform, so a
-piece is just the next pairs and the source holds O(piece) draws.  The
-value is its double scaled in place as Generator.uniform scales it:
-uniform's value, without its temporaries.  Each source reads its pairs
-from its own generator into its rows of a shared scratch buffer, and the
-scaling, the acceptance test and the compress run once per group of
-sources, of at most _GROUP_PROPOSALS pairs unless one source's chunk alone
-is larger.  The Expol2 normalization constant is cached with compute-once
+through spec.lane_draws(rngs), one object for k lanes with one generator
+each: fill(ids, block) writes the next draws of the lanes ids into their
+slabs of a (k, m, dim) block, as a simulation refills every live lane's
+rows of its window, and sample() is one lane taking one block.  Expol2
+filters each lane's random() doubles in consecutive pairs, a value and its
+acceptance uniform, so a fill is just the next pairs and a lane holds
+O(m) draws.  The value is its double scaled in place as Generator.uniform
+scales it: uniform's value, without its temporaries.  Each lane reads its
+pairs from its own generator into its rows of a shared scratch buffer, and
+the scaling, the acceptance test and the compress run once per group of
+lanes, of at most _GROUP_PROPOSALS pairs unless one lane's chunk alone is
+larger.  The Expol2 normalization constant is cached with compute-once
 semantics.  Every quadrature moment and that normalization use one fixed
 rule with no refinement, Gauss-Legendre on panels graded towards the kink
 at the origin (_graded_rule).
@@ -51,11 +50,10 @@ _TENSOR_DEPTH = 6
 
 _MAX_PROPOSALS_PER_DRAW = 10 ** 6
 
-# A grouped refill tests the chunks of consecutive short streams together,
-# up to this many proposals (pairs) per group; a stream whose chunk alone is
-# larger is a group by itself.  No chunk is longer than _MAX_CHUNK_PAIRS
-# pairs.  The sizes set only the scratch memory and the number of passes,
-# never a value.
+# A fill tests the chunks of consecutive short lanes together, up to this
+# many proposals (pairs) per group; a lane whose chunk alone is larger is a
+# group by itself.  No chunk is longer than _MAX_CHUNK_PAIRS pairs.  The
+# sizes set only the scratch memory and the number of passes, never a value.
 _GROUP_PROPOSALS = 8192
 _MAX_CHUNK_PAIRS = 1 << 16
 
@@ -85,9 +83,8 @@ class StdGaussian(_NoiseSpec):
             raise ValueError(f"dim must be >= 1, got {dim}")
         object.__setattr__(self, "dim", dim)
 
-    def draw_source(self, rng, count):
-        # standard_normal gives the same values in pieces as in one call.
-        return _GaussianDraws(count, rng, self.dim)
+    def lane_draws(self, rngs):
+        return _GaussianDraws(rngs, self.dim)
 
     def density(self, x):
         return float(
@@ -131,8 +128,8 @@ class Expol2(_NoiseSpec):
 
     dim = 2
 
-    def draw_source(self, rng, count):
-        return _RejectionStream(rng, count, 2)
+    def lane_draws(self, rngs):
+        return _Expol2Draws(rngs, 2)
 
     def density(self, x):
         z = _expol2_z()
@@ -220,119 +217,116 @@ def _expol2_z():
     return float(np.sum(w * _expol2_unnormalized(u)))
 
 
-class _DrawSource:
-    """The draws of one sample of `count` rows of `dim` values, handed out in
-    pieces: take(m) returns the next m rows, and the pieces concatenate bit
-    for bit to the sample drawn at once.  take(m, out) writes them into out
-    instead, a C-contiguous float64 (m, dim) array, and returns it; any
-    other out raises, so that no draw lands in a silent copy.  take is the
-    one-source case of take_each, which hands a subclass's _fill_each the
-    pieces of any number of its sources at once."""
+class _LaneDraws:
+    """The draw streams of k lanes of one noise law, lane i drawing from
+    rngs[i] only.  fill(ids, block) writes the next m draws of lane ids[j]
+    into block[ids[j]], where block is a float64 (k, m, dim) array whose
+    lane slabs are C-contiguous, such as the draw rows of a simulation
+    window; a lane's fills of any sizes concatenate bit for bit to
+    sample(spec, rng, count) of its generator.  Nothing is drawn unless the
+    block has that form and the ids are distinct integers in [0, k)."""
 
-    # Slots make each source one small object; a simulation holds one per
-    # lane.
-    __slots__ = ("left", "_dim")
-
-    def __init__(self, count, dim):
-        self.left = count
+    def __init__(self, rngs, dim):
+        self._rngs = list(rngs)
         self._dim = dim
 
-    def take(self, m, out=None):
-        return take_each((self,), m, None if out is None else (out,))[0]
+    def fill(self, ids, block):
+        k, d = len(self._rngs), self._dim
+        # A slab with other strides would reshape(-1) to a silent copy; numpy
+        # gives an empty array any strides.
+        if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+                and block.ndim == 3 and block.shape[::2] == (k, d)
+                and (block.size == 0 or block.strides[1:] == (8 * d, 8))):
+            raise ValueError(f"draws go into a float64 ({k}, m, {d}) array with "
+                             f"C-contiguous lane slabs")
+        ids = [require_int(i, "lane id") for i in ids]
+        if len(set(ids)) < len(ids) or not all(0 <= i < k for i in ids):
+            raise ValueError(f"lane ids must be distinct integers in [0, {k})")
+        self._fill(ids, block)
 
 
-class _GaussianDraws(_DrawSource):
-    """Draw source of standard normal rows, drawn piece by piece."""
+class _GaussianDraws(_LaneDraws):
+    """Standard normal draws; standard_normal gives the same values in
+    pieces as in one call."""
 
-    __slots__ = ("_rng",)
-
-    def __init__(self, count, rng, dim):
-        super().__init__(count, dim)
-        self._rng = rng
-
-    @staticmethod
-    def _fill_each(sources, outs):
-        for source, out in zip(sources, outs):
-            source._rng.standard_normal(out=out)
+    def _fill(self, ids, block):
+        for i in ids:
+            self._rngs[i].standard_normal(out=block[i])
 
 
-class _RejectionStream(_DrawSource):
-    """`count` rows of `width` Expol2 coordinates drawn by rejection, in pieces.
+class _Expol2Draws(_LaneDraws):
+    """Expol2 draws of `dim` coordinates per row, by rejection.
 
-    Proposal j is the pair of doubles 2j and 2j + 1 that the generator's
-    random() gives after the stream is made.  The first, r, is the value
-    u = r * (2 * box) - box, box = EXPOL2_BOX, which is how
+    Proposal j of a lane is the pair of doubles 2j and 2j + 1 that its
+    generator's random() gives after the draws are made.  The first, r, is
+    the value u = r * (2 * box) - box, box = EXPOL2_BOX, which is how
     uniform(-box, box) rounds it; the second, v, is its acceptance uniform,
     and u is accepted when v <= exp(-(u^2 - 1)^2), since the envelope is 1.
-    The stream is the accepted values in proposal order, so pieces read any
-    number of pairs and still concatenate to the sample taken at once, for
-    every bit generator.  `proposals` counts the pairs read, which depends
-    on the pieces; a take that would read more than _MAX_PROPOSALS_PER_DRAW
-    pairs per value of the sample raises.  Accepted values a piece does not
-    need wait in `_ready`, so a source holds O(piece) values.
+    A lane's stream is its accepted values in proposal order, so fills read
+    any number of pairs and still concatenate to the sample taken at once,
+    for every bit generator.  proposals[i] counts the pairs lane i has read,
+    which depends on the fills; a fill that would read more than
+    _MAX_PROPOSALS_PER_DRAW pairs per value it writes raises.  Accepted
+    values a fill does not need wait in the lane's `_ready`, so a lane holds
+    O(m) values.
 
-    Streams are filled together: each stream still short of its piece reads
-    its next chunk of pairs from its own generator into its rows of a shared
+    Lanes are filled together: each lane still short of its m rows reads its
+    next chunk of pairs from its own generator into its rows of a shared
     (pairs, 2) scratch, and the scaling, the test, the compress and the
-    counts per stream run once per group of streams (_test_group).
+    counts per lane run once per group of lanes (_test_group).
     """
 
-    __slots__ = ("_rng", "_ready", "_budget", "proposals")
+    def __init__(self, rngs, dim):
+        super().__init__(rngs, dim)
+        self._ready = [_NO_VALUES] * len(self._rngs)
+        self.proposals = [0] * len(self._rngs)
 
-    def __init__(self, rng, count, width):
-        super().__init__(count, width)
-        self._rng = rng
-        self._ready = _NO_VALUES
-        self._budget = _MAX_PROPOSALS_PER_DRAW * count * width
-        self.proposals = 0
-
-    @staticmethod
-    def _fill_each(streams, outs):
-        short = []  # (stream, its piece as a flat view, values written)
-        for stream, out in zip(streams, outs):
-            flat = out.reshape(-1)  # a view, since out is C-contiguous
-            ready = stream._ready
+    def _fill(self, ids, block):
+        limit = [p + _MAX_PROPOSALS_PER_DRAW * block[0].size for p in self.proposals]
+        short = []  # (lane, its slab as a flat view, values written)
+        for i in ids:
+            flat = block[i].reshape(-1)  # a view, since the slab is C-contiguous
+            ready = self._ready[i]
             n = ready.size
             if n > flat.size:
                 flat[:] = ready[:flat.size]
-                stream._ready = ready[flat.size:]
+                self._ready[i] = ready[flat.size:]
                 continue
             if n:
                 flat[:n] = ready
-                stream._ready = _NO_VALUES
+                self._ready[i] = _NO_VALUES
             if n < flat.size:
-                short.append((stream, flat, n))
+                short.append((i, flat, n))
         while short:
             wanting, short = short, []
             group, total = [], 0
-            for stream, flat, got in wanting:
+            for i, flat, got in wanting:
                 # Three pairs per value wanted, plus a margin: about a third
                 # are accepted (Z / 6 = 0.329).  The chunk size sets only how
-                # many pairs a piece reads, never a value.
+                # many pairs a fill reads, never a value.
                 k = min(3 * (flat.size - got) + 256, _MAX_CHUNK_PAIRS)
-                if stream.proposals + k > stream._budget:
+                if self.proposals[i] + k > limit[i]:
                     raise ValueError("rejection sampler exceeded the proposal budget")
                 if group and total + k > _GROUP_PROPOSALS:
-                    short += _RejectionStream._test_group(group, total)
+                    short += self._test_group(group, total)
                     group, total = [], 0
-                group.append((stream, flat, got, k))
+                group.append((i, flat, got, k))
                 total += k
-            short += _RejectionStream._test_group(group, total)
+            short += self._test_group(group, total)
 
-    @staticmethod
-    def _test_group(group, total):
-        """Read and test one chunk of each (stream, flat, got, k) of group,
-        `total` pairs in all: the stream's k pairs go into its rows of the
-        scratch.  Accepted values go to the stream's piece from flat[got] on,
-        and what the piece does not need to its `_ready`.  Returns the
-        (stream, flat, got) of the streams still short."""
+    def _test_group(self, group, total):
+        """Read and test one chunk of each (lane, flat, got, k) of group,
+        `total` pairs in all: the lane's k pairs go into its rows of the
+        scratch.  Accepted values go to the lane's slab from flat[got] on,
+        and what the slab does not need to its `_ready`.  Returns the
+        (lane, flat, got) of the lanes still short."""
         pairs = np.empty((total, 2))
         starts = []
         a = 0
-        for stream, _, _, k in group:
+        for i, _, _, k in group:
             starts.append(a)
-            stream._rng.random(out=pairs[a:a + k])
-            stream.proposals += k
+            self._rngs[i].random(out=pairs[a:a + k])
+            self.proposals[i] += k
             a += k
         u = pairs[:, 0]
         # Scaled in place as uniform(-box, box) scales random(): the same
@@ -343,88 +337,40 @@ class _RejectionStream(_DrawSource):
         accepted = u.compress(keep)
         short = []
         pos = 0
-        for (stream, flat, got, _), c in zip(group, np.add.reduceat(keep, starts).tolist()):
+        for (i, flat, got, _), c in zip(group, np.add.reduceat(keep, starts).tolist()):
             n = min(c, flat.size - got)
             if n:
                 flat[got:got + n] = accepted[pos:pos + n]
             if n < c:
                 # A copy, so that the group's values are freed.
-                stream._ready = accepted[pos + n:pos + c].copy()
+                self._ready[i] = accepted[pos + n:pos + c].copy()
             elif got + n < flat.size:
-                short.append((stream, flat, got + n))
+                short.append((i, flat, got + n))
             pos += c
         return short
 
 
 def sample(spec, rng, count):
-    """draw_source(spec, rng, count) taken in one piece, a (count, dim) array.
+    """`count` i.i.d. draws of the noise law as a (count, dim) array: one
+    lane's draws (spec.lane_draws) taken in one block.
 
-    Deterministic given the generator state and count.
-    """
-    return draw_source(spec, rng, count).take(count)
-
-
-def draw_source(spec, rng, count):
-    """A source of `count` i.i.d. noise draws, handed out in pieces.
-
-    source.take(m) returns the next m draws as an (m, dim) array, and
-    source.take(m, out) writes them into out, a C-contiguous float64 (m, dim)
-    array, such as one lane's rows of a simulation window; pieces taken in
-    any sizes that add up to count concatenate bit for bit to
-    sample(spec, rng, count).  take_each takes a piece of many sources at
-    once.  Every source holds O(m) draws, and an exceeded proposal budget
-    raises on the take that meets it.  The source draws from rng, which it
-    leaves at an unspecified position.
+    Deterministic given the generator state and count; rng is left at an
+    unspecified position.
     """
     count = require_int(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return spec.draw_source(rng, count)
-
-
-def take_each(sources, m, outs=None):
-    """The next m draws of each of `sources`, those of sources[i] written
-    into outs[i]; returns outs, fresh (m, dim) arrays when it is None.
-
-    The sources come from draw_source for one noise law, and each out is a
-    C-contiguous float64 (m, dim) array, such as one lane's rows of a
-    simulation window.  Each source hands out the draws that source.take(m)
-    would: it draws only from its own generator, and only the arithmetic on
-    the drawn values is shared.  Nothing is drawn unless the sources are
-    distinct, every source has m draws left and every out has that form.
-    """
-    m = require_int(m, "m")
-    fresh = outs is None
-    if fresh:
-        outs = [None] * len(sources)
-    elif len(outs) != len(sources):
-        raise ValueError(f"{len(outs)} outs for {len(sources)} sources")
-    if len({id(source) for source in sources}) != len(sources):
-        raise ValueError("take_each needs distinct sources")
-    kind = type(sources[0]) if sources else None
-    for i, source in enumerate(sources):
-        if type(source) is not kind:
-            raise ValueError("take_each needs the sources of one noise law")
-        if not 1 <= m <= source.left:
-            raise ValueError(f"cannot take {m} draws with {source.left} left")
-        shape = (m, source._dim)
-        out = outs[i]
-        if fresh:
-            outs[i] = np.empty(shape)
-        elif not (isinstance(out, np.ndarray) and out.shape == shape
-                  and out.dtype == np.float64 and out.flags.c_contiguous):
-            raise ValueError(f"draws go into a C-contiguous float64 array of "
-                             f"shape {shape}")
-    if sources:
-        kind._fill_each(sources, outs)
-        for source in sources:
-            source.left -= m
-    return outs
+    block = np.empty((1, count, spec.dim))
+    spec.lane_draws([rng]).fill([0], block)
+    return block[0]
 
 
 def density(spec, x):
-    """Normalized density of the noise law at x."""
-    return spec.density(np.asarray(x, dtype=float))
+    """Normalized density of the noise law at x, a point of shape (dim,)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.dim,):
+        raise ValueError(f"x has shape {x.shape} but the noise has dim {spec.dim}")
+    return spec.density(x)
 
 
 def abs_moment(spec, s, method="quadrature", budget=10 ** 5, rng=None):

@@ -9,18 +9,19 @@ censored at their first offending step, never stepped again, and excluded
 from later snapshot statistics while staying in the divergence counts.
 
 Every run goes through one recurrence: blocks of _BLOCK_STEPS (128) steps,
-each refilled by one noise.take_each call in which every live lane's draw
-source writes the block's draws straight into that lane's rows of the block
-window, with the snapshot rows gathered as the lanes pass the snapshot
-times; no later pass aggregates whole paths.
+each refilled by one fill call of the run's draw object
+(noise_spec.lane_draws), which writes every live lane's block of draws
+straight into that lane's rows of the block window, with the snapshot rows
+gathered as the lanes pass the snapshot times; no later pass aggregates
+whole paths.
 simulate_ensemble(cfg) keeps only those rows and the divergence steps, so
 it holds one (n_traj, _BLOCK_STEPS + 1, dim) window of states whatever the
 horizon; simulate_ensemble(cfg, keep_paths=True), and so simulate_path,
 also keep whole paths, O(n_traj * horizon) states.  Both give bit-identical
 summaries.  The block length sets only memory and the per-block cost, never
-a value: a draw source hands out one stream whatever the pieces (an Expol2
-source the accepted values of its generator's consecutive pairs of
-doubles), so every draw, state and summary is the same at any block length.
+a value: each lane's draws are one stream whatever the fills (Expol2's the
+accepted values of its generator's consecutive pairs of doubles), so every
+draw, state and summary is the same at any block length.
 """
 
 import math
@@ -29,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .noise import draw_source, take_each
 from .norms import require_int
 
 _MASK64 = (1 << 64) - 1
@@ -202,9 +202,9 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
     """One path per seed, with the censoring rules of `simulate_path`.
 
     Each lane draws from its own stream: its start when x0 is callable, then
-    its horizon draws, which its draw source writes into the window one
-    block of at most _BLOCK_STEPS steps at a time, only while the lane is
-    live.  Lane i lives in row i of the block window: window row 0 is its
+    its horizon draws, which the run's draw object writes into the window
+    one block of at most _BLOCK_STEPS steps at a time, only while the lane
+    is live.  Lane i lives in row i of the block window: window row 0 is its
     state at the block's start, and row s holds the block's draw s-1, which
     a kept run's step s overwrites with the state.  A kept run's window is
     buf[:, t0:t0 + steps + 1] of one (n, horizon + 1, dim) buffer; otherwise
@@ -220,11 +220,10 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
     block = min(horizon, _BLOCK_STEPS)
     n = len(seeds)
     buf = np.empty((n, (horizon if keep_paths else block) + 1, model.dim))
-    sources = []
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    for i, rng in enumerate(rngs):
         buf[i, 0] = _require_start(model, x0(rng)) if callable(x0) else x0
-        sources.append(draw_source(noise_spec, rng, horizon))
+    draws = noise_spec.lane_draws(rngs)
     kernel = model.lane_kernel()
     threshold = math.inf if divergence_threshold is None else divergence_threshold
     # A lane passes unexamined while its l1 norm is at most `limit`; a
@@ -247,9 +246,7 @@ def _run_lanes(model, noise_spec, x0, horizon, seeds, divergence_threshold,
         for t0 in range(0, horizon, block):
             steps = min(block, horizon - t0)
             window = buf[:, t0:t0 + steps + 1] if keep_paths else buf
-            ids = lanes.tolist()
-            take_each([sources[i] for i in ids], steps,
-                      [window[i, 1:steps + 1] for i in ids])
+            draws.fill(lanes.tolist(), window[:, 1:steps + 1])
             for s in range(1, steps + 1):
                 t = t0 + s
                 x = kernel(x, window[live, s])

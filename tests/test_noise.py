@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,8 @@ from ergokit.noise import (
     StdGaussian,
     abs_moment,
     density,
-    draw_source,
     sample,
-    take_each,
-    _RejectionStream,
+    _Expol2Draws,
     _expol2_z,
     _gauss_legendre,
 )
@@ -49,6 +48,19 @@ def test_density_examples():
     assert abs(density(Expol2(), (1.0, 1.0)) - 1.0 / z ** 2) < 1e-14
     assert abs(density(Expol2(), (0.0, 0.0)) - math.exp(-2.0) / z ** 2) < 1e-14
     assert abs(density(StdGaussian(2), (0.0, 0.0)) - 1.0 / (2.0 * math.pi)) < 1e-15
+
+
+@pytest.mark.parametrize("spec", [Expol2(), StdGaussian(2), StdGaussian(3)],
+                         ids=["expol2", "gaussian-2d", "gaussian-3d"])
+def test_density_refuses_a_point_of_another_dim(spec):
+    # Both laws read only the coordinates they have, so a point of another
+    # shape would be given the density of a point it is not.
+    for x in ([1.0] * (spec.dim - 1), [1.0] * (spec.dim + 1), [[1.0] * spec.dim], 1.0):
+        shape = np.shape(x)
+        with pytest.raises(ValueError, match=re.escape(
+                f"x has shape {shape} but the noise has dim {spec.dim}")):
+            density(spec, x)
+    assert density(spec, [1.0] * spec.dim) > 0
 
 
 def test_density_integrates_to_one():
@@ -96,12 +108,12 @@ def test_sample_rejects_bad_count():
 def test_rejection_acceptance_rate():
     rng = np.random.default_rng(107)
     want = 40000
-    stream = _RejectionStream(rng, want, 1)
-    stream.take(want)
-    # The stream has accepted the values it handed out and those it holds,
+    stream = _Expol2Draws([rng], 1)
+    _taker(stream)(want)
+    # The lane has accepted the values it handed out and those it holds,
     # out of every pair it read.
-    assert stream.proposals >= 10 ** 5
-    rate = (want + stream._ready.size) / stream.proposals
+    assert stream.proposals[0] >= 10 ** 5
+    rate = (want + stream._ready[0].size) / stream.proposals[0]
     assert Z_REF / 6.0 - 0.02 <= rate <= Z_REF / 6.0 + 0.02
 
 
@@ -149,6 +161,15 @@ def _generator(bits, seed, start):
     return rng
 
 
+def _taker(draws):
+    """take(m): the next m rows of one-lane draws, filled into a fresh block."""
+    def take(m):
+        block = np.empty((1, m, draws._dim))
+        draws.fill([0], block)
+        return block[0]
+    return take
+
+
 def _pieces(take, cuts, count):
     edges = [0, *sorted(set(cuts)), count]
     return [take(b - a) for a, b in zip(edges, edges[1:]) if b > a]
@@ -167,15 +188,15 @@ _starts = st.sampled_from(("none", "uniform", "int32"))
 @example(count=30000, bits=np.random.PCG64, seed=5, start="int32", data=None)
 def test_expol2_stream_is_the_pair_filter(count, bits, seed, start, data):
     want = _reference_expol2(_generator(bits, seed, start), count)
-    whole = _RejectionStream(_generator(bits, seed, start), count, 1)
-    assert np.array_equal(whole.take(count).ravel(), want)
+    whole = _Expol2Draws([_generator(bits, seed, start)], 1)
+    assert np.array_equal(_taker(whole)(count).ravel(), want)
     if data is None:
         cuts = [1, 2, 1000, 4095, 4096, 4097, count - 1]
     else:
         cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
     cuts = [c for c in cuts if 0 < c < count]
-    stream = _RejectionStream(_generator(bits, seed, start), count, 1)
-    pieces = _pieces(stream.take, cuts, count)
+    stream = _Expol2Draws([_generator(bits, seed, start)], 1)
+    pieces = _pieces(_taker(stream), cuts, count)
     assert np.array_equal(np.concatenate(pieces).ravel(), want)
 
 
@@ -183,15 +204,15 @@ def test_expol2_stream_is_the_pair_filter(count, bits, seed, start, data):
 @given(bits=_bits, seed=_seeds, start=_starts, count=st.integers(1, 400),
        data=st.data())
 def test_expol2_pieces_read_only_pairs(bits, seed, start, count, data):
-    # Whatever the pieces, a stream has read whole pairs from its generator,
+    # Whatever the pieces, a lane has read whole pairs from its generator,
     # and exactly the pairs it counts: the generator then continues with the
     # double after the last pair.
-    stream = _RejectionStream(_generator(bits, seed, start), count, 2)
+    stream = _Expol2Draws([_generator(bits, seed, start)], 2)
     cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=8))
-    _pieces(stream.take, [c for c in cuts if 0 < c < count], count)
+    _pieces(_taker(stream), [c for c in cuts if 0 < c < count], count)
     rng = _generator(bits, seed, start)
-    rng.random(2 * stream.proposals)
-    assert stream._rng.random() == rng.random()
+    rng.random(2 * stream.proposals[0])
+    assert stream._rngs[0].random() == rng.random()
 
 
 def test_expol2_draws_follow_the_law():
@@ -216,7 +237,7 @@ _SOURCE_SPECS = {
 
 
 def _want(spec, rng, count):
-    """The sample of count draws, written out without a draw source."""
+    """The sample of count draws, written out without the draw layer."""
     if isinstance(spec, Expol2):
         return _reference_expol2(rng, 2 * count).reshape(count, 2)
     return rng.standard_normal((count, spec.dim))
@@ -229,6 +250,7 @@ def _want(spec, rng, count):
          data=None)
 def test_draw_source_pieces_concatenate_to_the_sample(name, count, bits, seed, start,
                                                       data):
+    # One lane's fills of any sizes concatenate to the sample.
     spec = _SOURCE_SPECS[name]
     want = _want(spec, _generator(bits, seed, start), count)
     if data is None:
@@ -237,13 +259,10 @@ def test_draw_source_pieces_concatenate_to_the_sample(name, count, bits, seed, s
         cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=30))
     cuts = [c for c in cuts if 0 < c < count]
     assert np.array_equal(sample(spec, _generator(bits, seed, start), count), want)
-    source = draw_source(spec, _generator(bits, seed, start), count)
-    got = np.concatenate(_pieces(source.take, cuts, count))
+    source = spec.lane_draws([_generator(bits, seed, start)])
+    got = np.concatenate(_pieces(_taker(source), cuts, count))
     assert got.shape == want.shape == (count, spec.dim)
     assert np.array_equal(got, want)
-    assert source.left == 0
-    with pytest.raises(ValueError, match="cannot take"):
-        source.take(1)
 
 
 _FILL_SPECS = {
@@ -264,13 +283,11 @@ def test_draws_fill_caller_rows_in_place(name, bits, seed, count, data):
     cuts = data.draw(st.lists(st.integers(1, max(count - 1, 1)), max_size=20))
     edges = [0, *sorted({c for c in cuts if 0 < c < count}), count]
     window = np.full((2, count + 1, spec.dim), np.nan)
-    source = draw_source(spec, np.random.Generator(bits(seed)), count)
+    draws = spec.lane_draws([np.random.default_rng(0), np.random.Generator(bits(seed))])
     for a, b in zip(edges, edges[1:]):
-        rows = window[1, a + 1:b + 1]
-        assert source.take(b - a, rows) is rows
+        draws.fill([1], window[:, a + 1:b + 1])
     assert np.array_equal(window[1, 1:], want)
     assert np.isnan(window[0]).all() and np.isnan(window[1, 0]).all()
-    assert source.left == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -294,10 +311,8 @@ def test_grouped_refill_matches_each_lane_alone(name, bits, start, seeds, count,
 def _check_grouped_refill(spec, bits, start, seeds, count, data):
     k = len(seeds)
 
-    def sources():
-        return [draw_source(spec, _generator(bits, seed, start), count) for seed in seeds]
-
-    together, alone = sources(), sources()
+    together = spec.lane_draws([_generator(bits, seed, start) for seed in seeds])
+    alone = [spec.lane_draws([_generator(bits, seed, start)]) for seed in seeds]
     window = np.full((k, count, spec.dim), np.nan)
     if data is None:
         drop, cuts = [count] * k, list(range(128, count, 128))
@@ -309,42 +324,64 @@ def _check_grouped_refill(spec, bits, start, seeds, count, data):
         live = [i for i in range(k) if drop[i] > a]
         if not live:
             break
-        rows = [window[i, a:b] for i in live]
-        got = take_each([together[i] for i in live], b - a, rows)
-        assert all(g is r for g, r in zip(got, rows, strict=True))
+        together.fill(live, window[:, a:b])
         for i in live:
-            alone[i].take(b - a)
+            _taker(alone[i])(b - a)
     for i, seed in enumerate(seeds):
         stop = next(b for b in edges if b >= drop[i])
         want = _want(spec, _generator(bits, seed, start), count)
         assert np.array_equal(window[i, :stop], want[:stop])
         assert np.isnan(window[i, stop:]).all()
-        assert together[i].left == alone[i].left == count - stop
         if isinstance(spec, Expol2):
-            assert together[i].proposals == alone[i].proposals
+            assert together.proposals[i] == alone[i].proposals[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_FILL_SPECS)), seeds=st.lists(_seeds, min_size=1, max_size=6),
+       m=st.integers(0, 300), group=st.sampled_from((1, 700, 8192)), data=st.data())
+def test_fill_ids_in_any_order_write_the_same_block(name, seeds, m, group, data):
+    # The order of the ids decides only how lanes are grouped, never a draw,
+    # over two fills so that the second also drains what the first left.
+    spec, k = _FILL_SPECS[name], len(seeds)
+    ids = data.draw(st.lists(st.integers(0, k - 1), unique=True))
+    blocks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise, "_GROUP_PROPOSALS", group)
+        for order in (sorted(ids), data.draw(st.permutations(ids))):
+            draws = spec.lane_draws([np.random.default_rng(seed) for seed in seeds])
+            block = np.full((2, k, m, spec.dim), np.nan)
+            draws.fill(order, block[0])
+            draws.fill(order, block[1])
+            blocks.append(block)
+    assert np.array_equal(*blocks, equal_nan=True)
+    assert np.isnan(np.delete(blocks[0], ids, axis=1)).all()
 
 
 def test_grouped_refill_refuses_what_take_refuses():
-    # Nothing is drawn unless every source and every out can take the piece.
-    def sources():
-        return [draw_source(Expol2(), np.random.default_rng(s), 10) for s in (1, 2)]
+    # Nothing is drawn unless the block has the form and the ids are
+    # distinct lane ids.
+    def lanes():
+        return Expol2().lane_draws([np.random.default_rng(s) for s in (1, 2)])
 
-    group = sources()
-    outs = [np.empty((4, 2)), np.empty((4, 2))[::-1]]
-    with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
-        take_each(group, 4, outs)
-    with pytest.raises(ValueError, match="1 outs for 2 sources"):
-        take_each(group, 4, outs[:1])
-    with pytest.raises(ValueError, match="cannot take 11 draws with 10 left"):
-        take_each(group, 11)
-    with pytest.raises(ValueError, match="distinct sources"):
-        take_each([group[0], group[0]], 4)
-    with pytest.raises(ValueError, match="the sources of one noise law"):
-        take_each([group[0], draw_source(StdGaussian(2), np.random.default_rng(3), 10)], 4)
-    assert [source.left for source in group] == [10, 10]
-    got = take_each(group, 10)
-    assert all(np.array_equal(g, s.take(10)) for g, s in zip(got, sources()))
-    assert take_each([], 3) == []
+    draws, block = lanes(), np.empty((2, 4, 2))
+    for ids in ([0, 0], [0, 2], [1, -1]):
+        with pytest.raises(ValueError, match=r"^lane ids must be distinct integers in \[0, 2\)$"):
+            draws.fill(ids, block)
+    for bad in (1.0, True, "0"):
+        with pytest.raises(ValueError, match="^lane id must be an integer"):
+            draws.fill([0, bad], block)
+    for bad in (np.empty((3, 4, 2)), np.empty((2, 4, 2))[:, ::-1], np.empty((4, 2))):
+        with pytest.raises(ValueError, match=r"float64 \(2, m, 2\) array with C-contiguous"):
+            draws.fill([0, 1], bad)
+    assert draws.proposals == [0, 0]
+    draws.fill([], block)
+    assert draws.proposals == [0, 0]
+    draws.fill([1, 0], block)
+    want = np.empty((2, 4, 2))
+    lanes().fill([0, 1], want)
+    assert np.array_equal(block, want)
+    assert [np.array_equal(block[i], sample(Expol2(), np.random.default_rng(s), 4))
+            for i, s in enumerate((1, 2))] == [True, True]
 
 
 @pytest.mark.parametrize("name", sorted(_FILL_SPECS))
@@ -352,36 +389,37 @@ def test_draws_refuse_rows_they_cannot_fill_in_place(name):
     spec = _FILL_SPECS[name]
     d = spec.dim
     refused = [
-        np.empty((8, d))[::2],                   # every other row
-        np.empty((4, 2 * d))[:, :d],             # half of each row
-        np.empty((d, 4)).T,                      # column-major (d > 1)
-        np.empty((4, d + 1)),                    # misshaped
-        np.empty((5, d)),                        # more rows than taken
-        np.empty(4 * d),                         # flat
-        np.empty((4, d), dtype=np.float32),      # another dtype
-        [[0.0] * d] * 4,                         # not an array
+        np.empty((1, 8, d))[:, ::2],             # every other row
+        np.empty((1, 8, d))[:, ::-1],            # rows reversed
+        np.empty((1, 4, 2 * d))[:, :, :d],       # half of each row
+        np.empty((1, d, 4)).transpose(0, 2, 1),  # column-major (d > 1)
+        np.empty((1, 4, d + 1)),                 # misshaped
+        np.empty((2, 4, d)),                     # more lanes than drawn
+        np.empty((4, d)),                        # no lane axis
+        np.empty((1, 4, d), dtype=np.float32),   # another dtype
+        [[[0.0] * d] * 4],                       # not an array
     ]
-    source = draw_source(spec, np.random.default_rng(5), 10)
-    for out in refused:
-        with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
-            source.take(4, out)
-    # A refused destination takes no draw.
-    assert source.left == 10
-    assert np.array_equal(source.take(10), sample(spec, np.random.default_rng(5), 10))
+    draws = spec.lane_draws([np.random.default_rng(5)])
+    for block in refused:
+        with pytest.raises(ValueError, match="C-contiguous lane slabs"):
+            draws.fill([0], block)
+    # A refused block takes no draw.
+    assert np.array_equal(_taker(draws)(10), sample(spec, np.random.default_rng(5), 10))
 
 
 def test_expol2_stream_keeps_the_proposal_budget(monkeypatch):
-    # With a budget of one pair per value, a sample of 5,000 rows may read
-    # 10,000 pairs: its first chunk would read more, and pieces of 100 rows
-    # reach the budget within 50 pieces.  The take that would pass it
-    # raises.
+    # With a budget of one pair per value, a fill may read as many pairs as
+    # it writes values: the first chunk of a sample of 5,000 rows would
+    # read more, and so would that of a fill of 100 rows.  The fill that
+    # would pass the budget raises before it reads the chunk.
     monkeypatch.setattr(noise, "_MAX_PROPOSALS_PER_DRAW", 1)
     with pytest.raises(ValueError, match="proposal budget"):
         sample(Expol2(), np.random.default_rng(3), 5000)
-    source = draw_source(Expol2(), np.random.default_rng(3), 5000)
+    source = Expol2().lane_draws([np.random.default_rng(3)])
     with pytest.raises(ValueError, match="proposal budget"):
         for _ in range(50):
-            source.take(100)
+            _taker(source)(100)
+    assert source.proposals == [0]
 
 
 def test_quadrature_moments_match_frozen_values():

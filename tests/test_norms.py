@@ -17,7 +17,7 @@ from ergokit.ergodicity import (
     probe_skeleton_reachability,
     shell_estimate_envelope,
 )
-from ergokit.noise import Expol2, StdGaussian, abs_moment, draw_source, sample
+from ergokit.noise import Expol2, StdGaussian, abs_moment, sample
 from ergokit.norms import (
     frobenius_norm,
     induced_norm_bounds,
@@ -113,7 +113,8 @@ def test_every_entry_point_refuses_a_bad_exponent(monkeypatch, entry, s):
 _COUNT_ENTRY_POINTS = {
     "StdGaussian": ("dim", StdGaussian),
     "sample": ("count", lambda n: sample(Expol2(), np.random.default_rng(0), n)),
-    "take": ("m", lambda n: draw_source(Expol2(), np.random.default_rng(0), 10).take(n)),
+    "fill": ("lane id", lambda n: Expol2().lane_draws([np.random.default_rng(0)]).fill(
+        [n], np.empty((1, 10, 2)))),
     "abs_moment": ("budget", lambda n: abs_moment(
         Expol2(), 1.0, method="monte_carlo", budget=n, rng=np.random.default_rng(0))),
     "empirical_drift_check": ("n_mc", lambda n: empirical_drift_check(

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ergokit import simulate
+from ergokit import noise, simulate
 from ergokit.config import builtin_configs, validate_config
 from ergokit.ergodicity import empirical_drift_check, shell_estimate_envelope
 from ergokit.models import AffineMap, BekkArch, GenericModel, ThresholdAffine2D, step
@@ -618,9 +618,9 @@ def _traced_peak(cfg):
 def test_streamed_window_memory_bound():
     # 200 threshold lanes, as in example2-ergodic, streamed over three
     # blocks.  The peak is one (200, _BLOCK_STEPS + 1, 2) window, 0.41 MB,
-    # plus what the lanes' draw sources hold (their generators and leftover
-    # values) and one group's scratch of pairs: 1.08 MB with 128-step
-    # blocks.  The bound leaves 20% above the measured peak.
+    # plus what the run's draw object holds (the lanes' generators and
+    # leftover values) and one group's scratch of pairs: 1.08 MB with
+    # 128-step blocks.  The bound leaves 20% above the measured peak.
     horizon = 3 * _BLOCK_STEPS
     cfg = SimulationConfig(model=make_threshold(), noise=Expol2(), x0=(0.0, 0.0),
                            horizon=horizon, n_traj=200,
@@ -630,33 +630,29 @@ def test_streamed_window_memory_bound():
 
 
 def test_streamed_run_refills_each_live_lane_once_per_block(monkeypatch):
-    # One grouped refill per block writes each live lane's block of draws
-    # into its window rows, and a censored lane draws no later block.
-    sources, refills = [], []
-    draw_source, take_each = simulate.draw_source, simulate.take_each
+    # One fill per block writes each live lane's block of draws into its
+    # window rows, and a censored lane draws no later block.
+    refills = []
+    fill = noise._LaneDraws.fill
 
-    def recording_draw_source(*args):
-        sources.append(draw_source(*args))
-        return sources[-1]
+    def recording_fill(draws, ids, block):
+        refills.append((id(draws), list(ids), block.shape[1]))
+        return fill(draws, ids, block)
 
-    def recording_take_each(group, m, outs=None):
-        refills.append(([id(source) for source in group], m, outs is not None))
-        return take_each(group, m, outs)
-
-    monkeypatch.setattr(simulate, "draw_source", recording_draw_source)
-    monkeypatch.setattr(simulate, "take_each", recording_take_each)
+    monkeypatch.setattr(noise._LaneDraws, "fill", recording_fill)
     cfg = validate_config(builtin_configs()["example2-ergodic"])["simulation"]
     assert simulate_ensemble(cfg).diverged_count == 0
     blocks = -(-cfg.horizon // _BLOCK_STEPS)
     assert len(refills) == blocks
-    taken = Counter(lane for group, _, _ in refills for lane in group)
+    assert len({draws for draws, _, _ in refills}) == 1
+    assert [m for _, _, m in refills] == [
+        min(_BLOCK_STEPS, cfg.horizon - t0) for t0 in range(0, cfg.horizon, _BLOCK_STEPS)]
+    taken = Counter(lane for _, ids, _ in refills for lane in ids)
     assert sum(taken.values()) == cfg.n_traj * blocks
-    assert taken == Counter({id(source): blocks for source in sources})
-    assert all(in_place for _, _, in_place in refills)
+    assert taken == Counter({lane: blocks for lane in range(cfg.n_traj)})
 
     # The censored-dump workload: 69 of 100 explosive lanes cross the
     # threshold, in several blocks (steps 257 to 998).
-    sources.clear()
     refills.clear()
     doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
     doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
@@ -664,8 +660,8 @@ def test_streamed_run_refills_each_live_lane_once_per_block(monkeypatch):
                              divergence_threshold=1e6)
     cfg = validate_config(doc)["simulation"]
     steps = simulate_ensemble(cfg).divergence_steps
-    taken = Counter(lane for group, _, _ in refills for lane in group)
-    assert [taken[id(source)] for source in sources] == [
+    taken = Counter(lane for _, ids, _ in refills for lane in ids)
+    assert [taken[lane] for lane in range(cfg.n_traj)] == [
         -(-(cfg.horizon if t is None else t) // _BLOCK_STEPS) for t in steps]
     censored = [t for t in steps if t is not None]
     assert len(censored) == 69
