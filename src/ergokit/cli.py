@@ -208,6 +208,8 @@ def cmd_simulate(args):
 
 def cmd_moments(args):
     noise = Expol2() if args.noise == "expol2" else StdGaussian(args.dim)
+    if noise.dim != args.dim:
+        raise ValueError(f"--dim is {args.dim} but {args.noise} noise has dim {noise.dim}")
     method = {"mc": "monte_carlo"}.get(args.method, args.method)
     require_seed(args.seed, "--seed")
     seed_override = _env_seed_override()
@@ -362,7 +364,7 @@ def build_parser():
     p_mom.add_argument("--budget", type=int, default=100_000,
                        help="Monte Carlo sample count (mc method only)")
     p_mom.add_argument("--dim", type=int, default=2,
-                       help="dimension for gaussian noise")
+                       help="noise dimension (expol2 has dim 2 only)")
     p_mom.add_argument("--seed", type=int, default=0,
                        help="Monte Carlo seed (mc method only)")
     p_mom.set_defaults(func=cmd_moments)

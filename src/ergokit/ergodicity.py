@@ -390,8 +390,8 @@ def _compose_notes(envelope, moment, gamma, verdict, extra):
     parts = [
         f"envelope source: {envelope.source}",
         f"moment method: {moment.method}",
-        f"gamma = b_f + b_g * E[||e||_s] = {envelope.b_f:.6g} + "
-        f"{envelope.b_g:.6g} * {moment.value:.6g} = {gamma:.6g}",
+        f"gamma = b_f + b_g * E[||e||_s] = {envelope.b_f:.17g} + "
+        f"{envelope.b_g:.17g} * {moment.value:.17g} = {gamma:.17g}",
         _SUFFICIENT_ONLY_NOTE,
     ]
     if verdict == VERDICT_MET:

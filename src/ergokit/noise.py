@@ -282,7 +282,8 @@ class _Expol2Draws(_LaneDraws):
         self.proposals = [0] * len(self._rngs)
 
     def _fill(self, ids, block):
-        limit = [p + _MAX_PROPOSALS_PER_DRAW * block[0].size for p in self.proposals]
+        budget = _MAX_PROPOSALS_PER_DRAW * block.shape[1] * self._dim
+        limit = [p + budget for p in self.proposals]
         short = []  # (lane, its slab as a flat view, values written)
         for i in ids:
             flat = block[i].reshape(-1)  # a view, since the slab is C-contiguous

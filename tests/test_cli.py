@@ -270,6 +270,44 @@ def test_moments_analytic_gaussian_s2_at_high_dim(capsys):
     assert json.loads(out)["value"] == pytest.approx(math.sqrt(343.0), rel=1e-3)
 
 
+@pytest.mark.parametrize("argv", [[], ["--dim", "2"]], ids=["no-dim", "dim-2"])
+def test_moments_expol2_keeps_its_output_at_dim_2(capsys, argv):
+    assert main(["moments", "--noise", "expol2", "--s", "1", *argv]) == 0
+    assert capsys.readouterr() == ("""{
+  "noise": "expol2",
+  "value": 1.6547848786785642,
+  "std_error": 0,
+  "method": "quadrature",
+  "s": 1,
+  "sample_count": null,
+  "grid_size": 2624
+}
+""", "")
+
+
+@pytest.mark.parametrize("dim", ["1", "3"])
+def test_moments_expol2_refuses_another_dim(capsys, dim):
+    # Expol2 is bivariate; a --dim it does not have used to print the 2-D
+    # moment as if it were that dim's.
+    assert main(["moments", "--noise", "expol2", "--s", "1", "--dim", dim]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --dim is {dim} but expol2 noise has dim 2\n")
+
+
+def test_check_notes_print_gamma_with_every_digit(tmp_path, capsys):
+    # gamma = 0 + b_g * E||e||_1.5 falls 7.4e-13 below 1 here; the notes
+    # print it with format_float's 17 digits, never rounded up to 1.
+    doc = {**builtin_configs()["example2-ergodic"], "checks": {"s": 1.5, "envelope": {
+        "a_f": 1, "b_f": 0, "a_g": 1, "b_g": 0.73810814486594123, "M": 1}}}
+    assert main(["check", write_config(tmp_path, doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "sufficient_condition_met"
+    assert report["gamma"] == 0.9999999999992628
+    assert ("gamma = b_f + b_g * E[||e||_s] = 0 + 0.73810814486594123 * "
+            f"{report['noise_moment']['value']:.17g} = 0.99999999999926281;"
+            ) in report["notes"]
+
+
 def _shell_check_doc(s):
     return {**builtin_configs()["example2-ergodic"],
             "checks": {"s": s, "envelope": "shell"}}

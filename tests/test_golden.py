@@ -137,6 +137,26 @@ medians at t = 1e2, 1e3, 1e4 went from 13.17, 50.2, 148.54 to 14.91,
 from 1.6546072503125393 (standard error 0.00172292) to 1.6554175217291625
 (0.00172213); the quadrature value is 1.6547848786785642.  Its output
 moved 8d0d0d4ce944... -> 853658a03e05....
+
+Every check report was then re-frozen when its notes began to print b_f,
+b_g, E[||e||_s] and gamma with format_float's 17 significant digits in
+place of 6, so that a gamma below 1 never prints as 1 (example2-ergodic
+at s = 1.5 with b_f = 0 and b_g = 0.73810814486594123 has gamma
+0.99999999999926281, which printed as 1).  Only notes changed, so no
+verdict, gamma or exit code moved:
+
+    check bekk-demo                  report.json  73335c289882... -> 7aa41ee4dd2b...
+    check bekk-demo-B-identity       report.json  a16aed9d5b4c... -> 12cfd0fadf30...
+    check bekk-demo-B-zero           report.json  a4a216c550b0... -> 8de3e1056302...
+    check bekk-demo-shell-s2         report.json  97535b917c46... -> f9ed67abf5fe...
+    check example2-ergodic           report.json  ecf00088b2dd... -> 4c2e09aebc10...
+    check example2-ergodic-shell-s2  report.json  543900b4c3f1... -> 32fcf82001ed...
+    check example2-ergodic-signed    report.json  e4c50e39aa31... -> a7c0e0872061...
+
+The built-in bundles at seed 20260814 moved in report.json only:
+example2-ergodic ecf00088b2dd... -> 4c2e09aebc10..., example2-unit-root
+904382da3246... -> fb7b4295a61d..., example2-variance 9c0974523aab... ->
+03d3491f0209... and bekk-demo 73335c289882... -> 7aa41ee4dd2b....
 """
 
 import hashlib
@@ -221,19 +241,19 @@ ERGODIC_SIGNED = _check_doc("example2-ergodic", a=[0.3, -0.2],
                             B=[[-0.2, 0.1], [0.15, -0.3]], D_c=[-0.2, 0.25])
 CHECK_GOLDEN = {
     "bekk-demo": (builtin_configs()["bekk-demo"], 2,
-                  "73335c2898823d358a025cf1d4ffb577da713ba8e6c42233bb03e6b6e30bc359"),
+                  "7aa41ee4dd2b06e5f57c474dc3723491e7a8edfca856cc02b19bc6f4154ea2d3"),
     "bekk-demo-shell-s2": (BEKK_SHELL_S2, 2,
-                           "97535b917c462aab6765295c826efa4270217d12b45f5ed8ba8a624be4010e16"),
+                           "f9ed67abf5fef30ef0f7c6979603df7a7bae0976b35fd99d81add0e316d12eb4"),
     "example2-ergodic": (builtin_configs()["example2-ergodic"], 0,
-                         "ecf00088b2ddcb41b3f7cedcb55ccc4f1c55e691fb139325234b5acdf7fa1205"),
+                         "4c2e09aebc1056e575b519ed8300de1ab3386f119e0f6d3bdf5f7bc78f13cee3"),
     "bekk-demo-B-identity": (BEKK_B_IDENTITY, 2,
-                             "a16aed9d5b4c96f2baae2f907fd4559bb74e93cdcdc7a0c5032a803d391baa18"),
+                             "12cfd0fadf30a7e6731b8b7dd17c58c649d6577fd2c45d0995d812e9fa1a66b6"),
     "bekk-demo-B-zero": (BEKK_B_ZERO, 2,
-                         "a4a216c550b02918cdf026f7350ea2990ec042cc274ef99d70b8cbc8791f5fcd"),
+                         "8de3e10563028acd912f9bec4684aed01e2f13050a45c9dd6cd226541e1f2b0b"),
     "example2-ergodic-shell-s2": (SHELL_S2, 3,
-                                  "543900b4c3f12a2e47b68ab28a44f7a498e174a76c87a17d2b0c5d662166787e"),
+                                  "32fcf82001ed14e53ac8cefa7997fb9ae7d296a2d15e5909f0e421aee6984d5a"),
     "example2-ergodic-signed": (ERGODIC_SIGNED, 0,
-                                "e4c50e39aa31a66baa8dfde7e8fb5399202253d59b6bac0d63c1b33c8e4ee90a"),
+                                "a7c0e08720611e49973d204dd87004e6be0a92a10ebb9b88343619308dfc8829"),
 }
 
 
