@@ -232,11 +232,11 @@ class _LaneDraws:
 
     def fill(self, ids, block):
         k, d = len(self._rngs), self._dim
-        # A slab with other strides would reshape(-1) to a silent copy; numpy
-        # gives an empty array any strides.
+        # A slab that is not C-contiguous would reshape(-1) to a silent copy;
+        # block[:1] is one slab, whatever the stride between slabs.
         if not (isinstance(block, np.ndarray) and block.dtype == np.float64
                 and block.ndim == 3 and block.shape[::2] == (k, d)
-                and (block.size == 0 or block.strides[1:] == (8 * d, 8))):
+                and block[:1].flags.c_contiguous):
             raise ValueError(f"draws go into a float64 ({k}, m, {d}) array with "
                              f"C-contiguous lane slabs")
         ids = [require_int(i, "lane id") for i in ids]
@@ -283,7 +283,7 @@ class _Expol2Draws(_LaneDraws):
 
     def _fill(self, ids, block):
         budget = _MAX_PROPOSALS_PER_DRAW * block.shape[1] * self._dim
-        limit = [p + budget for p in self.proposals]
+        limit = {i: self.proposals[i] + budget for i in ids}
         short = []  # (lane, its slab as a flat view, values written)
         for i in ids:
             flat = block[i].reshape(-1)  # a view, since the slab is C-contiguous

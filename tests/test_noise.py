@@ -403,8 +403,13 @@ def test_draws_refuse_rows_they_cannot_fill_in_place(name):
     for block in refused:
         with pytest.raises(ValueError, match="C-contiguous lane slabs"):
             draws.fill([0], block)
-    # A refused block takes no draw.
-    assert np.array_equal(_taker(draws)(10), sample(spec, np.random.default_rng(5), 10))
+    # A refused block takes no draw.  A slab of one row is contiguous
+    # whatever its row stride.
+    want = sample(spec, np.random.default_rng(5), 11)
+    assert np.array_equal(_taker(draws)(10), want[:10])
+    block = np.empty((1, 8, d))[:, ::8]
+    draws.fill([0], block)
+    assert np.array_equal(block[0], want[10:])
 
 
 def test_expol2_stream_keeps_the_proposal_budget(monkeypatch):

@@ -413,8 +413,8 @@ def test_generator_jump_check_flags_only_jumps():
                                        (4, "state")]
 
 
-# Every draw source reads its generator forward only: pieces equal the
-# sample because each piece reads the next values, not by moving a copy.
+# Every lane's draws read its generator forward only: fills equal the
+# sample because each fill reads the next values, not by moving a copy.
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_generator_is_moved_but_by_drawing(path):
     assert generator_jumps(path.read_text()) == []
