@@ -283,7 +283,7 @@ class _Expol2Draws(_LaneDraws):
 
     def _fill(self, ids, block):
         budget = _MAX_PROPOSALS_PER_DRAW * block.shape[1] * self._dim
-        limit = {i: self.proposals[i] + budget for i in ids}
+        limit = [p + budget for p in self.proposals]
         short = []  # (lane, its slab as a flat view, values written)
         for i in ids:
             flat = block[i].reshape(-1)  # a view, since the slab is C-contiguous
