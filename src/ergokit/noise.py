@@ -355,7 +355,7 @@ def sample(spec, rng, count):
     """`count` i.i.d. draws of the noise law as a (count, dim) array: one
     lane's draws (spec.lane_draws) taken in one block.
 
-    Deterministic given the generator state and count; rng is left at an
+    Deterministic given the generator state and count; rng ends at an
     unspecified position.
     """
     count = require_int(count, "count")
