@@ -48,6 +48,9 @@ _EXIT_BY_VERDICT = {VERDICT_MET: 0, VERDICT_FAILED: 2, VERDICT_INCONCLUSIVE: 3}
 # Full per-step trajectory dumps are only written for small runs; ensembles
 # beyond this many rows still get snapshot and summary artifacts.
 _TRAJECTORY_DUMP_ROW_CAP = 100_000
+# The dump formats at most this many rows of a path per piece, so its
+# transient text stays a few KB whatever the path length.
+_TRAJECTORY_PIECE_ROWS = 64
 
 _SHELL_RADIUS = 100.0
 _SHELL_SAMPLES = 4000
@@ -128,11 +131,12 @@ def _snapshot_csv(summary, seed, cfg_hash):
 
 
 def _trajectory_csv(paths, seed, cfg_hash):
-    """Yield the text of trajectories.csv in pieces: the header line, the
-    rows of one path at a time, then the provenance footer.
+    """Yield the text of trajectories.csv in pieces: the header line, each
+    path's rows in pieces of at most _TRAJECTORY_PIECE_ROWS rows, then the
+    provenance footer.
 
-    Each path is filled in by one `%` over its flattened states, so the
-    dump never holds more than one path's text.
+    Each piece is filled in by one `%` over its flattened states, so the
+    dump never holds more than one piece's text.
     """
     dim = paths[0].states.shape[1]
     yield ",".join(["traj_id", "t"] + [f"x_{j + 1}" for j in range(dim)]) + "\n"
@@ -144,8 +148,10 @@ def _trajectory_csv(paths, seed, cfg_hash):
         rows = p.states.shape[0]
         tails.extend(f",{t}{values}" for t in range(len(tails), rows))
         traj_id = str(i)
-        template = traj_id + traj_id.join(tails[:rows])
-        yield template % tuple(p.states.ravel().tolist())
+        for t0 in range(0, rows, _TRAJECTORY_PIECE_ROWS):
+            t1 = min(t0 + _TRAJECTORY_PIECE_ROWS, rows)
+            template = traj_id + traj_id.join(tails[t0:t1])
+            yield template % tuple(p.states[t0:t1].ravel().tolist())
     yield provenance_comment(seed, cfg_hash) + "\n"
 
 
@@ -207,6 +213,8 @@ def cmd_simulate(args):
 
 
 def cmd_moments(args):
+    if args.dim < 1:
+        raise ValueError(f"--dim must be >= 1, got {args.dim}")
     noise = Expol2() if args.noise == "expol2" else StdGaussian(args.dim)
     if noise.dim != args.dim:
         raise ValueError(f"--dim is {args.dim} but {args.noise} noise has dim {noise.dim}")

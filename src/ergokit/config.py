@@ -108,7 +108,10 @@ def noise_from_config(doc, path="$.noise"):
     if kind == "gaussian":
         _require_keys(doc, path, ("kind",), optional=("dim",))
         dim = _as_int(doc.get("dim", 2), f"{path}.dim")
-        return StdGaussian(dim)
+        try:
+            return StdGaussian(dim)
+        except ValueError as exc:
+            _fail(f"{path}.dim", str(exc))
     _fail(f"{path}.kind", f"unknown noise kind {kind!r}")
 
 

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import ergokit
 
-from ergokit.cli import _trajectory_csv, main
+from ergokit.cli import _TRAJECTORY_PIECE_ROWS, _trajectory_csv, main
 from ergokit.config import (
     builtin_configs,
     format_float,
@@ -337,13 +337,16 @@ def test_pseudonorm_moments_and_checks_run_at_small_s(tmp_path, capsys):
     ["--s", "inf", "--method", "mc", "--budget", "100"],
     ["--s", "1", "--method", "mc", "--seed", "-1"],
     ["--s", "1", "--method", "mc", "--seed", str(1 << 64)],
-], ids=["s-inf", "s-nan", "mc-s-inf", "seed-negative", "seed-2^64"])
+    ["--s", "1", "--dim", "0"],
+    ["--s", "1", "--dim", "-3"],
+], ids=["s-inf", "s-nan", "mc-s-inf", "seed-negative", "seed-2^64", "dim-0", "dim-negative"])
 def test_moments_rejects_bad_s_and_seed(capsys, argv):
     assert main(["moments", "--noise", "gaussian", *argv]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    assert ("--seed" if "--seed" in argv else "s must be") in err
+    flag = next((f for f in ("--seed", "--dim") if f in argv), None)
+    assert (f"{flag} " if flag else "s must be") in err
 
 
 def test_numeric_failure_is_an_error_line(tmp_path, capsys, monkeypatch):
@@ -620,7 +623,8 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e3
 @st.composite
 def _path_sets(draw):
     dim = draw(st.sampled_from([1, 2, 3]))
-    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    lengths = draw(st.lists(st.integers(1, 2 * _TRAJECTORY_PIECE_ROWS + 2),
+                            min_size=1, max_size=6))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return [PathResult(states=draw(arrays(np.float64, (rows, dim), elements=finite)),
                        diverged=False)
@@ -633,11 +637,22 @@ def _edge_paths(dim):
             PathResult(states=np.full((1, dim), 3.0), diverged=False)]
 
 
+def _paths_around_a_piece(rows):
+    # A path of `rows` rows, then a shorter one that reuses the cached tails.
+    values = np.random.default_rng(rows).standard_normal((rows, 2))
+    return [PathResult(states=values, diverged=False),
+            PathResult(states=values[:3] * 1e-300, diverged=False)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(paths=_path_sets())
 @example(paths=_edge_paths(1))
 @example(paths=_edge_paths(2))
 @example(paths=_edge_paths(3))
+@example(paths=_paths_around_a_piece(_TRAJECTORY_PIECE_ROWS - 1))
+@example(paths=_paths_around_a_piece(_TRAJECTORY_PIECE_ROWS))
+@example(paths=_paths_around_a_piece(_TRAJECTORY_PIECE_ROWS + 1))
+@example(paths=_paths_around_a_piece(2 * _TRAJECTORY_PIECE_ROWS + 1))
 def test_trajectory_dump_prints_each_cell_as_format_float(paths):
     dim = paths[0].states.shape[1]
     want = [",".join(["traj_id", "t"] + [f"x_{j + 1}" for j in range(dim)])]
@@ -648,22 +663,37 @@ def test_trajectory_dump_prints_each_cell_as_format_float(paths):
     assert "".join(_trajectory_csv(paths, 7, "ab" * 32)) == "\n".join(want) + "\n"
 
 
-def test_trajectory_dump_memory_does_not_grow_with_the_run(tmp_path):
+@pytest.fixture(scope="module")
+def censored_paths():
     # A 100 x 999-step unit-root run where 69 paths are censored mid-run:
-    # 73,416 rows, 3.4 MB of text.  Writing it holds one path's text at a
-    # time, far below the dump's size.
+    # 73,416 rows, 3.4 MB of text.
     doc = copy.deepcopy(builtin_configs()["example2-unit-root"])
     doc["model"]["B"] = [[1.02, 0.0], [0.0, 1.02]]
     doc["simulation"].update(n_traj=100, T=999, snapshots=[100, 999],
                              divergence_threshold=1e6, seed=20260814)
     paths = simulate_ensemble(validate_config(doc)["simulation"], keep_paths=True).paths
+    assert sum(p.states.shape[0] for p in paths) == 73_416
+    return paths
+
+
+def test_trajectory_dump_pieces_hold_at_most_a_piece_of_rows(censored_paths):
+    pieces = list(_trajectory_csv(censored_paths, 20260814, "0" * 64))[1:-1]
+    assert max(piece.count("\n") for piece in pieces) <= _TRAJECTORY_PIECE_ROWS
+    assert max(len(piece) for piece in pieces) < 4 << 10  # 46,669 for a whole path
+    assert len(pieces) == sum(-(-p.states.shape[0] // _TRAJECTORY_PIECE_ROWS)
+                              for p in censored_paths)
+
+
+def test_trajectory_dump_memory_does_not_grow_with_the_run(tmp_path, censored_paths):
+    # Writing the dump holds one piece of at most _TRAJECTORY_PIECE_ROWS
+    # rows' text at a time, plus the cached row templates, far below the
+    # dump's size.
     target = tmp_path / "trajectories.csv"
     tracemalloc.start()
     try:
-        write_text_atomic(str(target), _trajectory_csv(paths, 20260814, "0" * 64))
+        write_text_atomic(str(target), _trajectory_csv(censored_paths, 20260814, "0" * 64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(p.states.shape[0] for p in paths) == 73_416
     assert target.stat().st_size > 3 << 20
     assert peak < 1 << 20

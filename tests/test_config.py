@@ -118,6 +118,13 @@ def test_noise_dimension_mismatch_is_a_config_error():
     assert validate_config({**doc, "noise": {"kind": "gaussian", "dim": 2}})["noise"].dim == 2
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_gaussian_dim_below_1_is_a_config_error(dim):
+    doc = {**ergodic_doc(), "noise": {"kind": "gaussian", "dim": dim}}
+    with pytest.raises(ConfigError, match=rf"^dim must be >= 1, got {dim} at \$\.noise\.dim$"):
+        validate_config(doc)
+
+
 def test_analytic_envelope_at_the_wrong_s_is_a_config_error():
     doc = ergodic_doc()
     with pytest.raises(ConfigError, match=r"fixes s=1; .* at \$\.checks\.s$"):
